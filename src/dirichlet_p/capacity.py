@@ -24,7 +24,13 @@ from typing import Any, Sequence
 import numpy as np
 
 from .grid import GridFunction, ShapeMismatchError, gamma, join, meet
-from .pform import PFormContext, p_form, p_operator, pure_potential_violation, _safe_power
+from .pform import (
+    PFormContext,
+    _pure_potential_test,
+    _safe_power,
+    p_form,
+    pure_potential_violation,
+)
 from .report import CheckReport
 from .solve import SolveOptions, SolveResult, solve_dirichlet, vi_residual
 
@@ -214,10 +220,7 @@ def is_pure_potential(u: GridFunction, ctx: PFormContext,
         raise ValueError("pure-potential test needs the outer mask on u")
     if np.any(np.abs(u.values[u.mask]) > 1e-12):
         raise ValueError("admissible functions vanish on the outer mask")
-    coeff = p_operator(u, ctx, mask=u.mask).coefficients
-    scale = float(np.max(np.abs(coeff))) if coeff.size else 0.0
-    worst, _ = pure_potential_violation(u, ctx, mask=u.mask)
-    return bool(worst >= -rtol * max(scale, 1e-300))
+    return _pure_potential_test(u, ctx, u.mask, rtol)[0]
 
 
 # -- Choquet property suite ---------------------------------------------------
@@ -260,23 +263,28 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
     grid = ctx.describe()
     base_tol = _solver_value_tol(ctx, opts)
 
-    caps: list[float] = []
-    pots: list[GridFunction | None] = []
-    for s in sets:
-        c, e = _cap_of_nodes(s, outer, ctx, opts)
-        caps.append(c)
-        pots.append(e)
+    # the chains and pairs repeat sets (chain[0] is sets[0]): solve each once
+    solved: dict[bytes, tuple[float, GridFunction | None]] = {}
+
+    def cap(s: np.ndarray) -> tuple[float, GridFunction | None]:
+        key = s.tobytes()
+        if key not in solved:
+            solved[key] = _cap_of_nodes(s, outer, ctx, opts)
+        return solved[key]
+
+    caps = [cap(s)[0] for s in sets]
     scale = max(max(caps), 1e-300)
     reports: list[CheckReport] = []
 
     # pairwise strong subadditivity
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
-            cu, _ = _cap_of_nodes(sets[i] | sets[j], outer, ctx, opts)
-            ci, _ = _cap_of_nodes(sets[i] & sets[j], outer, ctx, opts)
+            cu = cap(sets[i] | sets[j])[0]
+            ci = cap(sets[i] & sets[j])[0]
+            ei, ej = cap(sets[i])[1], cap(sets[j])[1]
             defect = 0.0
-            if pots[i] is not None and pots[j] is not None:
-                defect = _exchange_defect(pots[i], pots[j], ctx)
+            if ei is not None and ej is not None:
+                defect = _exchange_defect(ei, ej, ctx)
             tol = max(1e-9 * scale, 4.0 * base_tol) + defect
             lhs = cu + ci
             rhs = caps[i] + caps[j]
@@ -304,13 +312,12 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
     chain = [sets[0]]
     for s in sets[1:]:
         chain.append(chain[-1] & s)
-    chain_caps = [_cap_of_nodes(c, outer, ctx, opts)[0] for c in chain]
+    chain_caps = [cap(c)[0] for c in chain]
     tol = max(1e-9 * scale, 2.0 * base_tol)
     dec_ok = all(a >= b - tol for a, b in zip(chain_caps, chain_caps[1:]))
-    limit_ok = abs(chain_caps[-1] - _cap_of_nodes(chain[-1], outer, ctx, opts)[0]) <= tol
     reports.append(CheckReport(
         check="decreasing_compacts", p=ctx.p, grid=grid,
-        passed=dec_ok and limit_ok, lhs=chain_caps[-1], rhs=chain_caps[0],
+        passed=dec_ok, lhs=chain_caps[-1], rhs=chain_caps[0],
         slack=chain_caps[0] - chain_caps[-1], tolerance=tol,
         details={"chain_values": chain_caps},
     ))
@@ -319,7 +326,7 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
     chain = [sets[0]]
     for s in sets[1:]:
         chain.append(chain[-1] | s)
-    chain_caps = [_cap_of_nodes(c, outer, ctx, opts)[0] for c in chain]
+    chain_caps = [cap(c)[0] for c in chain]
     inc_ok = all(a <= b + tol for a, b in zip(chain_caps, chain_caps[1:]))
     union_cap = chain_caps[-1]
     reports.append(CheckReport(

@@ -399,6 +399,11 @@ def verify_component_harmonicity(mapping: Mapping, min_order: float = 1.0,
     discrete operator annihilates quadratic and cubic harmonics exactly)
     or the observed order log2(coarse/fine) reaches min_order.  log|f| is
     included automatically when the mapping omits zero on its region.
+
+    The row compares min_order (lhs) with the worst observed order (rhs).
+    When every field sits at the rounding floor no order is observed, and
+    the row reports the inequality that was checked instead: the largest
+    residual (lhs) against the floor (rhs), so every number stays finite.
     """
     if include_log is None:
         include_log = mapping.omits_zero()
@@ -416,14 +421,15 @@ def verify_component_harmonicity(mapping: Mapping, min_order: float = 1.0,
         rows[name] = {**pair, "regime": "refinement", "order": order}
         passed = passed and ok
         worst_order = min(worst_order, order)
+    if all(row["regime"] == "exact_floor" for row in rows.values()):
+        lhs, rhs = max(max(pair.values()) for pair in res.values()), floor
+    else:
+        lhs, rhs = min_order, worst_order
     n = mapping.domain.dim
     return CheckReport(
         check="component_harmonicity", p=float(n),
         grid=f"{n}d " + "x".join(str(s) for s in mapping.domain.shape),
-        passed=passed,
-        lhs=min_order, rhs=worst_order if worst_order < math.inf else float("inf"),
-        slack=(worst_order - min_order) if worst_order < math.inf else float("inf"),
-        tolerance=floor,
+        passed=passed, lhs=lhs, rhs=rhs, slack=rhs - lhs, tolerance=floor,
         details={"fields": rows, "include_log": include_log},
     )
 

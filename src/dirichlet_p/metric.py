@@ -19,13 +19,14 @@ consume.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from .grid import (
     GridDomain,
@@ -43,7 +44,6 @@ from .solve import harmonicity_residual
 
 __all__ = [
     "MetricField",
-    "CaccioppoliReport",
     "stencil_offsets",
     "metrication_constant",
     "cutoff_gamma_bound",
@@ -167,11 +167,13 @@ class MetricField:
 
 
 def _edge_weight_arrays(structure: GridStructure, offsets: list[tuple[int, ...]]):
-    """Per-offset arrays of edge lengths from every source node.
+    """Edge lengths and targets of every stencil move, one column per offset.
 
-    The metric tensor (2G)^-1 is sampled as the mean over the cells whose
-    closed extent contains the segment midpoint; out-of-bounds targets get
-    NaN.
+    Returns (weights, targets), both of shape (num_nodes, len(offsets)):
+    row j holds the moves out of flat node j.  The metric tensor (2G)^-1
+    is sampled as the mean over the cells whose closed extent contains the
+    segment midpoint.  Moves leaving the grid become self-loops of
+    infinite length, so every row has the same number of entries.
     """
     domain = structure.domain
     dim = domain.dim
@@ -179,8 +181,10 @@ def _edge_weight_arrays(structure: GridStructure, offsets: list[tuple[int, ...]]
     cells = domain.cells_shape
     Minv = np.linalg.inv(2.0 * structure.field.matrices)
     h = np.asarray(domain.spacing)
-    out = []
-    for off in offsets:
+    n = domain.num_nodes
+    weights = np.full((n, len(offsets)), np.inf)
+    weights_nd = weights.reshape(shape + (len(offsets),))
+    for k, off in enumerate(offsets):
         src_lo = [(-o if o < 0 else 0) for o in off]
         view = tuple(shape[a] - abs(off[a]) for a in range(dim))
         # candidate cells containing the segment midpoint, relative to the
@@ -209,22 +213,26 @@ def _edge_weight_arrays(structure: GridStructure, offsets: list[tuple[int, ...]]
                 continue
             acc[tuple(view_sl)] += Minv[tuple(cell_sl)]
             count[tuple(view_sl)] += 1.0
-        Mbar = acc / count[..., None, None]
+        acc /= count[..., None, None]  # the mean tensor
         e = np.asarray(off, dtype=float) * h
-        w = np.sqrt(np.einsum("i,...ij,j->...", e, Mbar, e))
-        weights = np.full(shape, np.nan)
-        weights[tuple(slice(lo, lo + v) for lo, v in zip(src_lo, view))] = w
-        out.append((np.asarray(off, dtype=int), weights))
-    return out
+        on_grid = tuple(slice(lo, lo + v) for lo, v in zip(src_lo, view)) + (k,)
+        weights_nd[on_grid] = np.sqrt(np.einsum("i,...ij,j->...", e, acc, e))
+    # built after the loop so its temporaries and the targets never coexist
+    strides = [int(np.prod(shape[a + 1:])) for a in range(dim)]
+    targets = np.repeat(np.arange(n, dtype=np.int32)[:, None], len(offsets), axis=1)
+    for k, off in enumerate(offsets):
+        targets[np.isfinite(weights[:, k]), k] += int(np.dot(off, strides))
+    return weights, targets
 
 
 def intrinsic_distance(source: Sequence[int], structure: GridStructure,
                        neighborhood: int = 16) -> MetricField:
-    """Shortest-path intrinsic distance from a source node (Dijkstra).
+    """Shortest-path intrinsic distance from a source node.
 
-    The grid must be connected (it is, being a full box).  Distances are a
-    genuine metric on the node set: symmetric, zero only at the source,
-    triangle inequality exact.
+    Dijkstra from scipy.sparse.csgraph on the stencil graph.  The grid
+    must be connected (it is, being a full box).  Distances are a genuine
+    metric on the node set: symmetric, zero only at the source, triangle
+    inequality exact.
     """
     domain = structure.domain
     src = tuple(int(i) for i in source)
@@ -233,35 +241,14 @@ def intrinsic_distance(source: Sequence[int], structure: GridStructure,
     for i, s in zip(src, domain.node_shape):
         if not 0 <= i < s:
             raise ValueError(f"source node {src} outside the grid")
-    offsets = stencil_offsets(domain.dim, neighborhood)
-    weighted = _edge_weight_arrays(structure, offsets)
-    shape = domain.node_shape
-    strides = np.array([int(np.prod(shape[a + 1:])) for a in range(domain.dim)], dtype=int)
-    flat_offsets = np.array([int(np.dot(off, strides)) for off, _ in weighted])
-    weight_flat = [w.reshape(-1) for _, w in weighted]
-
-    n = domain.num_nodes
-    dist = np.full(n, np.inf)
-    start = int(np.ravel_multi_index(src, shape))
-    dist[start] = 0.0
-    done = np.zeros(n, dtype=bool)
-    heap = [(0.0, start)]
-    while heap:
-        d, j = heapq.heappop(heap)
-        if done[j]:
-            continue
-        done[j] = True
-        for k in range(len(flat_offsets)):
-            w = weight_flat[k][j]
-            if not np.isfinite(w):
-                continue
-            t = j + flat_offsets[k]
-            nd = d + w
-            if nd < dist[t]:
-                dist[t] = nd
-                heapq.heappush(heap, (nd, t))
+    weights, targets = _edge_weight_arrays(structure, stencil_offsets(domain.dim, neighborhood))
+    n, k = weights.shape
+    indptr = np.arange(0, n * k + 1, k, dtype=np.int32)
+    graph = sp.csr_matrix((weights.reshape(-1), targets.reshape(-1), indptr), shape=(n, n))
+    start = int(np.ravel_multi_index(src, domain.node_shape))
+    dist = dijkstra(graph, directed=True, indices=start)
     return MetricField(
-        source=src, distances=dist.reshape(shape), neighborhood=neighborhood,
+        source=src, distances=dist.reshape(domain.node_shape), neighborhood=neighborhood,
         metrication=metrication_constant(domain.dim, neighborhood),
     )
 
@@ -331,30 +318,6 @@ def intrinsic_ball_cells(field: MetricField, radius: float,
     return cell_mean(field.distances, domain) < radius
 
 
-@dataclass
-class CaccioppoliReport:
-    """Both sides of a Caccioppoli-type bound and the verdict."""
-
-    lhs: float
-    rhs: float
-    constant: float
-    tolerance: float
-    passed: bool
-    region: dict[str, Any] = field(default_factory=dict)
-    details: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def slack(self) -> float:
-        return self.rhs + self.tolerance - self.lhs
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "lhs": self.lhs, "rhs": self.rhs, "constant": self.constant,
-            "tolerance": self.tolerance, "passed": bool(self.passed),
-            "slack": self.slack, "region": self.region, "details": self.details,
-        }
-
-
 class HarmonicityError(ValueError):
     """The input function is not certified harmonic where required."""
 
@@ -371,16 +334,44 @@ def _certify(u, support: np.ndarray, ctx: PFormContext, residual_tol: float) -> 
     return resid
 
 
-def _tolerance_model(resid: float, support_mass: float, h: float,
-                     lhs: float, rhs: float, p: float) -> float:
+def _caccioppoli_report(check: str, u, phi_vals: np.ndarray, weight: np.ndarray,
+                        c: float | None, ctx: PFormContext, residual_tol: float,
+                        sides: Callable[[np.ndarray, float], tuple[float, float]],
+                        details: dict[str, Any]) -> CheckReport:
+    """The part every Caccioppoli verifier shares.
+
+    phi_vals is the nodal cutoff: nonnegative, not identically zero, and u
+    must certify harmonic on a neighborhood of its support.  The cell
+    weight both defaults c (the weight-mean of u) and marks, by its
+    positive cells, the support mass that enters the tolerance.
+    sides(ubar, c) returns the two sides of the bound.
+    """
+    if np.any(phi_vals < 0):
+        raise ValueError("the cutoff must be nonnegative")
+    support = phi_vals > 0
+    if not support.any():
+        raise ValueError("the cutoff vanishes identically")
+    resid = _certify(u, support, ctx, residual_tol)
+    m = ctx.measure
+    ubar = cell_mean(u, ctx.domain)
+    if c is None:
+        w = np.maximum(weight, 0.0) * m
+        c = float(np.sum(ubar * w) / np.sum(w))
+    lhs, rhs = sides(ubar, c)
+    support_mass = float(np.sum(np.where(weight > 0, m, 0.0)))
     # residual term: the pairing <op(u), phi^p (u - c)> is bounded by the
     # certified residual density integrated over the support; Leibniz-rule
     # straddle terms contribute O(h) relative to the two sides
-    return (resid * support_mass) ** (1.0 / p) + h * (lhs + rhs)
+    tol = (resid * support_mass) ** (1.0 / ctx.p) + max(ctx.domain.spacing) * (lhs + rhs)
+    return CheckReport(
+        check=check, p=ctx.p, grid=ctx.describe(), passed=lhs <= rhs + tol,
+        lhs=lhs, rhs=rhs, slack=rhs - lhs, tolerance=tol,
+        details={"c": c, "residual": resid, **details},
+    )
 
 
 def check_caccioppoli(u, phi: GridFunction, c: float | None, ctx: PFormContext,
-                      residual_tol: float = 1e-3) -> CaccioppoliReport:
+                      residual_tol: float = 1e-3) -> CheckReport:
     """Weighted gradient bound for harmonic u and a nonnegative cutoff phi:
 
         ( int phi^p gamma(u)^(p/2) dm )^(1/p)
@@ -391,77 +382,62 @@ def check_caccioppoli(u, phi: GridFunction, c: float | None, ctx: PFormContext,
     the support, which minimizes the right side at p = 2.
     """
     phi_vals = _values(phi)
-    if np.any(phi_vals < 0):
-        raise ValueError("the cutoff must be nonnegative")
-    support = phi_vals > 0
-    if not support.any():
-        raise ValueError("the cutoff vanishes identically")
-    resid = _certify(u, support, ctx, residual_tol)
-
-    domain = ctx.domain
-    m = ctx.measure
-    phibar = cell_mean(phi_vals, domain)
-    ubar = cell_mean(u, domain)
-    gu = gamma(u, ctx.structure)
-    gphi = gamma(phi_vals, ctx.structure)
-    if c is None:
-        w = np.maximum(phibar, 0.0) * m
-        c = float(np.sum(ubar * w) / np.sum(w))
+    phibar = cell_mean(phi_vals, ctx.domain)
     p = ctx.p
-    lhs = float(np.sum(np.abs(phibar) ** p * _safe_power(gu, p / 2.0) * m)) ** (1.0 / p)
-    rhs = p * float(np.sum(_safe_power(gphi, p / 2.0) * np.abs(ubar - c) ** p * m)) ** (1.0 / p)
-    support_cells = cell_mean(support.astype(float), domain) > 0
-    support_mass = float(np.sum(np.where(support_cells, m, 0.0)))
-    tol = _tolerance_model(resid, support_mass, max(domain.spacing), lhs, rhs, p)
-    return CaccioppoliReport(
-        lhs=lhs, rhs=rhs, constant=p, tolerance=tol, passed=lhs <= rhs + tol,
-        region={"support_nodes": int(support.sum())},
-        details={"c": c, "residual": resid, "p": p},
-    )
+    m = ctx.measure
+
+    def sides(ubar: np.ndarray, c: float) -> tuple[float, float]:
+        gu = gamma(u, ctx.structure)
+        gphi = gamma(phi_vals, ctx.structure)
+        lhs = float(np.sum(np.abs(phibar) ** p * _safe_power(gu, p / 2.0) * m)) ** (1.0 / p)
+        rhs = p * float(
+            np.sum(_safe_power(gphi, p / 2.0) * np.abs(ubar - c) ** p * m)) ** (1.0 / p)
+        return lhs, rhs
+
+    return _caccioppoli_report(
+        "caccioppoli", u, phi_vals, phibar, c, ctx, residual_tol, sides,
+        {"constant": p, "region": {"support_nodes": int(np.sum(phi_vals > 0))}})
 
 
 def check_caccioppoli_ball(u, source: Sequence[int], r: float, R: float,
                            c: float | None, ctx: PFormContext,
                            residual_tol: float = 1e-3,
-                           neighborhood: int = 16) -> CaccioppoliReport:
+                           neighborhood: int = 16) -> CheckReport:
     """Intrinsic-ball form with constant p / (R - r):
 
         ( int_{B_r} gamma(u)^(p/2) dm )^(1/p)
             <= p/(R-r) ( int_{B_R} |u - c|^p dm )^(1/p) + tol
+
+    The cutoff is the indicator of the R-ball's nodes; c defaults to the
+    mean of u over the cells of the R-ball.
     """
     if not 0 < r < R:
         raise ValueError("need 0 < r < R")
     field = intrinsic_distance(source, ctx.structure, neighborhood)
-    ball_R_nodes = intrinsic_ball_nodes(field, R)
-    resid = _certify(u, ball_R_nodes, ctx, residual_tol)
-
     domain = ctx.domain
     m = ctx.measure
+    p = ctx.p
     cells_r = intrinsic_ball_cells(field, r, domain)
     cells_R = intrinsic_ball_cells(field, R, domain)
-    ubar = cell_mean(u, domain)
-    if c is None:
-        w = np.where(cells_R, m, 0.0)
-        c = float(np.sum(ubar * w) / np.sum(w))
-    p = ctx.p
-    gu = gamma(u, ctx.structure)
-    lhs = float(np.sum(np.where(cells_r, _safe_power(gu, p / 2.0) * m, 0.0))) ** (1.0 / p)
-    rhs = (p / (R - r)) * float(
-        np.sum(np.where(cells_R, np.abs(ubar - c) ** p * m, 0.0))) ** (1.0 / p)
-    mass_R = float(np.sum(np.where(cells_R, m, 0.0)))
-    tol = _tolerance_model(resid, mass_R, max(domain.spacing), lhs, rhs, p)
-    return CaccioppoliReport(
-        lhs=lhs, rhs=rhs, constant=p / (R - r), tolerance=tol, passed=lhs <= rhs + tol,
-        region={"r": r, "R": R, "source": list(field.source),
-                "ball_r_cells": int(cells_r.sum()), "ball_R_cells": int(cells_R.sum())},
-        details={"c": c, "residual": resid, "p": p,
-                 "metrication": field.metrication},
-    )
+
+    def sides(ubar: np.ndarray, c: float) -> tuple[float, float]:
+        gu = gamma(u, ctx.structure)
+        lhs = float(np.sum(np.where(cells_r, _safe_power(gu, p / 2.0) * m, 0.0))) ** (1.0 / p)
+        rhs = (p / (R - r)) * float(
+            np.sum(np.where(cells_R, np.abs(ubar - c) ** p * m, 0.0))) ** (1.0 / p)
+        return lhs, rhs
+
+    return _caccioppoli_report(
+        "caccioppoli_ball", u, intrinsic_ball_nodes(field, R).astype(float),
+        cells_R.astype(float), c, ctx, residual_tol, sides,
+        {"constant": p / (R - r), "metrication": field.metrication,
+         "region": {"r": r, "R": R, "source": list(field.source),
+                    "ball_r_cells": int(cells_r.sum()), "ball_R_cells": int(cells_R.sum())}})
 
 
 def check_caccioppoli_euclidean(u, phi: GridFunction, c: float | None,
                                 alpha: float, beta: float, ctx: PFormContext,
-                                residual_tol: float = 1e-3) -> CaccioppoliReport:
+                                residual_tol: float = 1e-3) -> CheckReport:
     """Euclidean-gradient form for a uniformly elliptic field:
 
         ( int phi^p |grad u|^p dm )^(1/p)
@@ -472,31 +448,20 @@ def check_caccioppoli_euclidean(u, phi: GridFunction, c: float | None,
     if not 0 < alpha <= beta:
         raise ValueError("need 0 < alpha <= beta")
     phi_vals = _values(phi)
-    if np.any(phi_vals < 0):
-        raise ValueError("the cutoff must be nonnegative")
-    support = phi_vals > 0
-    if not support.any():
-        raise ValueError("the cutoff vanishes identically")
-    resid = _certify(u, support, ctx, residual_tol)
-
     domain = ctx.domain
-    m = ctx.measure
-    p = ctx.p
-    gu = np.linalg.norm(gradient(u, domain), axis=-1)
-    gphi = np.linalg.norm(gradient(phi_vals, domain), axis=-1)
     phibar = cell_mean(phi_vals, domain)
-    ubar = cell_mean(u, domain)
-    if c is None:
-        w = np.maximum(phibar, 0.0) * m
-        c = float(np.sum(ubar * w) / np.sum(w))
+    p = ctx.p
+    m = ctx.measure
     constant = p * math.sqrt(beta / alpha)
-    lhs = float(np.sum(np.abs(phibar) ** p * gu ** p * m)) ** (1.0 / p)
-    rhs = constant * float(np.sum(gphi ** p * np.abs(ubar - c) ** p * m)) ** (1.0 / p)
-    support_cells = cell_mean(support.astype(float), domain) > 0
-    support_mass = float(np.sum(np.where(support_cells, m, 0.0)))
-    tol = _tolerance_model(resid, support_mass, max(domain.spacing), lhs, rhs, p)
-    return CaccioppoliReport(
-        lhs=lhs, rhs=rhs, constant=constant, tolerance=tol, passed=lhs <= rhs + tol,
-        region={"support_nodes": int(support.sum())},
-        details={"c": c, "residual": resid, "p": p, "alpha": alpha, "beta": beta},
-    )
+
+    def sides(ubar: np.ndarray, c: float) -> tuple[float, float]:
+        gu = np.linalg.norm(gradient(u, domain), axis=-1)
+        gphi = np.linalg.norm(gradient(phi_vals, domain), axis=-1)
+        lhs = float(np.sum(np.abs(phibar) ** p * gu ** p * m)) ** (1.0 / p)
+        rhs = constant * float(np.sum(gphi ** p * np.abs(ubar - c) ** p * m)) ** (1.0 / p)
+        return lhs, rhs
+
+    return _caccioppoli_report(
+        "caccioppoli_euclidean", u, phi_vals, phibar, c, ctx, residual_tol, sides,
+        {"constant": constant, "alpha": alpha, "beta": beta,
+         "region": {"support_nodes": int(np.sum(phi_vals > 0))}})

@@ -390,16 +390,8 @@ def _apply_contraction(kind: str, vals: np.ndarray, alpha: float | None,
     raise ValueError(f"unknown contraction kind {kind!r}")
 
 
-def _alignment(kind: str, vals: np.ndarray, alpha: float | None, domain) -> np.ndarray:
-    """Per-cell flag: all corner values on one side of every threshold."""
-    if kind == "unit":
-        cuts = (0.0, 1.0)
-    elif kind == "negative_part":
-        cuts = (0.0,)
-    elif kind == "threshold":
-        cuts = (0.0, float(alpha))
-    else:
-        return np.ones(domain.cells_shape, dtype=bool)
+def _alignment(vals: np.ndarray, cuts: tuple[float, ...], domain) -> np.ndarray:
+    """Per-cell flag: all corner values on one side of every cut."""
     lo = vals
     hi = vals
     for axis in range(domain.dim):
@@ -458,7 +450,9 @@ def check_contraction_operates(u, v, ctx: PFormContext, kind: str = "unit",
     b = GridFunction(vvals)
     pairing = _pairing_difference(a, b, direction, ctx)
 
-    aligned = _alignment(kind, uvals, alpha, ctx.domain)
+    cuts = {"unit": (0.0, 1.0), "negative_part": (0.0,),
+            "threshold": (0.0, alpha), "smooth": ()}[kind]
+    aligned = _alignment(uvals, cuts, ctx.domain)
     all_aligned = bool(np.all(aligned))
     scale = _magnitude_scale(a, b, ctx)
     h_max = max(ctx.domain.spacing)
@@ -494,19 +488,24 @@ def pure_potential_violation(u, ctx: PFormContext,
     function, which on the grid is a coefficientwise sign condition.
     Returns (worst coefficient, node index); worst >= 0 means clean.
     """
-    if mask is None and isinstance(u, GridFunction):
-        mask = u.mask
+    _, worst, idx = _pure_potential_test(u, ctx, mask)
+    return worst, idx
+
+
+def _pure_potential_test(u, ctx: PFormContext, mask: np.ndarray | None,
+                         rtol: float = 1e-10) -> tuple[bool, float, tuple[int, ...]]:
+    """(clean, worst coefficient, node): the sign condition relative to the largest coefficient."""
     coeff = p_operator(u, ctx, mask=mask).coefficients
     j = int(np.argmin(coeff))
     idx = np.unravel_index(j, coeff.shape)
-    return float(coeff[idx]), tuple(int(i) for i in idx)
+    worst = float(coeff[idx])
+    scale = float(np.max(np.abs(coeff))) if coeff.size else 0.0
+    return worst >= -rtol * max(scale, 1e-300), worst, tuple(int(i) for i in idx)
 
 
 def _require_pure_potential(u, name: str, ctx: PFormContext, mask: np.ndarray | None) -> None:
-    coeff = p_operator(u, ctx, mask=mask).coefficients
-    scale = float(np.max(np.abs(coeff))) if coeff.size else 0.0
-    worst, idx = pure_potential_violation(u, ctx, mask=mask)
-    if worst < -1e-10 * max(scale, 1e-300):
+    clean, worst, idx = _pure_potential_test(u, ctx, mask)
+    if not clean:
         raise PurePotentialError(
             f"{name} is not a pure potential: coefficient {worst:.3e} at node {idx}"
         )
@@ -540,16 +539,7 @@ def check_dirichlet_axioms(u, v, alpha: float, ctx: PFormContext,
         w = np.minimum(uvals, other)
         pairing = p_form(GridFunction(w), GridFunction(uvals - w), ctx)
         diff = uvals - other
-        lo = diff
-        hi = diff
-        for axis in range(ctx.domain.dim):
-            sl0 = [slice(None)] * ctx.domain.dim
-            sl1 = [slice(None)] * ctx.domain.dim
-            sl0[axis] = slice(None, -1)
-            sl1[axis] = slice(1, None)
-            lo = np.minimum(lo[tuple(sl0)], lo[tuple(sl1)])
-            hi = np.maximum(hi[tuple(sl0)], hi[tuple(sl1)])
-        aligned = bool(np.all((hi <= 0.0) | (lo >= 0.0)))
+        aligned = bool(np.all(_alignment(diff, (0.0,), ctx.domain)))
         scale = _magnitude_scale(GridFunction(w), GridFunction(uvals), ctx)
         slack_bound = neg_mass * float(np.max(np.maximum(diff, 0.0), initial=0.0))
         if aligned:

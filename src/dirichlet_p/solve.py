@@ -85,55 +85,69 @@ def hessian_matrix(u, ctx: PFormContext) -> sp.csr_matrix:
     base = 2.0 * np.einsum("...i,...i->...", Gg, g) + ctx.eps
     w = _safe_power(base, (ctx.p - 2.0) / 2.0)
     w4 = _safe_power(base, (ctx.p - 4.0) / 2.0)
-    rank1 = 4.0 * (ctx.p - 2.0) * w4[..., None, None] * (Gg[..., :, None] * Gg[..., None, :])
+    rank1 = 2.0 * (ctx.p - 2.0) * w4[..., None, None] * (Gg[..., :, None] * Gg[..., None, :])
     blocks = 2.0 * ctx.measure[..., None, None] * (w[..., None, None] * G + rank1)
     return assemble_form_matrix(ctx.domain, blocks)
 
 
-def _scaled_residual(coeff: np.ndarray, node_mass: np.ndarray, free: np.ndarray) -> float:
-    if not free.any():
-        return 0.0
-    return float(np.max(np.abs(coeff[free]) / node_mass[free]))
+def _scaled_residual(coeff: np.ndarray, mass: np.ndarray) -> float:
+    """Largest |coefficient| / node mass; zero when there are no nodes."""
+    return float(np.max(np.abs(coeff) / mass)) if coeff.size else 0.0
+
+
+def _free_objective(base: np.ndarray, mask: np.ndarray, ctx: PFormContext):
+    """Energy and its gradient as functions of the free values.
+
+    Returns (embed, fun, jac): embed writes free values into a copy of the
+    flat array base, whose masked entries stay pinned.
+    """
+    free = ~mask.reshape(-1)
+    shape = ctx.domain.node_shape
+
+    def embed(x: np.ndarray) -> np.ndarray:
+        u = base.copy()
+        u[free] = x
+        return u
+
+    def fun(x: np.ndarray) -> float:
+        return p_energy(GridFunction(embed(x).reshape(shape)), ctx)
+
+    def jac(x: np.ndarray) -> np.ndarray:
+        gf = GridFunction(embed(x).reshape(shape))
+        return p_operator(gf, ctx, mask=mask).coefficients.reshape(-1)[free]
+
+    return embed, fun, jac
 
 
 def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext,
             opts: SolveOptions) -> tuple[np.ndarray, float, int, list[float], list[dict]]:
-    domain = ctx.domain
     free = ~mask.reshape(-1)
-    node_mass = domain.node_mass().reshape(-1)
-    u = vals.reshape(-1).copy()
-
-    def fun(x: np.ndarray) -> float:
-        return p_energy(GridFunction(x.reshape(domain.node_shape)), ctx)
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        gf = GridFunction(x.reshape(domain.node_shape))
-        return p_operator(gf, ctx, mask=mask).coefficients.reshape(-1)
-
-    J = fun(u)
+    mass = ctx.domain.node_mass().reshape(-1)[free]
+    embed, fun, jac = _free_objective(vals.reshape(-1), mask, ctx)
+    x = vals.reshape(-1)[free]
+    J = fun(x)
     trace: list[dict] = []
     energy_trace = [J]
     lam = 0.0
     iterations = 0
     for it in range(opts.max_iter):
-        g = grad(u)
-        res = _scaled_residual(g, node_mass, free)
+        g = jac(x)
+        res = _scaled_residual(g, mass)
         trace.append({"iteration": it, "energy": J, "residual": res, "lambda": lam})
         if res <= opts.grad_tol:
-            return u, res, iterations, energy_trace, trace
-        H = hessian_matrix(GridFunction(u.reshape(domain.node_shape)), ctx).tocsc()
-        H_ff = H[free][:, free]
-        g_f = g[free]
+            return embed(x), res, iterations, energy_trace, trace
+        u = GridFunction(embed(x).reshape(ctx.domain.node_shape))
+        H_ff = hessian_matrix(u, ctx).tocsc()[free][:, free]
         step = None
         for _attempt in range(25):
             shift = lam * sp.diags(np.maximum(H_ff.diagonal(), 1e-300)) if lam > 0 else None
             A = H_ff + shift if shift is not None else H_ff
             try:
-                d = spla.splu(A.tocsc()).solve(-g_f)
+                d = spla.splu(A.tocsc()).solve(-g)
             except RuntimeError:
                 lam = max(lam * 10.0, 1e-10)
                 continue
-            slope = float(g_f @ d)
+            slope = float(g @ d)
             if not np.isfinite(slope) or slope >= 0:
                 lam = max(lam * 10.0, 1e-10)
                 continue
@@ -143,11 +157,10 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext,
             t = 1.0
             ok = False
             while t > 1e-14:
-                u_try = u.copy()
-                u_try[free] += t * d
-                J_try = fun(u_try)
+                x_try = x + t * d
+                J_try = fun(x_try)
                 if resolution_limited:
-                    res_try = _scaled_residual(grad(u_try), node_mass, free)
+                    res_try = _scaled_residual(jac(x_try), mass)
                     if res_try < res:
                         J_try = min(J_try, J)
                         ok = True
@@ -157,21 +170,20 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext,
                     break
                 t *= opts.backtrack
             if ok:
-                step = (u_try, J_try, t)
+                step = (x_try, J_try, t)
                 break
             lam = max(lam * 10.0, 1e-10)
         if step is None:
             raise SolveError("line search failed at a stationary-looking point", trace)
-        u, J, t_used = step
+        x, J, t_used = step
         energy_trace.append(J)
         iterations += 1
         lam = lam / 3.0 if t_used == 1.0 else min(lam * 2.0 + 1e-12, 1e6)
         if lam < 1e-14:
             lam = 0.0
-    g = grad(u)
-    res = _scaled_residual(g, node_mass, free)
+    res = _scaled_residual(jac(x), mass)
     if res <= opts.grad_tol:
-        return u, res, iterations, energy_trace, trace
+        return embed(x), res, iterations, energy_trace, trace
     trace.append({"iteration": opts.max_iter, "energy": J, "residual": res, "lambda": lam})
     raise SolveError(
         f"Newton did not reach grad_tol={opts.grad_tol:g} in {opts.max_iter} iterations "
@@ -180,22 +192,10 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext,
 
 def _first_order(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOptions,
                  method: str) -> tuple[np.ndarray, float, int, list[float], list[dict]]:
-    domain = ctx.domain
     free = ~mask.reshape(-1)
-    node_mass = domain.node_mass().reshape(-1)
-    base = vals.reshape(-1).copy()
-
-    def embed(x: np.ndarray) -> np.ndarray:
-        u = base.copy()
-        u[free] = x
-        return u
-
-    def fun(x: np.ndarray) -> float:
-        return p_energy(GridFunction(embed(x).reshape(domain.node_shape)), ctx)
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        gf = GridFunction(embed(x).reshape(domain.node_shape))
-        return p_operator(gf, ctx, mask=mask).coefficients.reshape(-1)[free]
+    mass = ctx.domain.node_mass().reshape(-1)[free]
+    base = vals.reshape(-1)
+    embed, fun, jac = _free_objective(base, mask, ctx)
 
     energy_trace = [fun(base[free])]
     trace: list[dict] = []
@@ -209,9 +209,7 @@ def _first_order(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: So
             x = out.x
             iterations += int(out.nit)
             energy_trace.append(float(out.fun))
-            res = _scaled_residual(p_operator(
-                GridFunction(embed(x).reshape(domain.node_shape)), ctx,
-                mask=mask).coefficients.reshape(-1), node_mass, free)
+            res = _scaled_residual(jac(x), mass)
             trace.append({"round": round_, "energy": float(out.fun), "residual": res})
             if res <= opts.grad_tol:
                 return embed(x), res, iterations, energy_trace, trace
@@ -220,11 +218,11 @@ def _first_order(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: So
     J = energy_trace[0]
     for it in range(opts.max_iter):
         g = jac(x)
-        res = float(np.max(np.abs(g) / node_mass[free]))
+        res = _scaled_residual(g, mass)
         trace.append({"iteration": it, "energy": J, "residual": res})
         if res <= opts.grad_tol:
             return embed(x), res, iterations, energy_trace, trace
-        d = -g / node_mass[free]
+        d = -g / mass
         slope = float(g @ d)
         t = 1.0
         while t > 1e-16:
@@ -346,17 +344,7 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
     vals = solve_linear_dirichlet(ctx.structure, pinned, mask).reshape(-1)
     vals[free] = np.maximum(vals[free], lo_flat[free])
 
-    def fun(x: np.ndarray) -> float:
-        u = vals.copy()
-        u[free] = x
-        return p_energy(GridFunction(u.reshape(domain.node_shape)), ctx)
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        u = vals.copy()
-        u[free] = x
-        gf = GridFunction(u.reshape(domain.node_shape))
-        return p_operator(gf, ctx, mask=mask).coefficients.reshape(-1)[free]
-
+    _, fun, jac = _free_objective(vals, mask, ctx)
     bounds = [(l if np.isfinite(l) else None, None) for l in lo_flat[free]]
     out = scipy.optimize.minimize(
         fun, vals[free], jac=jac, method="L-BFGS-B", bounds=bounds,
@@ -402,7 +390,7 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
     coeff = p_operator(u, ctx, mask=mask).coefficients.reshape(-1)
     scaled = np.abs(coeff) / np.maximum(node_mass, 1e-300)
     inactive = free & ~active
-    residual = float(np.max(scaled[inactive])) if inactive.any() else 0.0
+    residual = _scaled_residual(coeff[inactive], node_mass[inactive])
     slack = np.where(np.isfinite(lo_flat), vals - lo_flat, np.inf)
     comp = float(np.max(np.abs(np.minimum(slack[free], 0.0)))) if free.any() else 0.0
     prod = float(np.max(np.minimum(slack[free], 1.0) * scaled[free])) if free.any() else 0.0

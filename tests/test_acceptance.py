@@ -372,7 +372,7 @@ def test_criterion_09_caccioppoli():
     bump2 = GridFunction(np.clip((0.3 - dist2) / 0.15, 0.0, 1.0))
     rep_a = check_caccioppoli_euclidean(aff2, bump2, None, 1.0, 4.0, ctxa)
     checks.append(rep_a)
-    constant_exact = rep_a.constant == 3.0 * math.sqrt(4.0 / 1.0)
+    constant_exact = rep_a.details["constant"] == 3.0 * math.sqrt(4.0 / 1.0)
     all_pass = all(c.passed for c in checks)
     min_slack = min(c.slack for c in checks)
     ok = all_pass and constant_exact and min_slack >= 0.0

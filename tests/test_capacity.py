@@ -237,6 +237,20 @@ class TestChoquet1D:
         assert r.slack > 1.0
 
 
+    def test_chain_rows_detect_broken_monotonicity(self, line17, monkeypatch):
+        import dirichlet_p.capacity as capacity_module
+
+        # capacities that shrink as the set grows: both chains must fail
+        monkeypatch.setattr(capacity_module, "_cap_of_nodes",
+                            lambda inner, outer, ctx, opts: (1.0 / (1.0 + inner.sum()), None))
+        ctx = PFormContext(unit_structure(line17), 2.0)
+        K = nodes_in_interval(line17, 0.25, 0.5)
+        L = nodes_in_interval(line17, 0.375, 0.75)
+        reports = {r.check: r for r in check_choquet([K, L], boundary_mask(line17), ctx)}
+        assert not reports["decreasing_compacts"].passed
+        assert not reports["increasing_sets"].passed
+
+
 class TestChoquet2D:
     def test_suite_with_reported_tolerance(self):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (17, 17))

@@ -194,6 +194,19 @@ class TestQrCommand:
         assert rep["theta_identity_deviation"] <= 1e-10
         assert rep["harmonicity"]["passed"]
 
+    def test_exact_floor_report_is_finite(self, tmp_path):
+        # every residual sits at the rounding floor, so no order is observed
+        cfg = write_config(tmp_path, "c.json", {
+            "domain": {"dim": 2, "extent": [[-1.0, 1.0], [-1.0, 1.0]],
+                       "shape": [65, 65]},
+            "qr": {"mapping": {"kind": "power", "k": 2, "puncture": 0.3}},
+        })
+        out = tmp_path / "out.json"
+        assert cli.main(["qr", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        harm = json.loads(out.read_text())["results"]["harmonicity"]
+        assert harm["passed"]
+        assert all_finite(harm)
+
 
 class TestMetricCommand:
     def test_distances_and_certificates(self, tmp_path):
@@ -241,6 +254,23 @@ class TestCaccioppoliCommand:
             rep = json.loads(out.read_text())["results"]
             assert rep["variant"] == variant
             assert rep["checks"][0]["passed"]
+
+    def test_csv_rows_carry_check_p_and_grid(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "domain": base_domain_2d(33),
+            "p": 2.0,
+            "caccioppoli": {"u": {"affine": {"linear": [2.0, -1.0]}},
+                            "balls": [{"center": [0.5, 0.5], "r": 0.1, "R": 0.25}]},
+        })
+        out = tmp_path / "out.json"
+        assert cli.main(["caccioppoli", "--config", cfg, "--out", str(out),
+                         "--csv"]) == cli.EXIT_OK
+        header, row = (tmp_path / "out.csv").read_text().strip().splitlines()
+        assert header.startswith("check,p,grid,")
+        check, p, grid = row.split(",")[:3]
+        assert check == "caccioppoli_ball"
+        assert p == "2.0"
+        assert grid
 
     def test_log_abs_needs_punctured_domain(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dirichlet_p.assemble import solve_linear_dirichlet
+from dirichlet_p.capacity import Condenser, capacity
+from dirichlet_p.config import node_set_from_shape
 from dirichlet_p.grid import (
     GridDomain,
     GridFunction,
@@ -9,11 +11,12 @@ from dirichlet_p.grid import (
     boundary_mask,
     unit_structure,
 )
-from dirichlet_p.pform import PFormContext
+from dirichlet_p.pform import PFormContext, p_operator
 from dirichlet_p.solve import (
     SolveError,
     SolveOptions,
     harmonicity_residual,
+    hessian_matrix,
     solve_dirichlet,
     solve_obstacle,
 )
@@ -142,6 +145,34 @@ class TestDirichlet:
         res = solve_dirichlet(ctx, bc)
         direct = solve_linear_dirichlet(s, np.where(mask, g, 0.0), mask)
         assert np.max(np.abs(res.solution.values - direct)) <= 1e-8
+
+
+class TestNewton:
+    @pytest.mark.parametrize("shape", [(9,), (7, 6), (4, 5, 4)])
+    @pytest.mark.parametrize("p, eps", [(2.0, 0.0), (2.5, 0.0), (3.0, 0.0), (4.0, 0.0),
+                                        (1.5, 1e-3)])
+    def test_hessian_matches_operator_differences(self, shape, p, eps, rng):
+        d = GridDomain(tuple((0.0, 1.0) for _ in shape), shape)
+        ctx = PFormContext(GridStructure(d, random_elliptic_field(d, rng)), p, eps)
+        u = rng.standard_normal(shape)
+        v = rng.standard_normal(shape)
+        t = 1e-5
+
+        def op(w):
+            return p_operator(GridFunction(w), ctx).coefficients.reshape(-1)
+
+        fd = (op(u + t * v) - op(u - t * v)) / (2.0 * t)
+        hv = hessian_matrix(GridFunction(u), ctx) @ v.reshape(-1)
+        assert np.linalg.norm(hv - fd) <= 1e-7 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_ring_condenser_converges_fast(self, p):
+        d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (33, 33))
+        inner = node_set_from_shape({"type": "disk", "center": [0.0, 0.0], "radius": 0.25}, d)
+        outer = node_set_from_shape(
+            {"type": "outside_disk", "center": [0.0, 0.0], "radius": 0.75}, d)
+        result = capacity(Condenser(inner, outer), PFormContext(unit_structure(d), p))
+        assert result.diagnostics["solver_iterations"] <= 8
 
 
 class TestObstacle:
