@@ -29,23 +29,11 @@ __all__ = [
 ]
 
 
-def _diff_1d(n: int, h: float) -> sp.csr_matrix:
-    data = np.empty(2 * (n - 1))
-    data[0::2] = -1.0 / h
-    data[1::2] = 1.0 / h
+def _two_point_1d(n: int, left: float, right: float) -> sp.csr_matrix:
+    """(n-1) x n matrix whose row i is left * e_i + right * e_(i+1)."""
     rows = np.repeat(np.arange(n - 1), 2)
-    cols = np.empty(2 * (n - 1), dtype=int)
-    cols[0::2] = np.arange(n - 1)
-    cols[1::2] = np.arange(1, n)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n - 1, n))
-
-
-def _avg_1d(n: int) -> sp.csr_matrix:
-    data = np.full(2 * (n - 1), 0.5)
-    rows = np.repeat(np.arange(n - 1), 2)
-    cols = np.empty(2 * (n - 1), dtype=int)
-    cols[0::2] = np.arange(n - 1)
-    cols[1::2] = np.arange(1, n)
+    cols = rows + np.tile([0, 1], n - 1)
+    data = np.tile([left, right], n - 1)
     return sp.csr_matrix((data, (rows, cols)), shape=(n - 1, n))
 
 
@@ -56,7 +44,8 @@ def gradient_operators(domain: GridDomain) -> list[sp.csr_matrix]:
     for axis in range(domain.dim):
         factors = []
         for j, n in enumerate(domain.shape):
-            factors.append(_diff_1d(n, h[axis]) if j == axis else _avg_1d(n))
+            factors.append(_two_point_1d(n, -1.0 / h[axis], 1.0 / h[axis]) if j == axis
+                           else _two_point_1d(n, 0.5, 0.5))
         op = factors[0]
         for f in factors[1:]:
             op = sp.kron(op, f, format="csr")
@@ -68,7 +57,7 @@ def cell_average_operator(domain: GridDomain) -> sp.csr_matrix:
     """Sparse map from flat node values to flat cell corner-averages."""
     op = None
     for n in domain.shape:
-        f = _avg_1d(n)
+        f = _two_point_1d(n, 0.5, 0.5)
         op = f if op is None else sp.kron(op, f, format="csr")
     return op
 

@@ -31,15 +31,19 @@ from . import __version__
 from .capacity import Condenser, capacity, check_choquet, check_union_difference
 from .config import (
     ConfigError,
+    _check_keys,
     load_config,
     nearest_node,
     node_set_from_shape,
+    parse_affine,
     parse_boundary,
     parse_condenser,
     parse_context,
+    parse_domain,
     parse_grid_function,
     parse_mapping,
     parse_solve_options,
+    parse_structure,
 )
 from .grid import GridFunction, boundary_mask
 from .mappings import analyze, verify_component_harmonicity
@@ -59,7 +63,7 @@ from .pform import (
     check_monotone,
     check_sector,
 )
-from .report import CheckReport, all_finite
+from .report import CheckReport
 from .solve import SolveError, solve_dirichlet, solve_obstacle
 
 log = logging.getLogger("dirichlet_p")
@@ -71,7 +75,7 @@ EXIT_PROPERTY = 3
 
 
 def _grid_payload(values: np.ndarray) -> dict[str, Any]:
-    return {"shape": list(values.shape), "values": [float(v) for v in values.reshape(-1)]}
+    return {"shape": list(values.shape), "values": values.reshape(-1).tolist()}
 
 
 def _json_default(obj: Any):
@@ -100,20 +104,12 @@ def _harvest_failures(obj: Any) -> bool:
 def _cmd_solve(cfg: dict, seed: int, tol: float | None) -> dict:
     ctx = parse_context(cfg)
     opts = parse_solve_options(cfg, tol)
-    block = cfg.get("solve")
-    if block is None:
-        raise ConfigError("missing required key 'solve'")
-    allowed = {"boundary", "obstacle"}
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in solve")
-    if "boundary" not in block:
-        raise ConfigError("missing required key 'boundary' in solve")
+    block = cfg["solve"]
     boundary = parse_boundary(block["boundary"], ctx.domain)
     if "obstacle" in block:
-        lower = np.full(ctx.domain.node_shape, -np.inf)
         obs = block["obstacle"]
         if isinstance(obs, dict) and "region" in obs:
+            _check_keys(obs, {"region", "level"}, {"region"}, "solve.obstacle")
             region = node_set_from_shape(obs["region"], ctx.domain)
             lower = np.where(region, float(obs.get("level", 0.0)), -np.inf)
         else:
@@ -133,14 +129,7 @@ def _cmd_solve(cfg: dict, seed: int, tol: float | None) -> dict:
 def _cmd_capacity(cfg: dict, seed: int, tol: float | None) -> dict:
     ctx = parse_context(cfg)
     opts = parse_solve_options(cfg, tol)
-    block = cfg.get("capacity")
-    if block is None:
-        raise ConfigError("missing required key 'capacity'")
-    if "condenser" not in block:
-        raise ConfigError("missing required key 'condenser' in capacity")
-    for key in block:
-        if key not in {"condenser", "vi_samples"}:
-            raise ConfigError(f"unknown key '{key}' in capacity")
+    block = cfg["capacity"]
     cond = parse_condenser(block["condenser"], ctx.domain)
     rng = np.random.default_rng(seed)
     result = capacity(cond, ctx, opts, vi_samples=int(block.get("vi_samples", 8)), rng=rng)
@@ -170,9 +159,7 @@ def _parse_u(spec: Any, domain) -> np.ndarray:
     if isinstance(spec, str):
         return _field_from_spec(spec, domain)
     if isinstance(spec, dict) and "affine" in spec:
-        lin = np.asarray(spec["affine"].get("linear", [0.0] * domain.dim), dtype=float)
-        const = float(spec["affine"].get("constant", 0.0))
-        return domain.node_coords() @ lin + const
+        return parse_affine(spec, domain, "caccioppoli.u")
     if isinstance(spec, dict):
         return parse_grid_function(spec, domain)
     raise ConfigError("unrecognized function spec for 'u'")
@@ -180,15 +167,9 @@ def _parse_u(spec: Any, domain) -> np.ndarray:
 
 def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
     ctx = parse_context(cfg)
-    block = cfg.get("caccioppoli")
-    if block is None:
-        raise ConfigError("missing required key 'caccioppoli'")
-    allowed = {"u", "c", "balls", "variant", "residual_tol", "neighborhood"}
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in caccioppoli")
-    if "u" not in block or "balls" not in block:
-        raise ConfigError("caccioppoli needs keys 'u' and 'balls'")
+    block = cfg["caccioppoli"]
+    for ball in block["balls"]:
+        _check_keys(ball, _BALL_KEYS, _BALL_KEYS, "caccioppoli ball")
     u = GridFunction(_parse_u(block["u"], ctx.domain))
     variant = block.get("variant", "ball")
     residual_tol = float(block.get("residual_tol", 1e-3))
@@ -197,9 +178,6 @@ def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
     neighborhood = int(block.get("neighborhood", 16))
     checks: list[dict] = []
     for ball in block["balls"]:
-        for key in ball:
-            if key not in {"center", "r", "R"}:
-                raise ConfigError(f"unknown key '{key}' in ball spec")
         src = nearest_node(ctx.domain, ball["center"])
         r, R = float(ball["r"]), float(ball["R"])
         if variant == "ball":
@@ -225,20 +203,8 @@ def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
 
 
 def _cmd_qr(cfg: dict, seed: int, tol: float | None) -> dict:
-    if "domain" not in cfg:
-        raise ConfigError("missing required key 'domain'")
-    from .config import parse_domain
-
     domain = parse_domain(cfg["domain"])
-    block = cfg.get("qr")
-    if block is None:
-        raise ConfigError("missing required key 'qr'")
-    allowed = {"mapping", "verify", "min_order", "include_log"}
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in qr")
-    if "mapping" not in block:
-        raise ConfigError("missing required key 'mapping' in qr")
+    block = cfg["qr"]
     mapping = parse_mapping(block["mapping"], domain)
     analysis = analyze(mapping)
     eye_dev = float(np.max(np.abs(analysis.theta - np.eye(domain.dim))))
@@ -261,18 +227,11 @@ def _cmd_qr(cfg: dict, seed: int, tol: float | None) -> dict:
 
 
 def _cmd_metric(cfg: dict, seed: int, tol: float | None) -> dict:
-    from .config import parse_structure
-
     structure = parse_structure(cfg)
-    block = cfg.get("metric")
-    if block is None:
-        raise ConfigError("missing required key 'metric'")
-    allowed = {"source", "neighborhood", "targets", "cutoff", "truncation"}
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in metric")
-    if "source" not in block:
-        raise ConfigError("missing required key 'source' in metric")
+    block = cfg["metric"]
+    for name, keys in (("cutoff", {"r"}), ("truncation", {"r", "R"})):
+        if name in block:
+            _check_keys(block[name], keys, keys, f"metric.{name}")
     src = nearest_node(structure.domain, block["source"])
     neighborhood = int(block.get("neighborhood", 16))
     field = intrinsic_distance(src, structure, neighborhood)
@@ -313,10 +272,6 @@ def _cmd_check(cfg: dict, seed: int, tol: float | None) -> dict:
     ctx = parse_context(cfg)
     opts = parse_solve_options(cfg, tol)
     block = cfg.get("check", {})
-    allowed = {"suites", "trials"}
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in check")
     suites = block.get("suites", ["sector", "monotone", "contraction"])
     trials = int(block.get("trials", 50))
     known = {"sector", "monotone", "contraction", "d1d2", "choquet", "union_diff"}
@@ -400,6 +355,20 @@ _COMMANDS = {
     "check": _cmd_check,
 }
 
+# Config keys any command may use; each command adds its own block.
+_SHARED_KEYS = {"domain", "field", "p", "eps", "seed", "solver", "output"}
+# (allowed, required) keys of each command block; `check` may be omitted.
+_BLOCK_KEYS = {
+    "solve": ({"boundary", "obstacle"}, {"boundary"}),
+    "capacity": ({"condenser", "vi_samples"}, {"condenser"}),
+    "caccioppoli": ({"u", "c", "balls", "variant", "residual_tol", "neighborhood"},
+                    {"u", "balls"}),
+    "qr": ({"mapping", "verify", "min_order", "include_log"}, {"mapping"}),
+    "metric": ({"source", "neighborhood", "targets", "cutoff", "truncation"}, {"source"}),
+    "check": ({"suites", "trials"}, set()),
+}
+_BALL_KEYS = {"center", "r", "R"}
+
 
 def _flatten_for_csv(report: dict) -> list[list[Any]]:
     rows: list[list[Any]] = []
@@ -457,11 +426,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-        known_top = {"domain", "field", "p", "eps", "seed", "solver", "output",
-                     "solve", "capacity", "caccioppoli", "qr", "metric", "check"}
-        for key in cfg:
-            if key not in known_top:
-                raise ConfigError(f"unknown key '{key}' in config")
+        required = {"domain"} if args.command == "check" else {"domain", args.command}
+        _check_keys(cfg, _SHARED_KEYS | set(_COMMANDS), required, "config")
+        _check_keys(cfg.get(args.command, {}), *_BLOCK_KEYS[args.command], args.command)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         results = _COMMANDS[args.command](cfg, seed, args.tol)
     except ConfigError as exc:
@@ -469,7 +436,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except SolveError as exc:
         payload = {"command": args.command, "error": str(exc), "trace": exc.trace}
-        _write(args, cfg if isinstance(cfg, dict) else {}, payload, failed=True)
+        _write(args, cfg, payload,
+               json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n")
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except (ValueError, np.linalg.LinAlgError) as exc:
@@ -484,33 +452,35 @@ def main(argv: list[str] | None = None) -> int:
     }
     if "p" in cfg:
         report["p"] = float(cfg["p"])
-    if not all_finite(json.loads(json.dumps(report, default=_json_default))):
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, default=_json_default,
+                          allow_nan=False) + "\n"
+    except ValueError:
         print("computation produced non-finite values", file=sys.stderr)
         return EXIT_COMPUTE
-    _write(args, cfg, report)
+    _write(args, cfg, report, text)
     if _harvest_failures(report):
         return EXIT_PROPERTY
     return EXIT_OK
 
 
-def _write(args, cfg: dict, report: dict, failed: bool = False) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
-    out = args.out or (cfg.get("output") if isinstance(cfg, dict) else None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        if args.csv:
-            base = out[:-5] if out.endswith(".json") else out
-            with open(base + ".csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerows(_flatten_for_csv(report))
-    else:
-        sys.stdout.write(text)
-        if args.csv:
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerows(_flatten_for_csv(report))
-            sys.stdout.write(buf.getvalue())
+def _write(args, cfg: dict, report: dict, text: str) -> None:
+    """Write the encoded report, and its CSV table with --csv, to the output or stdout."""
+    table = ""
+    if args.csv:
+        buf = io.StringIO()
+        csv.writer(buf).writerows(_flatten_for_csv(report))
+        table = buf.getvalue()
+    out = args.out or cfg.get("output")
+    if not out:
+        sys.stdout.write(text + table)
+        return
+    with open(out, "w") as fh:
+        fh.write(text)
+    if args.csv:
+        base = out[:-5] if out.endswith(".json") else out
+        with open(base + ".csv", "w", newline="") as fh:
+            fh.write(table)
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ __all__ = [
     "parse_structure",
     "parse_context",
     "parse_solve_options",
+    "parse_affine",
     "parse_boundary",
     "parse_condenser",
     "parse_mapping",
@@ -128,16 +129,15 @@ def _parse_field(spec: Any, domain: GridDomain) -> CoefficientField:
 
 
 def parse_structure(cfg: dict[str, Any]) -> GridStructure:
-    if "domain" not in cfg:
-        raise ConfigError("missing required key 'domain'")
+    # only presence here: the top-level key set is the caller's to restrict
+    _check_keys(cfg, set(cfg), {"domain"}, "config")
     domain = parse_domain(cfg["domain"])
     return GridStructure(domain, _parse_field(cfg.get("field"), domain))
 
 
 def parse_context(cfg: dict[str, Any]) -> PFormContext:
     structure = parse_structure(cfg)
-    if "p" not in cfg:
-        raise ConfigError("missing required key 'p'")
+    _check_keys(cfg, set(cfg), {"p"}, "config")
     try:
         return PFormContext(structure, float(cfg["p"]), float(cfg.get("eps", 0.0)))
     except (TypeError, ValueError) as exc:
@@ -186,42 +186,46 @@ def _half_spacing(domain: GridDomain) -> float:
     return 0.5 * min(domain.spacing)
 
 
+# Keys of each node-set type besides "type"; all of them are required.
+_NODE_SET_KEYS = {
+    "interval": {"a", "b"},
+    "disk": {"center", "radius"},
+    "outside_disk": {"center", "radius"},
+    "rect": {"min", "max"},
+    "nodes": {"indices"},
+}
+
+
 def node_set_from_shape(spec: Any, domain: GridDomain) -> np.ndarray:
     """Node set of a shape primitive with the half-spacing dilation rule."""
     from .capacity import nodes_in_ball, nodes_in_box, nodes_in_interval, nodes_outside_ball
 
     if spec == "domain_boundary":
         return boundary_mask(domain)
-    _check_keys(spec, {"type", "a", "b", "center", "radius", "min", "max", "indices"},
-                {"type"}, "node set")
-    kind = spec["type"]
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _NODE_SET_KEYS:
+        raise ConfigError("a node set is 'domain_boundary' or an object with 'type' in "
+                          f"{sorted(_NODE_SET_KEYS)}, got {spec!r:.80}")
+    keys = _NODE_SET_KEYS[kind] | {"type"}
+    _check_keys(spec, keys, keys, f"{kind} set")
     grow = _half_spacing(domain)
     if kind == "interval":
-        _check_keys(spec, {"type", "a", "b"}, {"type", "a", "b"}, "interval set")
         return nodes_in_interval(domain, float(spec["a"]) - grow, float(spec["b"]) + grow)
     if kind == "disk":
-        _check_keys(spec, {"type", "center", "radius"}, {"type", "center", "radius"},
-                    "disk set")
         return nodes_in_ball(domain, spec["center"], float(spec["radius"]) + grow)
     if kind == "outside_disk":
-        _check_keys(spec, {"type", "center", "radius"}, {"type", "center", "radius"},
-                    "outside_disk set")
         return nodes_outside_ball(domain, spec["center"], float(spec["radius"]) - grow)
     if kind == "rect":
-        _check_keys(spec, {"type", "min", "max"}, {"type", "min", "max"}, "rect set")
         lo = np.asarray(spec["min"], dtype=float) - grow
         hi = np.asarray(spec["max"], dtype=float) + grow
         return nodes_in_box(domain, lo, hi)
-    if kind == "nodes":
-        _check_keys(spec, {"type", "indices"}, {"type", "indices"}, "nodes set")
-        mask = np.zeros(domain.node_shape, dtype=bool)
-        for idx in spec["indices"]:
-            idx = tuple(int(i) for i in (idx if isinstance(idx, (list, tuple)) else [idx]))
-            if len(idx) != domain.dim:
-                raise ConfigError(f"node index {list(idx)} has wrong dimension")
-            mask[idx] = True
-        return mask
-    raise ConfigError(f"unknown node set type '{kind}'")
+    mask = np.zeros(domain.node_shape, dtype=bool)
+    for idx in spec["indices"]:
+        idx = tuple(int(i) for i in (idx if isinstance(idx, (list, tuple)) else [idx]))
+        if len(idx) != domain.dim:
+            raise ConfigError(f"node index {list(idx)} has wrong dimension")
+        mask[idx] = True
+    return mask
 
 
 def parse_condenser(spec: dict[str, Any], domain: GridDomain) -> Condenser:
@@ -234,6 +238,17 @@ def parse_condenser(spec: dict[str, Any], domain: GridDomain) -> Condenser:
         raise ConfigError(f"invalid condenser: {exc}")
 
 
+def parse_affine(spec: dict[str, Any], domain: GridDomain, where: str) -> np.ndarray:
+    """Node values of {"affine": {"linear": [...], "constant": c}}; both default to 0."""
+    _check_keys(spec, {"affine"}, {"affine"}, where)
+    aff = spec["affine"]
+    _check_keys(aff, {"linear", "constant"}, set(), f"{where}.affine")
+    lin = np.asarray(aff.get("linear", [0.0] * domain.dim), dtype=float)
+    if lin.shape != (domain.dim,):
+        raise ConfigError(f"{where}.affine 'linear' has wrong dimension")
+    return domain.node_coords() @ lin + float(aff.get("constant", 0.0))
+
+
 def parse_boundary(spec: dict[str, Any], domain: GridDomain) -> GridFunction:
     _check_keys(spec, {"mask", "values"}, {"values"}, "boundary")
     mask = node_set_from_shape(spec.get("mask", "domain_boundary"), domain)
@@ -243,14 +258,7 @@ def parse_boundary(spec: dict[str, Any], domain: GridDomain) -> GridFunction:
     if isinstance(values_spec, (int, float)):
         vals = np.full(domain.node_shape, float(values_spec))
     elif isinstance(values_spec, dict) and "affine" in values_spec:
-        _check_keys(values_spec, {"affine"}, {"affine"}, "boundary values")
-        aff = values_spec["affine"]
-        _check_keys(aff, {"linear", "constant"}, {"linear"}, "affine boundary")
-        lin = np.asarray(aff["linear"], dtype=float)
-        if lin.shape != (domain.dim,):
-            raise ConfigError("affine boundary 'linear' has wrong dimension")
-        coords = domain.node_coords()
-        vals = coords @ lin + float(aff.get("constant", 0.0))
+        vals = parse_affine(values_spec, domain, "boundary values")
     elif isinstance(values_spec, dict):
         vals = parse_grid_function(values_spec, domain)
     else:
@@ -258,29 +266,36 @@ def parse_boundary(spec: dict[str, Any], domain: GridDomain) -> GridFunction:
     return GridFunction(np.where(mask, vals, 0.0), mask)
 
 
+# (allowed, required) keys of each mapping kind besides "kind".
+_MAPPING_KEYS = {
+    "power": ({"k", "puncture"}, {"k"}),
+    "radial": ({"a", "puncture"}, {"a"}),
+    "linear": ({"A"}, {"A"}),
+    "sampled": ({"file"}, {"file"}),
+}
+
+
 def parse_mapping(spec: dict[str, Any], domain: GridDomain) -> Mapping:
-    _check_keys(spec, {"kind", "k", "a", "A", "file", "puncture"}, {"kind"}, "mapping")
-    kind = spec["kind"]
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _MAPPING_KEYS:
+        raise ConfigError(f"a mapping is an object with 'kind' in {sorted(_MAPPING_KEYS)}, "
+                          f"got {spec!r:.80}")
+    allowed, required = _MAPPING_KEYS[kind]
+    _check_keys(spec, allowed | {"kind"}, required | {"kind"}, f"{kind} mapping")
     try:
         if kind == "power":
-            _check_keys(spec, {"kind", "k", "puncture"}, {"kind", "k"}, "power mapping")
             return PowerMapping(domain, int(spec["k"]),
                                 float(spec.get("puncture", 0.15)))
         if kind == "radial":
-            _check_keys(spec, {"kind", "a", "puncture"}, {"kind", "a"}, "radial mapping")
             return RadialStretch(domain, float(spec["a"]),
                                  float(spec.get("puncture", 0.1)))
         if kind == "linear":
-            _check_keys(spec, {"kind", "A"}, {"kind", "A"}, "linear mapping")
             return LinearMapping(domain, np.asarray(spec["A"], dtype=float))
-        if kind == "sampled":
-            _check_keys(spec, {"kind", "file"}, {"kind", "file"}, "sampled mapping")
-            with open(spec["file"]) as fh:
-                data = json.load(fh)
-            _check_keys(data, {"shape", "values"}, {"shape", "values"}, "sampled file")
-            vals = np.asarray(data["values"], dtype=float).reshape(
-                tuple(data["shape"]) + (domain.dim,))
-            return SampledMapping(domain, vals)
+        with open(spec["file"]) as fh:
+            data = json.load(fh)
+        _check_keys(data, {"shape", "values"}, {"shape", "values"}, "sampled file")
+        vals = np.asarray(data["values"], dtype=float).reshape(
+            tuple(data["shape"]) + (domain.dim,))
+        return SampledMapping(domain, vals)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"invalid mapping: {exc}")
-    raise ConfigError(f"unknown mapping kind '{kind}'")

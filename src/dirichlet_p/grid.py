@@ -161,6 +161,10 @@ class GridDomain:
                 density = np.repeat(density, factor, axis=axis)
         return GridDomain(self.extent, shape, density)
 
+    def describe(self) -> str:
+        """Report label such as '2d 33x33'."""
+        return f"{self.dim}d " + "x".join(str(s) for s in self.shape)
+
 
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
@@ -259,7 +263,7 @@ class GridStructure:
         return GridStructure(self.domain, field)
 
     def describe(self) -> str:
-        return f"{self.dim}d " + "x".join(str(s) for s in self.domain.shape)
+        return self.domain.describe()
 
 
 def unit_structure(domain: GridDomain) -> GridStructure:

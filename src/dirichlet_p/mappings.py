@@ -40,7 +40,7 @@ from .grid import (
     boundary_mask,
     gradient,
 )
-from .pform import PFormContext
+from .pform import PFormContext, _safe_power
 from .solve import _region_interior
 from .report import CheckReport
 
@@ -92,13 +92,22 @@ class Mapping:
         return [vals[..., i] for i in range(self.domain.dim)]
 
 
-def _puncture_mask(domain: GridDomain, radius: float) -> np.ndarray:
-    coords = domain.node_coords()
-    return np.linalg.norm(coords, axis=-1) > radius
+class _PuncturedMapping(Mapping):
+    """Mapping whose analysis region omits a ball around the origin.
+
+    The ball's radius is `puncture` times the box half-width.
+    """
+
+    puncture: float
+
+    def safe_region(self) -> np.ndarray:
+        scale = max(abs(b) for ab in self.domain.extent for b in ab)
+        outside = np.linalg.norm(self.domain.node_coords(), axis=-1) > self.puncture * scale
+        return outside & ~boundary_mask(self.domain)
 
 
 @dataclass(eq=False)
-class PowerMapping(Mapping):
+class PowerMapping(_PuncturedMapping):
     """Plane mapping z -> z^k (n = 2); conformal away from the origin.
 
     The puncture radius excludes a neighborhood of the branch point from
@@ -136,13 +145,9 @@ class PowerMapping(Mapping):
     def omits_zero(self) -> bool:
         return False  # z^k hits 0 at the origin; the region excludes it
 
-    def safe_region(self) -> np.ndarray:
-        scale = max(abs(b) for ab in self.domain.extent for b in ab)
-        return _puncture_mask(self.domain, self.puncture * scale) & ~boundary_mask(self.domain)
-
 
 @dataclass(eq=False)
-class RadialStretch(Mapping):
+class RadialStretch(_PuncturedMapping):
     """x -> |x|^(a-1) x with a > 0; quasiconformal with both dilatations a.
 
     Defined on a box around the origin with a punctured neighborhood of 0
@@ -181,10 +186,6 @@ class RadialStretch(Mapping):
 
     def omits_zero(self) -> bool:
         return True  # on the punctured region |f| = |x|^a > 0
-
-    def safe_region(self) -> np.ndarray:
-        scale = max(abs(b) for ab in self.domain.extent for b in ab)
-        return _puncture_mask(self.domain, self.puncture * scale) & ~boundary_mask(self.domain)
 
 
 @dataclass(eq=False)
@@ -257,17 +258,21 @@ def differentiate(mapping: Mapping) -> JacobianField:
     return JacobianField(Df=Df, J=J, flagged=J <= 0.0)
 
 
-def dilatations(jf: JacobianField) -> tuple[float, float]:
-    """Outer and inner dilatations over unflagged cells (both >= 1)."""
+def _dilatations(jf: JacobianField, sv: np.ndarray) -> tuple[float, float]:
+    """K_O, K_I from the singular values sv of the unflagged cells' Df."""
     ok = ~jf.flagged
     if not ok.any():
         raise ValueError("every cell is degenerate; no dilatations")
-    sv = np.linalg.svd(jf.Df[ok], compute_uv=False)
     n = jf.Df.shape[-1]
     J = jf.J[ok]
     K_O = float(np.max(sv[..., 0] ** n / J))
     K_I = float(np.max(J / sv[..., -1] ** n))
     return K_O, K_I
+
+
+def dilatations(jf: JacobianField) -> tuple[float, float]:
+    """Outer and inner dilatations over unflagged cells (both >= 1)."""
+    return _dilatations(jf, np.linalg.svd(jf.Df[~jf.flagged], compute_uv=False))
 
 
 def distortion_tensor(jf: JacobianField) -> np.ndarray:
@@ -310,10 +315,10 @@ def analyze(mapping: Mapping) -> QrAnalysis:
     lies in [K_O^(-2/n), K_I^(2/n)] up to rounding, and det theta = 1.
     """
     jf = differentiate(mapping)
-    K_O, K_I = dilatations(jf)
+    sv = np.linalg.svd(jf.Df, compute_uv=False)
+    K_O, K_I = _dilatations(jf, sv[~jf.flagged])
     n = mapping.domain.dim
     theta = distortion_tensor(jf)
-    sv = np.linalg.svd(jf.Df, compute_uv=False)
     alpha = K_O ** (-2.0 / n)
     beta = K_I ** (2.0 / n)
     eigs = np.linalg.eigvalsh(theta[~jf.flagged])
@@ -425,10 +430,9 @@ def verify_component_harmonicity(mapping: Mapping, min_order: float = 1.0,
         lhs, rhs = max(max(pair.values()) for pair in res.values()), floor
     else:
         lhs, rhs = min_order, worst_order
-    n = mapping.domain.dim
     return CheckReport(
-        check="component_harmonicity", p=float(n),
-        grid=f"{n}d " + "x".join(str(s) for s in mapping.domain.shape),
+        check="component_harmonicity", p=float(mapping.domain.dim),
+        grid=mapping.domain.describe(),
         passed=passed, lhs=lhs, rhs=rhs, slack=rhs - lhs, tolerance=floor,
         details={"fields": rows, "include_log": include_log},
     )
@@ -445,11 +449,4 @@ def a_operator(G: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     Gxi = np.einsum("...ij,...j->...i", G, xi)
     q = np.einsum("...i,...i->...", Gxi, xi)
-    expo = (p - 2.0) / 2.0
-    if expo == 0.0:
-        w = np.ones_like(q)
-    elif expo > 0.0:
-        w = q ** expo
-    else:
-        w = np.where(q > 0, np.where(q > 0, q, 1.0) ** expo, 0.0)
-    return w[..., None] * Gxi
+    return _safe_power(q, (p - 2.0) / 2.0)[..., None] * Gxi

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["CheckReport", "all_finite"]
+__all__ = ["CheckReport"]
 
 
 @dataclass
@@ -50,16 +49,3 @@ class CheckReport:
     def to_json(self, **kwargs: Any) -> str:
         kwargs.setdefault("sort_keys", True)
         return json.dumps(self.to_dict(), **kwargs)
-
-
-def all_finite(obj: Any) -> bool:
-    """True when every number nested inside obj is finite."""
-    if isinstance(obj, bool):
-        return True
-    if isinstance(obj, (int, float)):
-        return math.isfinite(obj)
-    if isinstance(obj, dict):
-        return all(all_finite(v) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return all(all_finite(v) for v in obj)
-    return True

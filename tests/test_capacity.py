@@ -64,6 +64,23 @@ class TestCondenser:
         assert r.diagnostics["free_components"] == 2
         assert r.diagnostics["components_touching_inner"] == 2
 
+    def test_connectivity_diagnostic_matches_label_loop(self):
+        from scipy import ndimage
+
+        from dirichlet_p.capacity import _free_components_touching_inner
+
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            shape = tuple(rng.integers(3, 12, rng.integers(1, 4)))
+            inner = rng.random(shape) < 0.3 * rng.random()
+            outer = rng.random(shape) < 0.5 * rng.random()
+            # reference: one full-grid comparison per label
+            labels, n = ndimage.label(~(inner | outer))
+            grown = ndimage.binary_dilation(inner)
+            touching = sum(bool(np.any((labels == lab) & grown)) for lab in range(1, n + 1))
+            assert _free_components_touching_inner(inner, outer) == {
+                "free_components": n, "components_touching_inner": touching}
+
 
 class TestCapacityValues:
     def test_three_node_hand_value(self):

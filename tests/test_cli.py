@@ -1,9 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 import dirichlet_p.cli as cli
-from dirichlet_p.report import CheckReport, all_finite
+from dirichlet_p.report import CheckReport
 
 
 def write_config(tmp_path, name, cfg):
@@ -177,6 +178,22 @@ class TestCheckCommand:
         assert lines[0].startswith("check,")
         assert len(lines) == 4
 
+    def test_csv_on_stdout_matches_csv_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "domain": base_domain_1d(), "p": 2.0, "seed": 1,
+            "check": {"suites": ["sector"], "trials": 3},
+        })
+        out = tmp_path / "out.json"
+        assert cli.main(["check", "--config", cfg, "--out", str(out), "--csv"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["check", "--config", cfg, "--csv"]) == cli.EXIT_OK
+        stdout = capsys.readouterr().out
+        report = out.read_text()
+        assert stdout.startswith(report)
+        table = (tmp_path / "out.csv").read_bytes().decode()
+        assert stdout[len(report):] == table
+        assert table.splitlines()[0].startswith("check,")
+
 
 class TestQrCommand:
     def test_power_two_summary(self, tmp_path):
@@ -205,7 +222,7 @@ class TestQrCommand:
         assert cli.main(["qr", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
         harm = json.loads(out.read_text())["results"]["harmonicity"]
         assert harm["passed"]
-        assert all_finite(harm)
+        json.dumps(harm, allow_nan=False)  # raises on nan or inf
 
 
 class TestMetricCommand:
@@ -309,20 +326,57 @@ class TestFlags:
                          "--seed", "33"]) == cli.EXIT_OK
         assert json.loads(out.read_text())["seed"] == 33
 
-    def test_nonfinite_report_exits_two(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "neg-inf"])
+    @pytest.mark.parametrize("wrap", [lambda v: [1.0, [2.0, v]], lambda v: {"a": {"b": v}}],
+                             ids=["list", "dict"])
+    def test_nonfinite_report_exits_two(self, tmp_path, monkeypatch, capsys, value, wrap):
         monkeypatch.setitem(cli._COMMANDS, "solve",
-                            lambda cfg, seed, tol: {"value": float("nan")})
+                            lambda cfg, seed, tol: {"value": wrap(value)})
         cfg = write_config(tmp_path, "c.json", {
             "domain": base_domain_1d(), "p": 2.0,
             "solve": {"boundary": {"values": 0.0}},
         })
-        assert cli.main(["solve", "--config", cfg]) == cli.EXIT_COMPUTE
+        out = tmp_path / "out.json"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                         "--csv"]) == cli.EXIT_COMPUTE
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "out.csv").exists()
 
 
-class TestReportHelpers:
-    def test_all_finite_flags_nan(self):
-        assert all_finite({"a": [1.0, 2.0], "b": {"c": 3}})
-        assert not all_finite({"a": [1.0, float("nan")]})
-        assert not all_finite({"a": float("inf")})
-        assert all_finite({"note": "text", "flag": True, "none": None})
+def _metric_config(**extra):
+    return {"domain": base_domain_2d(9),
+            "metric": {"source": [0.5, 0.5], "neighborhood": 8, **extra}}
+
+
+def _caccioppoli_config(u, ball):
+    return {"domain": base_domain_2d(9), "p": 2.0,
+            "caccioppoli": {"u": u, "balls": [ball]}}
+
+
+BALL = {"center": [0.5, 0.5], "r": 0.1, "R": 0.25}
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("metric", _metric_config(cutoff={}), "'r'"),
+    ("metric", _metric_config(truncation={"r": 0.1, "R": 0.3, "typo": 1}), "'typo'"),
+    ("caccioppoli", _caccioppoli_config("re_z2", {"center": [0.5, 0.5], "r": 0.1}), "'R'"),
+    ("caccioppoli", _caccioppoli_config({"affine": {"linear": [1, 2, 3]}}, BALL), "'linear'"),
+    ("caccioppoli", _caccioppoli_config({"affine": {"slope": [1, 2]}}, BALL), "'slope'"),
+    ("solve", {"domain": base_domain_1d(), "p": 2.0,
+               "solve": {"boundary": {"values": 0.0},
+                         "obstacle": {"region": {"type": "interval", "a": 0.25, "b": 0.75},
+                                      "lvl": 1.0}}}, "'lvl'"),
+    ("solve", {"domain": base_domain_1d(), "p": 2.0,
+               "solve": {"boundary": {"values": 0.0, "mask": {"type": ["rect"]}}}}, "'type'"),
+    ("qr", {"domain": base_domain_2d(), "qr": {"mapping": {"kind": {"power": 2}}}}, "'kind'"),
+], ids=["cutoff-missing-r", "truncation-unknown-key", "ball-missing-R",
+        "affine-wrong-length", "affine-unknown-key", "obstacle-unknown-key",
+        "node-set-type-not-a-name", "mapping-kind-not-a-name"])
+def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, config, key):
+    path = write_config(tmp_path, "c.json", config)
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert key in err
