@@ -2,15 +2,19 @@
 """SHA-256 digests of the benchmark jobs' reports, for byte-identity checks.
 
 Writes the `solvers` and `geometry` job configs of perfbench/workloads.py
-for one seed, runs each job through `dirichlet_p.cli.main` with `--csv`,
-and prints `name exit json-sha256 csv-sha256` per job ("-" for a file the
-job did not write).  Run it on two checkouts and diff the outputs.
+for one seed, plus jobs on paths the benchmark never runs (plain `solve`
+with each solver method, a regularized p = 1.5 solve, and `check` with
+`--tol`), runs each job through `dirichlet_p.cli.main` with `--csv`, and
+prints `name exit json-sha256 csv-sha256` per job ("-" for a file the job
+did not write).  Run it on two checkouts and diff the outputs.
 
 Usage: python scripts/report_digest.py [--seed 101] [--smoke]
 """
 
 import argparse
 import hashlib
+import json
+import os
 import pathlib
 import sys
 import tempfile
@@ -18,6 +22,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from dirichlet_p import cli  # noqa: E402
 
@@ -26,18 +31,47 @@ def _sha256(path: pathlib.Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
 
 
+def _extra_jobs(seed: int, workdir: str, smoke: bool) -> list[workloads.Job]:
+    """Jobs outside the benchmark, on a seeded anisotropic field; their reports go ungated."""
+    n = 9 if smoke else 17
+    field = os.path.join(workdir, "extra-field.json")
+    workloads._field_file(field, n, np.random.default_rng([seed, 99]))
+    base = {"domain": workloads._domain(n), "field": f"file:{field}", "seed": seed}
+    boundary = {"values": {"affine": {"linear": [1.0, 0.5], "constant": 0.25}}}
+    configs = [(f"solve-{n}-{method}", "solve", {
+        **base, "p": 3.0, "solver": {"method": method, "grad_tol": 1e-6, "max_iter": 20000},
+        "solve": {"boundary": boundary}}, [])
+        for method in ("newton_regularized", "lbfgs", "gradient_armijo")]
+    configs.append((f"solve-{n}-p1.5-eps", "solve", {
+        **base, "p": 1.5, "eps": 1e-6, "solve": {"boundary": boundary}}, []))
+    configs.append((f"check-{n}-tol", "check", {
+        **base, "p": 3.0, "check": {"suites": ["sector", "monotone", "contraction", "d1d2",
+                                               "choquet", "union_diff"], "trials": 4}},
+        ["--tol", "1e-7"]))
+    jobs = []
+    for name, command, cfg, flags in configs:
+        config = os.path.join(workdir, f"{name}.config.json")
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(workdir, f"{name}.report.json")
+        jobs.append(workloads.Job(name, (command, "--config", config, "--out", out, *flags),
+                                  out, lambda report: None))
+    return jobs
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--smoke", action="store_true", help="the small job lists")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
-        for workload in ("solvers", "geometry"):
-            for job in workloads.build(workload, args.seed, workdir, args.smoke):
-                code = cli.main([*job.argv, "--csv"])
-                out = pathlib.Path(job.out)
-                print(job.name, code, _sha256(out), _sha256(out.with_suffix(".csv")),
-                      flush=True)
+        jobs = [*workloads.build("solvers", args.seed, workdir, args.smoke),
+                *workloads.build("geometry", args.seed, workdir, args.smoke),
+                *_extra_jobs(args.seed, workdir, args.smoke)]
+        for job in jobs:
+            code = cli.main([*job.argv, "--csv"])
+            out = pathlib.Path(job.out)
+            print(job.name, code, _sha256(out), _sha256(out.with_suffix(".csv")), flush=True)
     return 0
 
 

@@ -142,6 +142,15 @@ def _cap_of_nodes(inner: np.ndarray, outer: np.ndarray, ctx: PFormContext,
     return _cap_value(e, ctx), e
 
 
+def _memo_cap(memo: dict, inner: np.ndarray, outer: np.ndarray, ctx: PFormContext,
+              opts: SolveOptions) -> tuple[float, GridFunction | None]:
+    """`_cap_of_nodes` solved once per (inner, outer) pair; a memo serves one ctx and opts."""
+    key = (inner.tobytes(), outer.tobytes())
+    if key not in memo:
+        memo[key] = _cap_of_nodes(inner, outer, ctx, opts)
+    return memo[key]
+
+
 def capacity(cond: Condenser, ctx: PFormContext, opts: SolveOptions | None = None,
              vi_samples: int = 8, rng: np.random.Generator | None = None) -> CapacityResult:
     """Capacity and equilibrium potential of a condenser.
@@ -242,7 +251,8 @@ def _exchange_defect(eK: GridFunction, eL: GridFunction, ctx: PFormContext) -> f
 
 
 def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormContext,
-                  opts: SolveOptions | None = None) -> list[CheckReport]:
+                  opts: SolveOptions | None = None, *,
+                  memo: dict | None = None) -> list[CheckReport]:
     """Run the Choquet-capacity property suite over a family of node sets.
 
     Emits one report per verified property: pairwise strong subadditivity,
@@ -250,9 +260,11 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
     chain of prefix intersections and the increasing chain of prefix
     unions, finite subadditivity of the full union, and strict positivity
     of every nonempty set.  Tolerances combine the solver tolerance with
-    the measured join/meet exchange defect (zero in 1-D).
+    the measured join/meet exchange defect (zero in 1-D).  Each distinct
+    set is solved once, in `memo` if given (one per ctx and opts).
     """
     opts = opts or SolveOptions()
+    memo = {} if memo is None else memo
     outer = np.asarray(outer, dtype=bool)
     sets = [np.asarray(s, dtype=bool) & ~outer for s in sets]
     if not sets:
@@ -260,14 +272,8 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
     grid = ctx.describe()
     base_tol = _solver_value_tol(ctx, opts)
 
-    # the chains and pairs repeat sets (chain[0] is sets[0]): solve each once
-    solved: dict[bytes, tuple[float, GridFunction | None]] = {}
-
     def cap(s: np.ndarray) -> tuple[float, GridFunction | None]:
-        key = s.tobytes()
-        if key not in solved:
-            solved[key] = _cap_of_nodes(s, outer, ctx, opts)
-        return solved[key]
+        return _memo_cap(memo, s, outer, ctx, opts)
 
     caps = [cap(s)[0] for s in sets]
     scale = max(max(caps), 1e-300)
@@ -355,14 +361,16 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
 
 def check_union_difference(e_sets: Sequence[np.ndarray], f_sets: Sequence[np.ndarray],
                            outer: np.ndarray, ctx: PFormContext,
-                           opts: SolveOptions | None = None) -> CheckReport:
+                           opts: SolveOptions | None = None, *,
+                           memo: dict | None = None) -> CheckReport:
     """Difference bound cap(U E_i) - cap(U F_i) <= sum_i (cap E_i - cap F_i).
 
     Requires F_i subset of E_i for every i; asserted with k * tol slack for
     k families at solver tolerance (the bound is what makes the capacity
-    continuous along increasing set sequences).
+    continuous along increasing set sequences).  `memo` as in `check_choquet`.
     """
     opts = opts or SolveOptions()
+    memo = {} if memo is None else memo
     outer = np.asarray(outer, dtype=bool)
     if len(e_sets) != len(f_sets) or not e_sets:
         raise ValueError("need matching nonempty families")
@@ -372,10 +380,10 @@ def check_union_difference(e_sets: Sequence[np.ndarray], f_sets: Sequence[np.nda
         if not np.all(F <= E):
             raise ValueError(f"containment violated: F[{i}] is not a subset of E[{i}]")
     k = len(e_sets)
-    cap_e = [_cap_of_nodes(E, outer, ctx, opts)[0] for E in e_sets]
-    cap_f = [_cap_of_nodes(F, outer, ctx, opts)[0] for F in f_sets]
-    cup_e = _cap_of_nodes(np.logical_or.reduce(e_sets), outer, ctx, opts)[0]
-    cup_f = _cap_of_nodes(np.logical_or.reduce(f_sets), outer, ctx, opts)[0]
+    cap_e = [_memo_cap(memo, E, outer, ctx, opts)[0] for E in e_sets]
+    cap_f = [_memo_cap(memo, F, outer, ctx, opts)[0] for F in f_sets]
+    cup_e = _memo_cap(memo, np.logical_or.reduce(e_sets), outer, ctx, opts)[0]
+    cup_f = _memo_cap(memo, np.logical_or.reduce(f_sets), outer, ctx, opts)[0]
     lhs = cup_e - cup_f
     rhs = float(sum(ce - cf for ce, cf in zip(cap_e, cap_f)))
     scale = max(max(cap_e), 1e-300)

@@ -28,10 +28,12 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .capacity import Condenser, capacity, check_choquet, check_union_difference
+from .capacity import _memo_cap, capacity, check_choquet, check_union_difference
 from .config import (
     ConfigError,
+    _as_list,
     _check_keys,
+    _get_value,
     load_config,
     nearest_node,
     node_set_from_shape,
@@ -111,7 +113,8 @@ def _cmd_solve(cfg: dict, seed: int, tol: float | None) -> dict:
         if isinstance(obs, dict) and "region" in obs:
             _check_keys(obs, {"region", "level"}, {"region"}, "solve.obstacle")
             region = node_set_from_shape(obs["region"], ctx.domain)
-            lower = np.where(region, float(obs.get("level", 0.0)), -np.inf)
+            lower = np.where(region, _get_value(obs, "level", float, "solve.obstacle", 0.0),
+                             -np.inf)
         else:
             lower = parse_grid_function(obs, ctx.domain)
         result = solve_obstacle(ctx, GridFunction(lower), boundary, opts)
@@ -132,7 +135,8 @@ def _cmd_capacity(cfg: dict, seed: int, tol: float | None) -> dict:
     block = cfg["capacity"]
     cond = parse_condenser(block["condenser"], ctx.domain)
     rng = np.random.default_rng(seed)
-    result = capacity(cond, ctx, opts, vi_samples=int(block.get("vi_samples", 8)), rng=rng)
+    vi_samples = _get_value(block, "vi_samples", int, "capacity", 8)
+    result = capacity(cond, ctx, opts, vi_samples=vi_samples, rng=rng)
     return {
         "value": result.value,
         "vi_residual": result.vi_residual,
@@ -168,18 +172,20 @@ def _parse_u(spec: Any, domain) -> np.ndarray:
 def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
     ctx = parse_context(cfg)
     block = cfg["caccioppoli"]
-    for ball in block["balls"]:
+    balls = []
+    for ball in _get_value(block, "balls", _as_list, "caccioppoli"):
         _check_keys(ball, _BALL_KEYS, _BALL_KEYS, "caccioppoli ball")
+        balls.append((ball["center"], _get_value(ball, "r", float, "caccioppoli ball"),
+                      _get_value(ball, "R", float, "caccioppoli ball")))
     u = GridFunction(_parse_u(block["u"], ctx.domain))
     variant = block.get("variant", "ball")
-    residual_tol = float(block.get("residual_tol", 1e-3))
+    residual_tol = _get_value(block, "residual_tol", float, "caccioppoli", 1e-3)
     cvalue = block.get("c")
-    c = None if cvalue in (None, "mean") else float(cvalue)
-    neighborhood = int(block.get("neighborhood", 16))
+    c = None if cvalue in (None, "mean") else _get_value(block, "c", float, "caccioppoli")
+    neighborhood = _get_value(block, "neighborhood", _stencil, "caccioppoli", 16)
     checks: list[dict] = []
-    for ball in block["balls"]:
-        src = nearest_node(ctx.domain, ball["center"])
-        r, R = float(ball["r"]), float(ball["R"])
+    for center, r, R in balls:
+        src = nearest_node(ctx.domain, center)
         if variant == "ball":
             rep = check_caccioppoli_ball(u, src, r, R, c, ctx,
                                          residual_tol=residual_tol,
@@ -190,8 +196,7 @@ def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
             rep = check_caccioppoli(u, phi, c, ctx, residual_tol=residual_tol)
         elif variant == "euclidean":
             coords = ctx.domain.node_coords()
-            center = np.asarray(ball["center"], dtype=float)
-            dist = np.linalg.norm(coords - center, axis=-1)
+            dist = np.linalg.norm(coords - np.asarray(center, dtype=float), axis=-1)
             phi = GridFunction(np.clip((R - dist) / (R - r), 0.0, 1.0))
             rep = check_caccioppoli_euclidean(
                 u, phi, c, ctx.structure.field.alpha, ctx.structure.field.beta,
@@ -220,8 +225,8 @@ def _cmd_qr(cfg: dict, seed: int, tol: float | None) -> dict:
     }
     if block.get("verify", True):
         rep = verify_component_harmonicity(
-            mapping, min_order=float(block.get("min_order", 1.0)),
-            include_log=block.get("include_log"))
+            mapping, min_order=_get_value(block, "min_order", float, "qr", 1.0),
+            include_log=block.get("include_log"), analysis=analysis)
         out["harmonicity"] = rep.to_dict()
     return out
 
@@ -233,7 +238,7 @@ def _cmd_metric(cfg: dict, seed: int, tol: float | None) -> dict:
         if name in block:
             _check_keys(block[name], keys, keys, f"metric.{name}")
     src = nearest_node(structure.domain, block["source"])
-    neighborhood = int(block.get("neighborhood", 16))
+    neighborhood = _get_value(block, "neighborhood", _stencil, "metric", 16)
     field = intrinsic_distance(src, structure, neighborhood)
     out: dict[str, Any] = {
         "source": list(src),
@@ -242,25 +247,31 @@ def _cmd_metric(cfg: dict, seed: int, tol: float | None) -> dict:
         "max_distance": float(np.max(field.distances)),
     }
     if "targets" in block:
-        out["distances"] = [
-            {"target": list(nearest_node(structure.domain, t)),
-             "distance": field.at(nearest_node(structure.domain, t))}
-            for t in block["targets"]
-        ]
+        nodes = [nearest_node(structure.domain, t)
+                 for t in _get_value(block, "targets", _as_list, "metric")]
+        out["distances"] = [{"target": list(n), "distance": field.at(n)} for n in nodes]
     bound = cutoff_gamma_bound(structure.domain.dim, neighborhood)
     if "cutoff" in block:
-        r = float(block["cutoff"]["r"])
+        r = _get_value(block["cutoff"], "r", float, "metric.cutoff")
         cut = distance_cutoff(src, r, structure, field)
         cert = certify_gradient_bound(cut, structure, bound, "cutoff_gamma")
         out["cutoff"] = {"r": r, "certificate": cert.to_dict()}
     if "truncation" in block:
-        r = float(block["truncation"]["r"])
-        R = float(block["truncation"]["R"])
+        r = _get_value(block["truncation"], "r", float, "metric.truncation")
+        R = _get_value(block["truncation"], "R", float, "metric.truncation")
         tr = truncation_function(src, r, R, structure, field)
         cert = certify_gradient_bound(tr, structure, bound / (R - r) ** 2,
                                       "truncation_gamma")
         out["truncation"] = {"r": r, "R": R, "certificate": cert.to_dict()}
     return out
+
+
+def _stencil(value: Any) -> int:
+    """Neighborhood of the intrinsic-metric stencil: 8 or 16."""
+    n = int(value)
+    if n not in (8, 16):
+        raise ValueError("must be 8 or 16")
+    return n
 
 
 def _seeded_pair(rng: np.random.Generator, shape) -> tuple[GridFunction, GridFunction]:
@@ -272,8 +283,8 @@ def _cmd_check(cfg: dict, seed: int, tol: float | None) -> dict:
     ctx = parse_context(cfg)
     opts = parse_solve_options(cfg, tol)
     block = cfg.get("check", {})
-    suites = block.get("suites", ["sector", "monotone", "contraction"])
-    trials = int(block.get("trials", 50))
+    suites = _get_value(block, "suites", _as_list, "check", ["sector", "monotone", "contraction"])
+    trials = _get_value(block, "trials", int, "check", 50)
     known = {"sector", "monotone", "contraction", "d1d2", "choquet", "union_diff"}
     for name in suites:
         if name not in known:
@@ -304,17 +315,18 @@ def _cmd_check(cfg: dict, seed: int, tol: float | None) -> dict:
     if "d1d2" in suites or "choquet" in suites or "union_diff" in suites:
         outer = boundary_mask(domain)
         sets = _seeded_sets(rng, domain)
+        # one solve per distinct node set, shared by the three set-function suites
+        memo: dict = {}
         if "d1d2" in suites:
-            e_big = capacity(Condenser(sets[0] | sets[1], outer), ctx, opts).potential
-            e_small = capacity(Condenser(sets[1] & ~outer, outer), ctx, opts).potential \
-                if (sets[1] & ~outer).any() else e_big
+            e_big = _memo_cap(memo, sets[0] | sets[1], outer, ctx, opts)[1]
+            e_small = _memo_cap(memo, sets[1] & ~outer, outer, ctx, opts)[1] or e_big
             reports.append(check_dirichlet_axioms(
                 e_big, e_small, float(rng.uniform(0.1, 1.0)), ctx, mask=outer))
         if "choquet" in suites:
-            reports.extend(check_choquet(sets, outer, ctx, opts))
+            reports.extend(check_choquet(sets, outer, ctx, opts, memo=memo))
         if "union_diff" in suites:
             f_sets = [_shrink(s) for s in sets]
-            reports.append(check_union_difference(sets, f_sets, outer, ctx, opts))
+            reports.append(check_union_difference(sets, f_sets, outer, ctx, opts, memo=memo))
     payload = [r.to_dict() for r in reports]
     return {"suites": suites, "trials": trials,
             "failed": sum(1 for r in reports if not r.passed),
@@ -429,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         required = {"domain"} if args.command == "check" else {"domain", args.command}
         _check_keys(cfg, _SHARED_KEYS | set(_COMMANDS), required, "config")
         _check_keys(cfg.get(args.command, {}), *_BLOCK_KEYS[args.command], args.command)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _get_value(cfg, "seed", int, "config", 0)
         results = _COMMANDS[args.command](cfg, seed, args.tol)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

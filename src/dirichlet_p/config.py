@@ -16,7 +16,7 @@ whose nodes align with the shape boundary the rule adds no nodes.
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -81,6 +81,26 @@ def _check_keys(block: dict, allowed: set[str], required: set[str], where: str) 
     for key in required:
         if key not in block:
             raise ConfigError(f"missing required key '{key}' in {where}")
+
+
+def _get_value(block: dict, key: str, kind: Callable[[Any], Any], where: str,
+              default: Any = None) -> Any:
+    """kind(block[key]), or kind(default) when the key is absent.
+
+    kind is a converter such as int, float or `_as_list`; the TypeError or
+    ValueError it raises becomes a config error that names the key.
+    """
+    value = block.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid value {value!r:.80} for '{key}' in {where}: {exc}")
+
+
+def _as_list(value: Any) -> list:
+    if not isinstance(value, list):
+        raise TypeError("expected a list")
+    return value
 
 
 def parse_domain(cfg: dict[str, Any]) -> GridDomain:
@@ -243,10 +263,11 @@ def parse_affine(spec: dict[str, Any], domain: GridDomain, where: str) -> np.nda
     _check_keys(spec, {"affine"}, {"affine"}, where)
     aff = spec["affine"]
     _check_keys(aff, {"linear", "constant"}, set(), f"{where}.affine")
-    lin = np.asarray(aff.get("linear", [0.0] * domain.dim), dtype=float)
+    lin = _get_value(aff, "linear", lambda v: np.asarray(v, dtype=float), f"{where}.affine",
+                     [0.0] * domain.dim)
     if lin.shape != (domain.dim,):
         raise ConfigError(f"{where}.affine 'linear' has wrong dimension")
-    return domain.node_coords() @ lin + float(aff.get("constant", 0.0))
+    return domain.node_coords() @ lin + _get_value(aff, "constant", float, f"{where}.affine", 0.0)
 
 
 def parse_boundary(spec: dict[str, Any], domain: GridDomain) -> GridFunction:

@@ -413,19 +413,22 @@ def gradient_adjoint(q: np.ndarray, domain: GridDomain) -> np.ndarray:
     return out
 
 
+def _flux_gamma(u, structure: GridStructure) -> tuple[np.ndarray, np.ndarray]:
+    """(G grad u, gamma(u)) per cell from a single gradient evaluation."""
+    gu = gradient(u, structure.domain)
+    Ggu = np.einsum("...ij,...j->...i", structure.field.matrices, gu)
+    return Ggu, 2.0 * np.einsum("...i,...i->...", Ggu, gu)
+
+
 def carre_du_champ(u, v, structure: GridStructure) -> np.ndarray:
     """Per-cell field gamma(u, v) = 2 (G grad u, grad v); symmetric, bilinear."""
-    gu = gradient(u, structure.domain)
-    gv = gradient(v, structure.domain)
-    Ggu = np.einsum("...ij,...j->...i", structure.field.matrices, gu)
-    return 2.0 * np.einsum("...i,...i->...", Ggu, gv)
+    Ggu, _ = _flux_gamma(u, structure)
+    return 2.0 * np.einsum("...i,...i->...", Ggu, gradient(v, structure.domain))
 
 
 def gamma(u, structure: GridStructure) -> np.ndarray:
     """gamma(u) = gamma(u, u) >= 0 per cell."""
-    gu = gradient(u, structure.domain)
-    Ggu = np.einsum("...ij,...j->...i", structure.field.matrices, gu)
-    return 2.0 * np.einsum("...i,...i->...", Ggu, gu)
+    return _flux_gamma(u, structure)[1]
 
 
 def energy(u, v, structure: GridStructure) -> float:

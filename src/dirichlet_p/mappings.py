@@ -353,14 +353,15 @@ def induced_context(mapping: Mapping) -> tuple[QrAnalysis, PFormContext]:
     return analysis, PFormContext(structure, float(mapping.domain.dim))
 
 
-def _matched_residuals(mapping: Mapping, factor: int = 2,
-                       include_log: bool | None = None) -> dict[str, Any]:
+def _matched_residuals(mapping: Mapping, include_log: bool | None,
+                       analysis: QrAnalysis) -> dict[str, Any]:
     """Residuals of components (and log|f|) at matched nodes, two levels."""
+    factor = 2
     fine = mapping.refined(factor)
     out: dict[str, Any] = {}
     levels = []
-    for m in (mapping, fine):
-        _, ctx = induced_context(m)
+    for m, an in ((mapping, analysis), (fine, analyze(fine))):
+        ctx = PFormContext(induced_structure(an, m.domain), float(m.domain.dim))
         region = m.safe_region()
         eligible = _region_interior(region, m.domain.dim)
         if not eligible.any():
@@ -395,7 +396,8 @@ def _matched_residuals(mapping: Mapping, factor: int = 2,
 
 def verify_component_harmonicity(mapping: Mapping, min_order: float = 1.0,
                                  include_log: bool | None = None,
-                                 floor: float = 1e-10) -> CheckReport:
+                                 floor: float = 1e-10, *,
+                                 analysis: QrAnalysis | None = None) -> CheckReport:
     """Refinement check that the components of f are harmonic for p = n.
 
     Residuals are mass-scaled operator pairings measured at the same
@@ -409,10 +411,13 @@ def verify_component_harmonicity(mapping: Mapping, min_order: float = 1.0,
     When every field sits at the rounding floor no order is observed, and
     the row reports the inequality that was checked instead: the largest
     residual (lhs) against the floor (rhs), so every number stays finite.
+
+    `analysis`, when given, must be `analyze(mapping)`; it saves recomputing it.
     """
     if include_log is None:
         include_log = mapping.omits_zero()
-    res = _matched_residuals(mapping, include_log=include_log)
+    res = _matched_residuals(mapping, include_log,
+                             analyze(mapping) if analysis is None else analysis)
     rows = {}
     passed = True
     worst_order = math.inf

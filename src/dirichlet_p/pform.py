@@ -34,8 +34,8 @@ from .grid import (
     GridFunction,
     GridStructure,
     ShapeMismatchError,
+    _flux_gamma,
     _values,
-    carre_du_champ,
     dp_norm,
     gamma,
     gradient,
@@ -136,8 +136,16 @@ def _safe_power(base: np.ndarray, expo: float) -> np.ndarray:
     return out
 
 
-def _weights(u, ctx: PFormContext) -> np.ndarray:
-    return _safe_power(gamma(u, ctx.structure) + ctx.eps, (ctx.p - 2.0) / 2.0)
+def _weights(u, ctx: PFormContext) -> tuple[np.ndarray, np.ndarray]:
+    """(G grad u, (gamma(u)+eps)^((p-2)/2)) per cell, from one gradient of u."""
+    Ggu, g = _flux_gamma(u, ctx.structure)
+    return Ggu, _safe_power(g + ctx.eps, (ctx.p - 2.0) / 2.0)
+
+
+def _form_density(u, v, ctx: PFormContext) -> np.ndarray:
+    """Per-cell integrand (gamma(u)+eps)^((p-2)/2) gamma(u, v) of p_form."""
+    Ggu, w = _weights(u, ctx)
+    return w * (2.0 * np.einsum("...i,...i->...", Ggu, gradient(v, ctx.domain)))
 
 
 def p_form(u, v, ctx: PFormContext) -> float:
@@ -146,8 +154,7 @@ def p_form(u, v, ctx: PFormContext) -> float:
     For p = 2 (and eps = 0) this coincides with twice the bilinear energy.
     Linear in v; homogeneous of degree p - 1 in u.
     """
-    integrand = _weights(u, ctx) * carre_du_champ(u, v, ctx.structure)
-    return float(np.sum(integrand * ctx.measure))
+    return float(np.sum(_form_density(u, v, ctx) * ctx.measure))
 
 
 def p_energy(u, ctx: PFormContext) -> float:
@@ -169,9 +176,7 @@ def p_operator(u, ctx: PFormContext, mask: np.ndarray | None = None) -> NodeFunc
     """
     if mask is None and isinstance(u, GridFunction):
         mask = u.mask
-    gu = gradient(u, ctx.domain)
-    Ggu = np.einsum("...ij,...j->...i", ctx.structure.field.matrices, gu)
-    w = _weights(u, ctx)
+    Ggu, w = _weights(u, ctx)
     q = 2.0 * (ctx.measure * w)[..., None] * Ggu
     return NodeFunctional(gradient_adjoint(q, ctx.domain), mask)
 
@@ -193,10 +198,7 @@ def _pairing_difference(a, b, direction, ctx: PFormContext) -> float:
     Computing the difference of the two integrands cell by cell keeps exact
     cancellations (cells where both terms agree bitwise) intact.
     """
-    s = ctx.structure
-    wa = _weights(a, ctx)
-    wb = _weights(b, ctx)
-    integrand = wa * carre_du_champ(a, direction, s) - wb * carre_du_champ(b, direction, s)
+    integrand = _form_density(a, direction, ctx) - _form_density(b, direction, ctx)
     return float(np.sum(integrand * ctx.measure))
 
 
@@ -238,9 +240,7 @@ def check_monotone(u, v, ctx: PFormContext) -> CheckReport:
     """
     s = ctx.structure
     d = GridFunction(_values(u) - _values(v))
-    wa = _weights(u, ctx)
-    wb = _weights(v, ctx)
-    percell = wa * carre_du_champ(u, d, s) - wb * carre_du_champ(v, d, s)
+    percell = _form_density(u, d, ctx) - _form_density(v, d, ctx)
     pairing = float(np.sum(percell * ctx.measure))
     worst = float(np.min(percell)) if percell.size else 0.0
     scale = max(float(np.max(np.abs(percell))), 1.0)

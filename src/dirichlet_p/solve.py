@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 from scipy import ndimage
 
 from .assemble import assemble_form_matrix, solve_linear_dirichlet
-from .grid import GridFunction, ShapeMismatchError, _values, dp_norm, gradient
+from .grid import GridFunction, ShapeMismatchError, _flux_gamma, _values, dp_norm
 from .pform import PFormContext, _safe_power, p_energy, p_operator, scaled_operator_field
 
 __all__ = [
@@ -78,11 +78,9 @@ class SolveResult:
 
 def hessian_matrix(u, ctx: PFormContext) -> sp.csr_matrix:
     """Exact sparse Hessian of p_energy at u (positive semidefinite for p >= 2)."""
-    s = ctx.structure
-    g = gradient(u, ctx.domain)
-    G = s.field.matrices
-    Gg = np.einsum("...ij,...j->...i", G, g)
-    base = 2.0 * np.einsum("...i,...i->...", Gg, g) + ctx.eps
+    G = ctx.structure.field.matrices
+    Gg, gam = _flux_gamma(u, ctx.structure)
+    base = gam + ctx.eps
     w = _safe_power(base, (ctx.p - 2.0) / 2.0)
     w4 = _safe_power(base, (ctx.p - 4.0) / 2.0)
     rank1 = 2.0 * (ctx.p - 2.0) * w4[..., None, None] * (Gg[..., :, None] * Gg[..., None, :])
@@ -263,7 +261,6 @@ def solve_dirichlet(ctx: PFormContext, boundary: GridFunction,
     else:
         vals = np.where(mask, boundary.values, 0.0)
         vals = solve_linear_dirichlet(ctx.structure, vals, mask)
-    start_energy = p_energy(GridFunction(vals), ctx)
     if opts.method == "newton_regularized":
         u, res, iters, etrace, trace = _newton(vals, mask, ctx, opts)
     else:
@@ -272,7 +269,7 @@ def solve_dirichlet(ctx: PFormContext, boundary: GridFunction,
     return SolveResult(
         solution=sol, residual_norm=res, iterations=iters, energy_trace=etrace,
         diagnostics={"method": opts.method, "grad_tol": opts.grad_tol,
-                     "initial_energy": start_energy, "trace": trace},
+                     "initial_energy": etrace[0], "trace": trace},
     )
 
 
@@ -386,8 +383,8 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
     else:
         raise SolveError("active-set refinement did not stabilize", trace)
 
+    # coeff is the last round's operator at the unchanged final values
     u = GridFunction(vals.reshape(domain.node_shape), mask)
-    coeff = p_operator(u, ctx, mask=mask).coefficients.reshape(-1)
     scaled = np.abs(coeff) / np.maximum(node_mass, 1e-300)
     inactive = free & ~active
     residual = _scaled_residual(coeff[inactive], node_mass[inactive])

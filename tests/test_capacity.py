@@ -267,6 +267,33 @@ class TestChoquet1D:
         assert not reports["decreasing_compacts"].passed
         assert not reports["increasing_sets"].passed
 
+    # Every memo miss goes through `_cap_of_nodes`: a set function patched in
+    # there must reach the rows that read the shared memo.
+    def test_supermodular_capacity_fails_subadditivity_rows(self, line17, monkeypatch):
+        import dirichlet_p.capacity as capacity_module
+
+        monkeypatch.setattr(capacity_module, "_cap_of_nodes",
+                            lambda inner, outer, ctx, opts: (float(inner.sum()) ** 2, None))
+        ctx = PFormContext(unit_structure(line17), 2.0)
+        K = nodes_in_interval(line17, 0.25, 0.5)
+        L = nodes_in_interval(line17, 0.375, 0.75)
+        reports = {r.check: r for r in check_choquet([K, L], boundary_mask(line17), ctx)}
+        assert not reports["strong_subadditivity"].passed
+        assert not reports["finite_subadditivity"].passed
+        E = [nodes_in_interval(line17, 0.125, 0.25), nodes_in_interval(line17, 0.625, 0.75)]
+        F = [nodes_in_interval(line17, 0.125, 0.125), nodes_in_interval(line17, 0.625, 0.625)]
+        assert not check_union_difference(E, F, boundary_mask(line17), ctx).passed
+
+    def test_zero_capacity_fails_positivity(self, line17, monkeypatch):
+        import dirichlet_p.capacity as capacity_module
+
+        monkeypatch.setattr(capacity_module, "_cap_of_nodes",
+                            lambda inner, outer, ctx, opts: (0.0, None))
+        ctx = PFormContext(unit_structure(line17), 2.0)
+        K = nodes_in_interval(line17, 0.25, 0.5)
+        reports = {r.check: r for r in check_choquet([K], boundary_mask(line17), ctx)}
+        assert not reports["positivity"].passed
+
 
 class TestChoquet2D:
     def test_suite_with_reported_tolerance(self):

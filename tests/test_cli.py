@@ -380,3 +380,84 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
     err = capsys.readouterr().err
     assert "config error" in err
     assert key in err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("caccioppoli", {"domain": base_domain_2d(9), "p": 2.0,
+                     "caccioppoli": {"u": "re_z2", "balls": 3}}, "'balls'"),
+    ("metric", _metric_config(targets=3), "'targets'"),
+    ("check", {"domain": base_domain_1d(), "p": 2.0, "check": {"suites": "sector"}},
+     "'suites'"),
+    ("check", {"domain": base_domain_1d(), "p": 2.0, "check": {"trials": "x"}}, "'trials'"),
+    ("capacity", {"domain": base_domain_1d(), "p": 2.0, "capacity": {
+        "condenser": {"inner": {"type": "interval", "a": 0.25, "b": 0.5},
+                      "outer": "domain_boundary"}, "vi_samples": "many"}}, "'vi_samples'"),
+    ("check", {"domain": base_domain_1d(), "p": 2.0, "seed": "abc"}, "'seed'"),
+    ("caccioppoli", _caccioppoli_config("re_z2", {**BALL, "r": "a"}), "'r'"),
+    ("metric", _metric_config(neighborhood=12), "'neighborhood'"),
+    ("caccioppoli", _caccioppoli_config({"affine": {"linear": ["a", "b"]}}, BALL), "'linear'"),
+], ids=["balls-not-a-list", "targets-not-a-list", "suites-not-a-list", "trials-not-int",
+        "vi-samples-not-int", "seed-not-int", "ball-r-not-float", "neighborhood-not-8-or-16",
+        "affine-linear-not-numbers"])
+def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, command, config, key):
+    path = write_config(tmp_path, "c.json", config)
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert key in err
+
+
+def _set_suite_config(suites):
+    return {"domain": base_domain_2d(9), "p": 3.0, "seed": 5,
+            "check": {"suites": suites, "trials": 1}}
+
+
+def test_check_run_solves_each_node_set_once(tmp_path, monkeypatch):
+    import dirichlet_p.capacity as capacity_module
+
+    solve = capacity_module._cap_of_nodes
+    keys = []
+
+    def counting(inner, outer, ctx, opts):
+        keys.append((inner.tobytes(), outer.tobytes()))
+        return solve(inner, outer, ctx, opts)
+
+    monkeypatch.setattr(capacity_module, "_cap_of_nodes", counting)
+    cfg = write_config(tmp_path, "c.json", _set_suite_config(["d1d2", "choquet", "union_diff"]))
+    counts = []
+    for _ in range(2):
+        keys.clear()
+        assert cli.main(["check", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
+        assert len(keys) == len(set(keys))
+        counts.append(len(keys))
+    assert counts[0] == counts[1] > 0
+
+
+def test_patched_capacity_reaches_the_check_report(tmp_path, monkeypatch):
+    import dirichlet_p.capacity as capacity_module
+
+    # a supermodular set function breaks subadditivity on the shared memo
+    monkeypatch.setattr(capacity_module, "_cap_of_nodes",
+                        lambda inner, outer, ctx, opts: (float(inner.sum()) ** 2, None))
+    cfg = write_config(tmp_path, "c.json", _set_suite_config(["choquet", "union_diff"]))
+    assert cli.main(["check", "--config", cfg, "--out", str(tmp_path / "o.json")]) \
+        == cli.EXIT_PROPERTY
+
+
+def test_qr_run_analyzes_each_level_once(tmp_path, monkeypatch):
+    import dirichlet_p.mappings as mappings_module
+
+    calls = []
+
+    def counting(mapping, _analyze=mappings_module.analyze):
+        calls.append(mapping.domain.shape)
+        return _analyze(mapping)
+
+    monkeypatch.setattr(mappings_module, "analyze", counting)
+    monkeypatch.setattr(cli, "analyze", counting)
+    cfg = write_config(tmp_path, "c.json", {
+        "domain": {"dim": 2, "extent": [[-1.0, 1.0], [-1.0, 1.0]], "shape": [17, 17]},
+        "qr": {"mapping": {"kind": "radial", "a": 1.5}, "verify": True},
+    })
+    assert cli.main(["qr", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
+    assert calls == [(17, 17), (33, 33)]

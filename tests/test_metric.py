@@ -182,6 +182,7 @@ class TestCutoffs:
             cut = distance_cutoff((16, 16), 0.3, s, neighborhood=nb)
             rep = certify_gradient_bound(cut, s, cutoff_gamma_bound(2, nb))
             assert rep.passed, rep.lhs
+            assert abs(rep.lhs / rep.rhs - 1.0) <= 1e-12  # the bound is attained
 
     def test_duality_never_violated(self):
         # cutoff increments are dominated by the distance: exact on graphs

@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dirichlet_p.assemble import mass_matrix, stiffness_matrix
+from dirichlet_p.assemble import assemble_form_matrix, mass_matrix, stiffness_matrix
 from dirichlet_p.capacity import Condenser, capacity, nodes_in_box
 from dirichlet_p.grid import (
     GridDomain,
     GridFunction,
     GridStructure,
     boundary_mask,
+    carre_du_champ,
     energy,
     gamma,
+    gradient,
+    gradient_adjoint,
     unit_structure,
 )
 from dirichlet_p.pform import (
     PFormContext,
     PurePotentialError,
+    _safe_power,
     check_coercive,
     check_contraction_operates,
     check_dirichlet_axioms,
@@ -30,7 +34,7 @@ from dirichlet_p.pform import (
     p_operator,
     pure_potential_violation,
 )
-from dirichlet_p.solve import SolveOptions
+from dirichlet_p.solve import SolveOptions, hessian_matrix
 from conftest import random_elliptic_field, random_function
 
 
@@ -158,6 +162,64 @@ class TestOperator:
             minus = p_energy(GridFunction(u.values - delta * v.values), ctx)
             cd = (plus - minus) / (2.0 * delta)
             assert abs(cd - p_form(u, v, ctx)) <= 1e-6
+
+
+# Two-gradient forms of the operator code, as written before each operator
+# call took the cell gradient once; the current code must match them bitwise.
+def _reference_gamma_pair(u, v, s):
+    gu = gradient(u, s.domain)
+    gv = gradient(v, s.domain)
+    Ggu = np.einsum("...ij,...j->...i", s.field.matrices, gu)
+    return 2.0 * np.einsum("...i,...i->...", Ggu, gv)
+
+
+def _reference_weights(u, ctx):
+    return _safe_power(_reference_gamma_pair(u, u, ctx.structure) + ctx.eps,
+                       (ctx.p - 2.0) / 2.0)
+
+
+def _reference_p_form(u, v, ctx):
+    integrand = _reference_weights(u, ctx) * _reference_gamma_pair(u, v, ctx.structure)
+    return float(np.sum(integrand * ctx.measure))
+
+
+def _reference_p_operator(u, ctx):
+    gu = gradient(u, ctx.domain)
+    Ggu = np.einsum("...ij,...j->...i", ctx.structure.field.matrices, gu)
+    w = _reference_weights(u, ctx)
+    q = 2.0 * (ctx.measure * w)[..., None] * Ggu
+    return gradient_adjoint(q, ctx.domain)
+
+
+def _reference_hessian(u, ctx):
+    g = gradient(u, ctx.domain)
+    G = ctx.structure.field.matrices
+    Gg = np.einsum("...ij,...j->...i", G, g)
+    base = 2.0 * np.einsum("...i,...i->...", Gg, g) + ctx.eps
+    w = _safe_power(base, (ctx.p - 2.0) / 2.0)
+    w4 = _safe_power(base, (ctx.p - 4.0) / 2.0)
+    rank1 = 2.0 * (ctx.p - 2.0) * w4[..., None, None] * (Gg[..., :, None] * Gg[..., None, :])
+    blocks = 2.0 * ctx.measure[..., None, None] * (w[..., None, None] * G + rank1)
+    return assemble_form_matrix(ctx.domain, blocks)
+
+
+class TestOneGradient:
+    @pytest.mark.parametrize("shape", [(9,), (7, 6), (4, 5, 4)])
+    @pytest.mark.parametrize("p, eps", [(1.5, 1e-3), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)])
+    def test_bitwise_equal_to_two_gradient_reference(self, shape, p, eps, rng):
+        d = GridDomain(tuple((0.0, 1.0) for _ in shape), shape)
+        s = GridStructure(d, random_elliptic_field(d, rng))
+        ctx = PFormContext(s, p, eps)
+        u = GridFunction(rng.standard_normal(shape))
+        v = GridFunction(rng.standard_normal(shape))
+        assert np.array_equal(gamma(u, s), _reference_gamma_pair(u, u, s))
+        assert np.array_equal(carre_du_champ(u, v, s), _reference_gamma_pair(u, v, s))
+        assert p_form(u, v, ctx) == _reference_p_form(u, v, ctx)
+        assert np.array_equal(p_operator(u, ctx).coefficients, _reference_p_operator(u, ctx))
+        H, H_ref = hessian_matrix(u, ctx), _reference_hessian(u, ctx)
+        assert np.array_equal(H.indptr, H_ref.indptr)
+        assert np.array_equal(H.indices, H_ref.indices)
+        assert np.array_equal(H.data, H_ref.data)
 
 
 class TestSector:

@@ -11,7 +11,7 @@ from dirichlet_p.grid import (
     boundary_mask,
     unit_structure,
 )
-from dirichlet_p.pform import PFormContext, p_operator
+from dirichlet_p.pform import PFormContext, p_energy, p_operator
 from dirichlet_p.solve import (
     SolveError,
     SolveOptions,
@@ -38,6 +38,18 @@ class TestDirichlet:
         res = solve_dirichlet(ctx, bc)
         assert res.residual_norm <= 1e-10
         assert np.max(np.abs(res.solution.values - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["newton_regularized", "lbfgs", "gradient_armijo"])
+    def test_initial_energy_is_energy_of_start_point(self, method):
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (5, 5))
+        ctx = PFormContext(unit_structure(d), 3.0)
+        bc, _ = _affine_boundary(d, [1.0, 0.5])
+        bc.values[bc.mask] += np.sin(7.0 * np.arange(bc.mask.sum()))
+        start = solve_linear_dirichlet(ctx.structure, bc.values, bc.mask)
+        res = solve_dirichlet(ctx, bc, SolveOptions(method=method, grad_tol=1e-6,
+                                                    max_iter=5000))
+        assert res.iterations > 0
+        assert res.diagnostics["initial_energy"] == p_energy(GridFunction(start), ctx)
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     def test_1d_identity_profile(self, p):
