@@ -3,10 +3,11 @@
 
 Writes the `solvers` and `geometry` job configs of perfbench/workloads.py
 for one seed, plus jobs on paths the benchmark never runs (plain `solve`
-with each solver method, a regularized p = 1.5 solve, and `check` with
-`--tol`), runs each job through `dirichlet_p.cli.main` with `--csv`, and
-prints `name exit json-sha256 csv-sha256` per job ("-" for a file the job
-did not write).  Run it on two checkouts and diff the outputs.
+with each solver method, a regularized p = 1.5 solve, a curved obstacle,
+and `check` with `--tol`), runs each job through `dirichlet_p.cli.main`
+with `--csv`, and prints `name exit json-sha256 csv-sha256` per job ("-"
+for a file the job did not write).  Run it on two checkouts and diff the
+outputs.
 
 Usage: python scripts/report_digest.py [--seed 101] [--smoke]
 """
@@ -44,6 +45,13 @@ def _extra_jobs(seed: int, workdir: str, smoke: bool) -> list[workloads.Job]:
         for method in ("newton_regularized", "lbfgs", "gradient_armijo")]
     configs.append((f"solve-{n}-p1.5-eps", "solve", {
         **base, "p": 1.5, "eps": 1e-6, "solve": {"boundary": boundary}}, []))
+    # its active set changes over several loop iterations; a flat obstacle's never does
+    nodes = np.linspace(-1.0, 1.0, n)
+    dist2 = (nodes[:, None] - 0.05) ** 2 + (nodes[None, :] + 0.03) ** 2
+    configs.append((f"obstacle-{n}-curved", "solve", {
+        **base, "p": 3.0, "solver": {"grad_tol": workloads.GRAD_TOL},
+        "solve": {"boundary": {"values": 0.0}, "obstacle": {
+            "shape": [n, n], "values": (0.6 - 2.0 * dist2).tolist()}}}, []))
     configs.append((f"check-{n}-tol", "check", {
         **base, "p": 3.0, "check": {"suites": ["sector", "monotone", "contraction", "d1d2",
                                                "choquet", "union_diff"], "trials": 4}},

@@ -318,8 +318,10 @@ def _cmd_check(cfg: dict, seed: int, tol: float | None) -> dict:
         # one solve per distinct node set, shared by the three set-function suites
         memo: dict = {}
         if "d1d2" in suites:
-            e_big = _memo_cap(memo, sets[0] | sets[1], outer, ctx, opts)[1]
-            e_small = _memo_cap(memo, sets[1] & ~outer, outer, ctx, opts)[1] or e_big
+            # _seeded_sets may return a single fallback box on tiny grids
+            second = sets[min(1, len(sets) - 1)]
+            e_big = _memo_cap(memo, sets[0] | second, outer, ctx, opts)[1]
+            e_small = _memo_cap(memo, second & ~outer, outer, ctx, opts)[1] or e_big
             reports.append(check_dirichlet_axioms(
                 e_big, e_small, float(rng.uniform(0.1, 1.0)), ctx, mask=outer))
         if "choquet" in suites:

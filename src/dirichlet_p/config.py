@@ -16,6 +16,7 @@ whose nodes align with the shape boundary the rule adds no nodes.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -168,14 +169,15 @@ def parse_solve_options(cfg: dict[str, Any], tol_override: float | None = None) 
     block = cfg.get("solver", {})
     _check_keys(block, {"method", "grad_tol", "max_iter", "armijo_c1", "backtrack"},
                 set(), "solver")
+    grad_tol = _get_value(block, "grad_tol", float, "solver", 1e-8)
+    max_iter = _get_value(block, "max_iter", operator.index, "solver", 200)
+    armijo_c1 = _get_value(block, "armijo_c1", float, "solver", 1e-4)
+    backtrack = _get_value(block, "backtrack", float, "solver", 0.5)
     try:
         return SolveOptions(
             method=block.get("method", "newton_regularized"),
-            grad_tol=tol_override if tol_override is not None else block.get("grad_tol", 1e-8),
-            max_iter=block.get("max_iter", 200),
-            armijo_c1=block.get("armijo_c1", 1e-4),
-            backtrack=block.get("backtrack", 0.5),
-        )
+            grad_tol=tol_override if tol_override is not None else grad_tol,
+            max_iter=max_iter, armijo_c1=armijo_c1, backtrack=backtrack)
     except ValueError as exc:
         raise ConfigError(f"invalid solver options: {exc}")
 
@@ -227,14 +229,18 @@ def node_set_from_shape(spec: Any, domain: GridDomain) -> np.ndarray:
         raise ConfigError("a node set is 'domain_boundary' or an object with 'type' in "
                           f"{sorted(_NODE_SET_KEYS)}, got {spec!r:.80}")
     keys = _NODE_SET_KEYS[kind] | {"type"}
-    _check_keys(spec, keys, keys, f"{kind} set")
+    where = f"{kind} set"
+    _check_keys(spec, keys, keys, where)
     grow = _half_spacing(domain)
     if kind == "interval":
-        return nodes_in_interval(domain, float(spec["a"]) - grow, float(spec["b"]) + grow)
+        a = _get_value(spec, "a", float, where)
+        return nodes_in_interval(domain, a - grow, _get_value(spec, "b", float, where) + grow)
     if kind == "disk":
-        return nodes_in_ball(domain, spec["center"], float(spec["radius"]) + grow)
+        return nodes_in_ball(domain, spec["center"],
+                             _get_value(spec, "radius", float, where) + grow)
     if kind == "outside_disk":
-        return nodes_outside_ball(domain, spec["center"], float(spec["radius"]) - grow)
+        return nodes_outside_ball(domain, spec["center"],
+                                  _get_value(spec, "radius", float, where) - grow)
     if kind == "rect":
         lo = np.asarray(spec["min"], dtype=float) - grow
         hi = np.asarray(spec["max"], dtype=float) + grow

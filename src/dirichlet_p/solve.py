@@ -8,11 +8,14 @@ method is Newton with the exact sparse Hessian and a Levenberg shift that
 covers cells with degenerate gradient; the initial guess is the linear
 (p = 2) solution, which already lies in the convex basin.
 
-The obstacle solve enforces u >= obstacle through a bound-constrained
-quasi-Newton warm start followed by active-set refinement, so the returned
-complementarity system is crisp: inactive nodes carry residuals at solver
-tolerance, active nodes sit exactly on the obstacle with nonnegative
-multipliers.
+The obstacle solve runs the same Newton loop with a primal-dual
+active-set step (Hintermüller, Ito and Kunisch 2002): nodes below the
+obstacle are pinned to it, pinned nodes with a negative multiplier are
+released, and each step factors the inactive block only, under the same
+Armijo search.  It solves the linear (p = 2) obstacle problem first, then
+the p-problem from that solution and its active set.  Active nodes sit
+exactly on the obstacle with nonnegative multipliers; inactive nodes
+carry residuals at solver tolerance.
 """
 
 from __future__ import annotations
@@ -117,31 +120,61 @@ def _free_objective(base: np.ndarray, mask: np.ndarray, ctx: PFormContext):
     return embed, fun, jac
 
 
-def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext,
-            opts: SolveOptions) -> tuple[np.ndarray, float, int, list[float], list[dict]]:
+def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOptions,
+            lower: np.ndarray | None = None, active: np.ndarray | None = None,
+            complementarity_tol: float = 0.0
+            ) -> tuple[np.ndarray, float, int, list[float], list[dict], np.ndarray]:
+    """Newton on the free nodes, with the active-set step when `lower` is given.
+
+    `lower` holds node values (-inf where unconstrained); `active` is the
+    starting active set over the free nodes, whose nodes sit on `lower`.
+    """
     free = ~mask.reshape(-1)
     mass = ctx.domain.node_mass().reshape(-1)[free]
     embed, fun, jac = _free_objective(vals.reshape(-1), mask, ctx)
     x = vals.reshape(-1)[free]
+    lo = np.full(x.shape, -np.inf) if lower is None else lower.reshape(-1)[free]
+    active = np.zeros(x.shape, dtype=bool) if active is None else active.copy()
     J = fun(x)
     trace: list[dict] = []
+    # energy_trace is the running minimum over iterates that violate no bound
     energy_trace = [J]
     lam = 0.0
     iterations = 0
-    for it in range(opts.max_iter):
+    for it in range(opts.max_iter + 1):
         g = jac(x)
-        res = _scaled_residual(g, mass)
-        trace.append({"iteration": it, "energy": J, "residual": res, "lambda": lam})
-        if res <= opts.grad_tol:
-            return embed(x), res, iterations, energy_trace, trace
+        violated = ~active & (x < lo)
+        released = active & (g < -complementarity_tol * mass)
+        active = (active | violated) & ~released
+        changed = bool(violated.any() or released.any())
+        if violated.any():
+            x = np.where(violated, lo, x)
+            J = fun(x)
+            g = jac(x)
+        inactive = ~active
+        res = _scaled_residual(g[inactive], mass[inactive])
+        row = {"iteration": it, "energy": J, "residual": res, "lambda": lam}
+        if lower is not None:
+            row.update(p=ctx.p, active=int(active.sum()), violated=int(violated.sum()),
+                       released=int(released.sum()))
+        trace.append(row)
+        if res <= opts.grad_tol and not changed:
+            return embed(x), res, iterations, energy_trace, trace, active
+        if it == opts.max_iter:
+            break
+        if not inactive.any():
+            continue
         u = GridFunction(embed(x).reshape(ctx.domain.node_shape))
-        H_ff = hessian_matrix(u, ctx).tocsc()[free][:, free]
+        block = free.copy()
+        block[free] = inactive
+        H_ff = hessian_matrix(u, ctx).tocsc()[block][:, block]
         step = None
         for _attempt in range(25):
             shift = lam * sp.diags(np.maximum(H_ff.diagonal(), 1e-300)) if lam > 0 else None
             A = H_ff + shift if shift is not None else H_ff
+            d = np.zeros_like(x)
             try:
-                d = spla.splu(A.tocsc()).solve(-g)
+                d[inactive] = spla.splu(A.tocsc()).solve(-g[inactive])
             except RuntimeError:
                 lam = max(lam * 10.0, 1e-10)
                 continue
@@ -158,7 +191,7 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext,
                 x_try = x + t * d
                 J_try = fun(x_try)
                 if resolution_limited:
-                    res_try = _scaled_residual(jac(x_try), mass)
+                    res_try = _scaled_residual(jac(x_try)[inactive], mass[inactive])
                     if res_try < res:
                         J_try = min(J_try, J)
                         ok = True
@@ -174,18 +207,15 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext,
         if step is None:
             raise SolveError("line search failed at a stationary-looking point", trace)
         x, J, t_used = step
-        energy_trace.append(J)
+        if not np.any(x < lo):
+            energy_trace.append(min(energy_trace[-1], J))
         iterations += 1
         lam = lam / 3.0 if t_used == 1.0 else min(lam * 2.0 + 1e-12, 1e6)
         if lam < 1e-14:
             lam = 0.0
-    res = _scaled_residual(jac(x), mass)
-    if res <= opts.grad_tol:
-        return embed(x), res, iterations, energy_trace, trace
-    trace.append({"iteration": opts.max_iter, "energy": J, "residual": res, "lambda": lam})
     raise SolveError(
         f"Newton did not reach grad_tol={opts.grad_tol:g} in {opts.max_iter} iterations "
-        f"(residual {res:.3e})", trace)
+        f"(residual {res:.3e}{', active set still changing' if changed else ''})", trace)
 
 
 def _first_order(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOptions,
@@ -262,7 +292,7 @@ def solve_dirichlet(ctx: PFormContext, boundary: GridFunction,
         vals = np.where(mask, boundary.values, 0.0)
         vals = solve_linear_dirichlet(ctx.structure, vals, mask)
     if opts.method == "newton_regularized":
-        u, res, iters, etrace, trace = _newton(vals, mask, ctx, opts)
+        u, res, iters, etrace, trace, _ = _newton(vals, mask, ctx, opts)
     else:
         u, res, iters, etrace, trace = _first_order(vals, mask, ctx, opts, opts.method)
     sol = GridFunction(u.reshape(ctx.domain.node_shape), mask)
@@ -315,11 +345,15 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
                    rng: np.random.Generator | None = None) -> SolveResult:
     """Solve min p_energy over {u >= lower, u = boundary on the mask}.
 
-    The result satisfies, node by node on the free set: either the operator
-    coefficient is nonnegative (up to tolerance) or u sits on the obstacle,
-    and the product of slack and coefficient is small.  Diagnostics carry
-    the active set size, the complementarity residual and a sampled check
-    of the variational inequality.
+    Runs the active-set Newton loop twice: on the p = 2 problem from the
+    projected linear solve, then on the p-problem; `opts.method` is not
+    used.  An active node is released when its multiplier is below
+    -complementarity_tol * node mass.  On the free set, either the operator
+    coefficient is nonnegative (up to tolerance) or u sits on the obstacle.
+    `energy_trace` is nonincreasing and ends at the solution's energy.
+    Diagnostics carry the active set size, the complementarity residuals,
+    a sampled check of the variational inequality, and `rounds`, one row
+    per loop iteration of both runs.
     """
     opts = opts or SolveOptions()
     rng = rng or np.random.default_rng(0)
@@ -340,58 +374,23 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
 
     vals = solve_linear_dirichlet(ctx.structure, pinned, mask).reshape(-1)
     vals[free] = np.maximum(vals[free], lo_flat[free])
+    # the linear obstacle problem first: its solution meets the obstacle
+    # smoothly, so the p-loop starts inside Newton's quadratic basin, which
+    # the kinked projection does not
+    vals, _, linear_iters, _, linear_trace, active = _newton(
+        vals, mask, PFormContext(ctx.structure, 2.0), opts, lo,
+        vals[free] <= lo_flat[free], complementarity_tol)
+    vals, residual, iterations, energy_trace, trace, active = _newton(
+        vals, mask, ctx, opts, lo, active, complementarity_tol)
 
-    _, fun, jac = _free_objective(vals, mask, ctx)
-    bounds = [(l if np.isfinite(l) else None, None) for l in lo_flat[free]]
-    out = scipy.optimize.minimize(
-        fun, vals[free], jac=jac, method="L-BFGS-B", bounds=bounds,
-        options={"maxiter": max(200, opts.max_iter), "ftol": 1e-16, "gtol": 1e-12})
-    vals[free] = out.x
-    # energy_trace records the incumbent (best feasible) energy, so it is
-    # nonincreasing even while the active set is being exchanged
-    incumbent = float(out.fun)
-    energy_trace = [incumbent]
-    iterations = int(out.nit)
-
-    scale = max(float(np.max(np.abs(vals))), 1.0)
-    atol = complementarity_tol * scale
-    active = free & (vals <= lo_flat + atol) & np.isfinite(lo_flat)
-    trace: list[dict] = []
-    for round_ in range(60):
-        mask2 = mask.reshape(-1) | active
-        vals2 = np.where(active, lo_flat, vals)
-        bc = GridFunction(vals2.reshape(domain.node_shape),
-                          mask2.reshape(domain.node_shape))
-        inner = solve_dirichlet(ctx, bc, opts)
-        vals = inner.solution.values.reshape(-1)
-        iterations += inner.iterations
-        coeff = p_operator(GridFunction(vals.reshape(domain.node_shape)), ctx,
-                           mask=mask).coefficients.reshape(-1)
-        violated = free & ~active & (vals < lo_flat - atol)
-        negative_mult = active & (coeff < -complementarity_tol * np.maximum(node_mass, 1e-300))
-        if not violated.any():
-            incumbent = min(incumbent, inner.energy_trace[-1])
-            energy_trace.append(incumbent)
-        trace.append({"round": round_, "active": int(active.sum()),
-                      "violated": int(violated.sum()),
-                      "released": int(negative_mult.sum()),
-                      "energy": inner.energy_trace[-1]})
-        if not violated.any() and not negative_mult.any():
-            break
-        active = (active | violated) & ~negative_mult
-        vals[violated] = lo_flat[violated]
-    else:
-        raise SolveError("active-set refinement did not stabilize", trace)
-
-    # coeff is the last round's operator at the unchanged final values
     u = GridFunction(vals.reshape(domain.node_shape), mask)
+    coeff = p_operator(u, ctx, mask=mask).coefficients.reshape(-1)
     scaled = np.abs(coeff) / np.maximum(node_mass, 1e-300)
-    inactive = free & ~active
-    residual = _scaled_residual(coeff[inactive], node_mass[inactive])
     slack = np.where(np.isfinite(lo_flat), vals - lo_flat, np.inf)
     comp = float(np.max(np.abs(np.minimum(slack[free], 0.0)))) if free.any() else 0.0
     prod = float(np.max(np.minimum(slack[free], 1.0) * scaled[free])) if free.any() else 0.0
 
+    scale = max(float(np.max(np.abs(vals))), 1.0)
     feasible = []
     for _ in range(6):
         bump = np.abs(rng.standard_normal(vals.shape)) * scale * 0.1
@@ -401,14 +400,14 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
     vi = vi_residual(u, ctx, [f.reshape(domain.node_shape) for f in feasible], mask)
 
     return SolveResult(
-        solution=u, residual_norm=residual, iterations=iterations,
+        solution=u, residual_norm=residual, iterations=linear_iters + iterations,
         energy_trace=energy_trace,
         diagnostics={
-            "method": "projected_lbfgs+active_set",
+            "method": "active_set_newton",
             "active_nodes": int(active.sum()),
             "complementarity_violation": comp,
             "complementarity_product": prod,
             "vi_residual": vi,
-            "rounds": trace,
+            "rounds": linear_trace + trace,
         },
     )

@@ -145,6 +145,16 @@ class TestCheckCommand:
         cli.main(["check", "--config", cfg, "--out", str(out2), "--threads", "5"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_d1d2_on_a_grid_with_one_seeded_set(self, tmp_path):
+        # on 4x4 the seeded boxes hold no nodes and one fallback box is used
+        cfg = write_config(tmp_path, "c.json", {
+            "domain": base_domain_2d(4), "p": 3.0, "check": {"suites": ["d1d2"]},
+        })
+        out = tmp_path / "out.json"
+        assert cli.main(["check", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        rows = json.loads(out.read_text())["results"]["checks"]
+        assert [r["check"] for r in rows] == ["dirichlet_axioms"]
+
     def test_unknown_suite_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
             "domain": base_domain_1d(), "p": 2.0,
@@ -396,9 +406,17 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
     ("caccioppoli", _caccioppoli_config("re_z2", {**BALL, "r": "a"}), "'r'"),
     ("metric", _metric_config(neighborhood=12), "'neighborhood'"),
     ("caccioppoli", _caccioppoli_config({"affine": {"linear": ["a", "b"]}}, BALL), "'linear'"),
+    ("solve", {"domain": base_domain_1d(), "p": 2.0, "solver": {"grad_tol": "x"},
+               "solve": {"boundary": {"values": 0.0}}}, "'grad_tol'"),
+    ("solve", {"domain": base_domain_1d(), "p": 2.0, "solver": {"max_iter": 2.5},
+               "solve": {"boundary": {"values": 0.0}}}, "'max_iter'"),
+    ("capacity", {"domain": base_domain_1d(), "p": 2.0, "capacity": {
+        "condenser": {"inner": {"type": "interval", "a": "x", "b": 0.5},
+                      "outer": "domain_boundary"}}}, "'a'"),
 ], ids=["balls-not-a-list", "targets-not-a-list", "suites-not-a-list", "trials-not-int",
         "vi-samples-not-int", "seed-not-int", "ball-r-not-float", "neighborhood-not-8-or-16",
-        "affine-linear-not-numbers"])
+        "affine-linear-not-numbers", "grad-tol-not-float", "max-iter-not-int",
+        "interval-a-not-float"])
 def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, command, config, key):
     path = write_config(tmp_path, "c.json", config)
     assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG

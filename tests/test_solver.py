@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from dirichlet_p.assemble import solve_linear_dirichlet
 from dirichlet_p.capacity import Condenser, capacity
@@ -15,6 +16,8 @@ from dirichlet_p.pform import PFormContext, p_energy, p_operator
 from dirichlet_p.solve import (
     SolveError,
     SolveOptions,
+    _free_objective,
+    _newton,
     harmonicity_residual,
     hessian_matrix,
     solve_dirichlet,
@@ -187,7 +190,98 @@ class TestNewton:
         assert result.diagnostics["solver_iterations"] <= 8
 
 
+def _reference_obstacle(ctx, lo, boundary, opts, complementarity_tol=1e-8):
+    """The former solve_obstacle: a bounded L-BFGS-B warm start, then
+    active-set rounds that each re-solve the Dirichlet problem with the
+    active nodes pinned.  Returns (solution values, active node count)."""
+    domain = ctx.domain
+    mask = boundary.mask
+    free = ~mask.reshape(-1)
+    lo_flat = lo.reshape(-1)
+    node_mass = domain.node_mass().reshape(-1)
+    pinned = np.where(mask, boundary.values, 0.0)
+    vals = solve_linear_dirichlet(ctx.structure, pinned, mask).reshape(-1)
+    vals[free] = np.maximum(vals[free], lo_flat[free])
+    _, fun, jac = _free_objective(vals, mask, ctx)
+    bounds = [(l if np.isfinite(l) else None, None) for l in lo_flat[free]]
+    out = scipy.optimize.minimize(
+        fun, vals[free], jac=jac, method="L-BFGS-B", bounds=bounds,
+        options={"maxiter": max(200, opts.max_iter), "ftol": 1e-16, "gtol": 1e-12})
+    vals[free] = out.x
+    atol = complementarity_tol * max(float(np.max(np.abs(vals))), 1.0)
+    active = free & (vals <= lo_flat + atol) & np.isfinite(lo_flat)
+    for _ in range(60):
+        mask2 = mask.reshape(-1) | active
+        bc = GridFunction(np.where(active, lo_flat, vals).reshape(domain.node_shape),
+                          mask2.reshape(domain.node_shape))
+        vals = solve_dirichlet(ctx, bc, opts).solution.values.reshape(-1)
+        coeff = p_operator(GridFunction(vals.reshape(domain.node_shape)), ctx,
+                           mask=mask).coefficients.reshape(-1)
+        violated = free & ~active & (vals < lo_flat - atol)
+        negative_mult = active & (coeff < -complementarity_tol * np.maximum(node_mass, 1e-300))
+        if not violated.any() and not negative_mult.any():
+            return vals.reshape(domain.node_shape), int(active.sum())
+        active = (active | violated) & ~negative_mult
+        vals[violated] = lo_flat[violated]
+    raise SolveError("active-set refinement did not stabilize")
+
+
 class TestObstacle:
+    @pytest.mark.parametrize("field", ["identity", "anisotropic"])
+    @pytest.mark.parametrize("p, eps", [(2.0, 0.0), (3.0, 0.0), (4.0, 0.0), (1.5, 1e-6)])
+    def test_curved_obstacle_matches_reference(self, field, p, eps):
+        d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (33, 33))
+        s = unit_structure(d) if field == "identity" else GridStructure(
+            d, random_elliptic_field(d, np.random.default_rng(7)))
+        ctx = PFormContext(s, p, eps)
+        c = d.node_coords() - np.array([0.05, -0.03])
+        lo = 0.6 - 2.0 * np.sum(c ** 2, axis=-1)
+        bc = GridFunction(np.zeros(d.node_shape), boundary_mask(d))
+        opts = SolveOptions(grad_tol=1e-9)
+        res = solve_obstacle(ctx, GridFunction(lo), bc, opts)
+        ref, ref_active = _reference_obstacle(ctx, lo, bc, opts)
+        assert np.max(np.abs(res.solution.values - ref)) <= 1e-9
+        assert res.diagnostics["active_nodes"] == ref_active
+        assert res.diagnostics["complementarity_violation"] == 0.0
+        assert res.residual_norm <= opts.grad_tol
+        assert res.diagnostics["vi_residual"] <= 1e-8
+        assert res.iterations <= 20
+        trace = res.energy_trace
+        assert all(a >= b for a, b in zip(trace, trace[1:]))
+        assert trace[-1] == pytest.approx(p_energy(res.solution, ctx), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_flat_obstacle_takes_few_newton_steps(self, p):
+        # the p = 2 stage gives the p-loop a start without a kink at the
+        # contact set; from the projected linear solve this takes 17-19 steps
+        d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (33, 33))
+        region = node_set_from_shape(
+            {"type": "disk", "center": [0.05, -0.03], "radius": 0.3}, d)
+        lo = np.where(region, 0.5, -np.inf)
+        ctx = PFormContext(unit_structure(d), p)
+        bc = GridFunction(np.zeros(d.node_shape), boundary_mask(d))
+        opts = SolveOptions(grad_tol=1e-9)
+        res = solve_obstacle(ctx, GridFunction(lo), bc, opts)
+        ref, ref_active = _reference_obstacle(ctx, lo, bc, opts)
+        assert res.iterations <= 8
+        assert res.diagnostics["active_nodes"] == ref_active
+        assert np.max(np.abs(res.solution.values - ref)) <= 1e-12
+
+    def test_loop_pins_every_node_without_a_step(self):
+        # a start below a concave obstacle pins every free node at once, and
+        # the solution is the obstacle itself: no inactive block is left to
+        # factor, and the loop must converge rather than fail its line search
+        d = GridDomain(((0.0, 1.0),), (17,))
+        ctx = PFormContext(unit_structure(d), 3.0)
+        mask = boundary_mask(d)
+        lo = 1.0 - 4.0 * (d.node_coords()[..., 0] - 0.5) ** 2
+        u, res, iters, _, trace, active = _newton(
+            np.where(mask, lo, 0.0), mask, ctx, SolveOptions(), lower=lo,
+            complementarity_tol=1e-8)
+        assert active.all() and iters == 0 and res == 0.0
+        assert np.array_equal(u, lo)
+        assert [r["violated"] for r in trace] == [15, 0]
+
     def test_inactive_obstacle_reduces_to_dirichlet(self, rng):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (13, 13))
         ctx = PFormContext(unit_structure(d), 2.0)
