@@ -167,17 +167,13 @@ def parse_context(cfg: dict[str, Any]) -> PFormContext:
 
 def parse_solve_options(cfg: dict[str, Any], tol_override: float | None = None) -> SolveOptions:
     block = cfg.get("solver", {})
-    _check_keys(block, {"method", "grad_tol", "max_iter", "armijo_c1", "backtrack"},
-                set(), "solver")
+    _check_keys(block, {"grad_tol", "max_iter"}, set(), "solver")
     grad_tol = _get_value(block, "grad_tol", float, "solver", 1e-8)
     max_iter = _get_value(block, "max_iter", operator.index, "solver", 200)
-    armijo_c1 = _get_value(block, "armijo_c1", float, "solver", 1e-4)
-    backtrack = _get_value(block, "backtrack", float, "solver", 0.5)
     try:
         return SolveOptions(
-            method=block.get("method", "newton_regularized"),
             grad_tol=tol_override if tol_override is not None else grad_tol,
-            max_iter=max_iter, armijo_c1=armijo_c1, backtrack=backtrack)
+            max_iter=max_iter)
     except ValueError as exc:
         raise ConfigError(f"invalid solver options: {exc}")
 

@@ -3,8 +3,8 @@
 The Dirichlet solve minimizes the convex potential `p_energy` over the
 free nodes with pinned boundary values; convergence is declared on the
 mass-scaled infinity norm of the operator coefficients (the same quantity
-`harmonicity_residual` reports), not on energy decrements.  The default
-method is Newton with the exact sparse Hessian and a Levenberg shift that
+`harmonicity_residual` reports), not on energy decrements.  The method
+is Newton with the exact sparse Hessian and a Levenberg shift that
 covers cells with degenerate gradient; the initial guess is the linear
 (p = 2) solution, which already lies in the convex basin.
 
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import ndimage
@@ -44,6 +43,10 @@ __all__ = [
     "vi_residual",
 ]
 
+# Armijo sufficient-decrease constant and step-halving factor of the line search
+_ARMIJO_C1 = 1e-4
+_BACKTRACK = 0.5
+
 
 class SolveError(RuntimeError):
     """Non-convergence; carries the energy/residual trace for diagnosis."""
@@ -55,19 +58,14 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    method: str = "newton_regularized"
     grad_tol: float = 1e-8
     max_iter: int = 200
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.method not in ("newton_regularized", "lbfgs", "gradient_armijo"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(eq=False)
@@ -123,11 +121,12 @@ def _free_objective(base: np.ndarray, mask: np.ndarray, ctx: PFormContext):
 def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOptions,
             lower: np.ndarray | None = None, active: np.ndarray | None = None,
             complementarity_tol: float = 0.0
-            ) -> tuple[np.ndarray, float, int, list[float], list[dict], np.ndarray]:
+            ) -> tuple[np.ndarray, float, int, list[float], list[dict], np.ndarray, np.ndarray]:
     """Newton on the free nodes, with the active-set step when `lower` is given.
 
     `lower` holds node values (-inf where unconstrained); `active` is the
     starting active set over the free nodes, whose nodes sit on `lower`.
+    The last item returned is the free nodes' operator coefficients at the solution.
     """
     free = ~mask.reshape(-1)
     mass = ctx.domain.node_mass().reshape(-1)[free]
@@ -159,7 +158,7 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
                        released=int(released.sum()))
         trace.append(row)
         if res <= opts.grad_tol and not changed:
-            return embed(x), res, iterations, energy_trace, trace, active
+            return embed(x), res, iterations, energy_trace, trace, active, g
         if it == opts.max_iter:
             break
         if not inactive.any():
@@ -196,10 +195,10 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
                         J_try = min(J_try, J)
                         ok = True
                         break
-                elif J_try <= J + opts.armijo_c1 * t * slope:
+                elif J_try <= J + _ARMIJO_C1 * t * slope:
                     ok = True
                     break
-                t *= opts.backtrack
+                t *= _BACKTRACK
             if ok:
                 step = (x_try, J_try, t)
                 break
@@ -216,56 +215,6 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
     raise SolveError(
         f"Newton did not reach grad_tol={opts.grad_tol:g} in {opts.max_iter} iterations "
         f"(residual {res:.3e}{', active set still changing' if changed else ''})", trace)
-
-
-def _first_order(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOptions,
-                 method: str) -> tuple[np.ndarray, float, int, list[float], list[dict]]:
-    free = ~mask.reshape(-1)
-    mass = ctx.domain.node_mass().reshape(-1)[free]
-    base = vals.reshape(-1)
-    embed, fun, jac = _free_objective(base, mask, ctx)
-
-    energy_trace = [fun(base[free])]
-    trace: list[dict] = []
-    x = base[free].copy()
-    iterations = 0
-    if method == "lbfgs":
-        for round_ in range(6):
-            out = scipy.optimize.minimize(
-                fun, x, jac=jac, method="L-BFGS-B",
-                options={"maxiter": opts.max_iter, "ftol": 1e-18, "gtol": 1e-14})
-            x = out.x
-            iterations += int(out.nit)
-            energy_trace.append(float(out.fun))
-            res = _scaled_residual(jac(x), mass)
-            trace.append({"round": round_, "energy": float(out.fun), "residual": res})
-            if res <= opts.grad_tol:
-                return embed(x), res, iterations, energy_trace, trace
-        raise SolveError(f"L-BFGS stalled at residual {res:.3e}", trace)
-    # plain gradient descent with Armijo backtracking
-    J = energy_trace[0]
-    for it in range(opts.max_iter):
-        g = jac(x)
-        res = _scaled_residual(g, mass)
-        trace.append({"iteration": it, "energy": J, "residual": res})
-        if res <= opts.grad_tol:
-            return embed(x), res, iterations, energy_trace, trace
-        d = -g / mass
-        slope = float(g @ d)
-        t = 1.0
-        while t > 1e-16:
-            J_try = fun(x + t * d)
-            if J_try <= J + opts.armijo_c1 * t * slope:
-                break
-            t *= opts.backtrack
-        else:
-            raise SolveError("gradient descent line search failed", trace)
-        x = x + t * d
-        J = J_try
-        energy_trace.append(J)
-        iterations += 1
-    raise SolveError(
-        f"gradient descent did not reach grad_tol in {opts.max_iter} iterations", trace)
 
 
 def solve_dirichlet(ctx: PFormContext, boundary: GridFunction,
@@ -291,14 +240,11 @@ def solve_dirichlet(ctx: PFormContext, boundary: GridFunction,
     else:
         vals = np.where(mask, boundary.values, 0.0)
         vals = solve_linear_dirichlet(ctx.structure, vals, mask)
-    if opts.method == "newton_regularized":
-        u, res, iters, etrace, trace, _ = _newton(vals, mask, ctx, opts)
-    else:
-        u, res, iters, etrace, trace = _first_order(vals, mask, ctx, opts, opts.method)
+    u, res, iters, etrace, trace, _, _ = _newton(vals, mask, ctx, opts)
     sol = GridFunction(u.reshape(ctx.domain.node_shape), mask)
     return SolveResult(
         solution=sol, residual_norm=res, iterations=iters, energy_trace=etrace,
-        diagnostics={"method": opts.method, "grad_tol": opts.grad_tol,
+        diagnostics={"method": "newton_regularized", "grad_tol": opts.grad_tol,
                      "initial_energy": etrace[0], "trace": trace},
     )
 
@@ -328,14 +274,19 @@ def harmonicity_residual(u, region: np.ndarray, ctx: PFormContext) -> float:
 def vi_residual(u: GridFunction, ctx: PFormContext, feasible: list[np.ndarray],
                 mask: np.ndarray) -> float:
     """Worst normalized violation of <op(u), v - u> >= 0 over feasible samples."""
-    F = p_operator(u, ctx, mask=mask)
+    return _vi_residual(p_operator(u, ctx, mask=mask).coefficients, u, ctx, feasible)
+
+
+def _vi_residual(coeff: np.ndarray, u: GridFunction, ctx: PFormContext,
+                 feasible: list[np.ndarray]) -> float:
+    """vi_residual with the coefficients of op(u), zero on the mask, given."""
     worst = 0.0
     for v in feasible:
         d = np.asarray(v, dtype=float) - u.values
         norm = dp_norm(GridFunction(d), ctx.structure, ctx.p)
         if norm == 0.0:
             continue
-        worst = max(worst, -F.pair(d) / norm)
+        worst = max(worst, -float(np.sum(coeff * d)) / norm)
     return worst
 
 
@@ -346,14 +297,13 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
     """Solve min p_energy over {u >= lower, u = boundary on the mask}.
 
     Runs the active-set Newton loop twice: on the p = 2 problem from the
-    projected linear solve, then on the p-problem; `opts.method` is not
-    used.  An active node is released when its multiplier is below
-    -complementarity_tol * node mass.  On the free set, either the operator
-    coefficient is nonnegative (up to tolerance) or u sits on the obstacle.
-    `energy_trace` is nonincreasing and ends at the solution's energy.
-    Diagnostics carry the active set size, the complementarity residuals,
-    a sampled check of the variational inequality, and `rounds`, one row
-    per loop iteration of both runs.
+    projected linear solve, then on the p-problem.  An active node is
+    released when its multiplier is below -complementarity_tol * node mass.
+    On the free set, either the operator coefficient is nonnegative (up to
+    tolerance) or u sits on the obstacle.  `energy_trace` is nonincreasing
+    and ends at the solution's energy.  Diagnostics carry the active set
+    size, the complementarity residuals, a sampled check of the variational
+    inequality, and `rounds`, one row per loop iteration of both runs.
     """
     opts = opts or SolveOptions()
     rng = rng or np.random.default_rng(0)
@@ -377,14 +327,15 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
     # the linear obstacle problem first: its solution meets the obstacle
     # smoothly, so the p-loop starts inside Newton's quadratic basin, which
     # the kinked projection does not
-    vals, _, linear_iters, _, linear_trace, active = _newton(
+    vals, _, linear_iters, _, linear_trace, active, _ = _newton(
         vals, mask, PFormContext(ctx.structure, 2.0), opts, lo,
         vals[free] <= lo_flat[free], complementarity_tol)
-    vals, residual, iterations, energy_trace, trace, active = _newton(
+    vals, residual, iterations, energy_trace, trace, active, g = _newton(
         vals, mask, ctx, opts, lo, active, complementarity_tol)
 
     u = GridFunction(vals.reshape(domain.node_shape), mask)
-    coeff = p_operator(u, ctx, mask=mask).coefficients.reshape(-1)
+    coeff = np.zeros_like(vals)
+    coeff[free] = g
     scaled = np.abs(coeff) / np.maximum(node_mass, 1e-300)
     slack = np.where(np.isfinite(lo_flat), vals - lo_flat, np.inf)
     comp = float(np.max(np.abs(np.minimum(slack[free], 0.0)))) if free.any() else 0.0
@@ -397,7 +348,8 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
         bump[mask.reshape(-1)] = 0.0
         feasible.append(vals + bump)
     feasible.append(np.where(free, np.maximum(vals, lo_flat) + scale, vals))
-    vi = vi_residual(u, ctx, [f.reshape(domain.node_shape) for f in feasible], mask)
+    vi = _vi_residual(coeff.reshape(domain.node_shape), u, ctx,
+                      [f.reshape(domain.node_shape) for f in feasible])
 
     return SolveResult(
         solution=u, residual_norm=residual, iterations=linear_iters + iterations,

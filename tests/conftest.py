@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
+from dirichlet_p.assemble import solve_linear_dirichlet
 from dirichlet_p.grid import (
     CoefficientField,
     GridDomain,
     GridFunction,
     unit_structure,
 )
+from dirichlet_p.pform import PFormContext
+from dirichlet_p.solve import _free_objective
 
 
 def random_elliptic_field(domain: GridDomain, rng: np.random.Generator,
@@ -29,6 +33,29 @@ def random_function(domain: GridDomain, rng: np.random.Generator,
             for axis in range(domain.dim):
                 vals = 0.5 * vals + 0.25 * (np.roll(vals, 1, axis) + np.roll(vals, -1, axis))
     return GridFunction(vals)
+
+
+def lbfgs_reference(ctx: PFormContext, boundary: GridFunction, grad_tol: float,
+                    max_iter: int) -> np.ndarray:
+    """Minimizer of p_energy with the masked values of `boundary` pinned.
+
+    scipy's L-BFGS-B on `_free_objective`, from the linear solve, restarted
+    until the mass-scaled residual is at most grad_tol: a reference for the
+    Newton loop that shares only the energy and its gradient with it.
+    """
+    mask = boundary.mask
+    free = ~mask.reshape(-1)
+    mass = ctx.domain.node_mass().reshape(-1)[free]
+    start = solve_linear_dirichlet(ctx.structure, np.where(mask, boundary.values, 0.0), mask)
+    embed, fun, jac = _free_objective(start.reshape(-1), mask, ctx)
+    x = start.reshape(-1)[free]
+    for _ in range(6):
+        x = scipy.optimize.minimize(
+            fun, x, jac=jac, method="L-BFGS-B",
+            options={"maxiter": max_iter, "ftol": 1e-18, "gtol": 1e-14}).x
+        if np.max(np.abs(jac(x)) / mass) <= grad_tol:
+            return embed(x).reshape(ctx.domain.node_shape)
+    raise AssertionError("the L-BFGS-B reference stalled above grad_tol")
 
 
 @pytest.fixture

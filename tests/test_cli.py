@@ -479,3 +479,41 @@ def test_qr_run_analyzes_each_level_once(tmp_path, monkeypatch):
     })
     assert cli.main(["qr", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
     assert calls == [(17, 17), (33, 33)]
+
+
+def _disk_condenser_config(solver):
+    return {"domain": {"dim": 2, "extent": [[-1.0, 1.0], [-1.0, 1.0]], "shape": [9, 9]},
+            "p": 4.0, "solver": solver,
+            "capacity": {"condenser": {
+                "inner": {"type": "disk", "center": [0.0, 0.0], "radius": 0.25},
+                "outer": "domain_boundary"}}}
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("solve", {"domain": base_domain_1d(), "p": 3.0, "solver": {"method": "lbfgs"},
+               "solve": {"boundary": {"values": 0.0}}}, "'method'"),
+    ("capacity", _disk_condenser_config({"armijo_c1": 1e-4}), "'armijo_c1'"),
+    # a backtrack factor of 1 never shrinks the step, so the line search would not end
+    ("capacity", _disk_condenser_config({"backtrack": 1.0, "armijo_c1": 0.9}), "'backtrack'"),
+], ids=["method", "armijo-c1", "backtrack-one"])
+def test_removed_solver_key_is_a_config_error(tmp_path, capsys, command, config, key):
+    path = write_config(tmp_path, "c.json", config)
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown key" in err
+    assert key in err
+
+
+@pytest.mark.parametrize("solver, flags", [
+    ({"grad_tol": float("inf")}, []),
+    ({"grad_tol": float("nan")}, []),
+    ({}, ["--tol", "inf"]),
+    ({}, ["--tol", "nan"]),
+], ids=["config-inf", "config-nan", "flag-inf", "flag-nan"])
+def test_nonfinite_grad_tol_is_a_config_error(tmp_path, capsys, solver, flags):
+    # an infinite tolerance would accept the p = 2 start after no iterations
+    path = write_config(tmp_path, "c.json", _disk_condenser_config(solver))
+    assert cli.main(["capacity", "--config", path, *flags]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "grad_tol" in err
