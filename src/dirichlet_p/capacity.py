@@ -29,10 +29,10 @@ from .pform import (
     _pure_potential_test,
     _safe_power,
     p_form,
-    pure_potential_violation,
+    p_operator,
 )
 from .report import CheckReport
-from .solve import SolveOptions, SolveResult, solve_dirichlet, vi_residual
+from .solve import SolveOptions, SolveResult, _vi_residual, solve_dirichlet
 
 __all__ = [
     "Condenser",
@@ -180,9 +180,10 @@ def capacity(cond: Condenser, ctx: PFormContext, opts: SolveOptions | None = Non
         w = e.values + np.where(free | cond.inner, bump, 0.0)
         competitors.append(w)
     competitors.append(np.where(cond.outer, 0.0, np.maximum(e.values, 1.0)))
-    vi = vi_residual(e, ctx, competitors, cond.outer)
+    coeff = p_operator(e, ctx, mask=cond.outer).coefficients
+    vi = _vi_residual(coeff, e, ctx, competitors)
 
-    worst_mult, _node = pure_potential_violation(e, ctx, mask=cond.outer)
+    _, worst_mult, _ = _pure_potential_test(coeff)
     diagnostics = {
         "pairing": pairing,
         "solver_iterations": solve_res.iterations,
@@ -215,8 +216,7 @@ def capacity_of_open(inner: np.ndarray, outer: np.ndarray, ctx: PFormContext,
     return result
 
 
-def is_pure_potential(u: GridFunction, ctx: PFormContext,
-                      rtol: float = 1e-10) -> bool:
+def is_pure_potential(u: GridFunction, ctx: PFormContext) -> bool:
     """Coefficientwise cone test: <op(u), w> >= 0 for nonnegative nodal w.
 
     u must be admissible (vanish on its own mask); equilibrium potentials
@@ -226,7 +226,7 @@ def is_pure_potential(u: GridFunction, ctx: PFormContext,
         raise ValueError("pure-potential test needs the outer mask on u")
     if np.any(np.abs(u.values[u.mask]) > 1e-12):
         raise ValueError("admissible functions vanish on the outer mask")
-    return _pure_potential_test(u, ctx, u.mask, rtol)[0]
+    return _pure_potential_test(p_operator(u, ctx, mask=u.mask).coefficients)[0]
 
 
 # -- Choquet property suite ---------------------------------------------------
@@ -293,7 +293,7 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
             rhs = caps[i] + caps[j]
             reports.append(CheckReport(
                 check="strong_subadditivity", p=ctx.p, grid=grid,
-                passed=lhs <= rhs + tol, lhs=lhs, rhs=rhs, slack=rhs - lhs,
+                passed=lhs <= rhs + tol, lhs=lhs, rhs=rhs,
                 tolerance=tol,
                 details={"pair": [i, j], "exchange_defect": defect,
                          "defect_per_h": defect / max(ctx.domain.spacing)},
@@ -307,7 +307,7 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
                 reports.append(CheckReport(
                     check="monotonicity", p=ctx.p, grid=grid,
                     passed=caps[i] <= caps[j] + tol, lhs=caps[i], rhs=caps[j],
-                    slack=caps[j] - caps[i], tolerance=tol,
+                    tolerance=tol,
                     details={"subset": i, "superset": j},
                 ))
 
@@ -321,7 +321,7 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
     reports.append(CheckReport(
         check="decreasing_compacts", p=ctx.p, grid=grid,
         passed=dec_ok, lhs=chain_caps[-1], rhs=chain_caps[0],
-        slack=chain_caps[0] - chain_caps[-1], tolerance=tol,
+        tolerance=tol,
         details={"chain_values": chain_caps},
     ))
 
@@ -335,7 +335,7 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
     reports.append(CheckReport(
         check="increasing_sets", p=ctx.p, grid=grid,
         passed=inc_ok, lhs=chain_caps[0], rhs=union_cap,
-        slack=union_cap - chain_caps[0], tolerance=tol,
+        tolerance=tol,
         details={"chain_values": chain_caps},
     ))
 
@@ -344,7 +344,7 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
     reports.append(CheckReport(
         check="finite_subadditivity", p=ctx.p, grid=grid,
         passed=union_cap <= sum(caps) + tol_fin, lhs=union_cap, rhs=sum(caps),
-        slack=sum(caps) - union_cap, tolerance=tol_fin,
+        tolerance=tol_fin,
         details={"individual": caps},
     ))
 
@@ -353,7 +353,7 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
     min_cap = min(caps)
     reports.append(CheckReport(
         check="positivity", p=ctx.p, grid=grid,
-        passed=min_cap > pos_tol, lhs=pos_tol, rhs=min_cap, slack=min_cap - pos_tol,
+        passed=min_cap > pos_tol, lhs=pos_tol, rhs=min_cap,
         tolerance=pos_tol, details={"individual": caps},
     ))
     return reports
@@ -392,7 +392,7 @@ def check_union_difference(e_sets: Sequence[np.ndarray], f_sets: Sequence[np.nda
         tol += k * max(ctx.domain.spacing) * scale
     return CheckReport(
         check="union_difference", p=ctx.p, grid=ctx.describe(),
-        passed=lhs <= rhs + tol, lhs=lhs, rhs=rhs, slack=rhs - lhs, tolerance=tol,
+        passed=lhs <= rhs + tol, lhs=lhs, rhs=rhs, tolerance=tol,
         details={"cap_e": cap_e, "cap_f": cap_f, "cap_union_e": cup_e,
                  "cap_union_f": cup_f, "families": k},
     )

@@ -149,16 +149,14 @@ class GridDomain:
             out = _avg_adjoint(out, axis, weight=1.0)
         return out
 
-    def refined(self, factor: int = 2) -> "GridDomain":
-        """Same box with each cell split `factor` times per axis."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        shape = tuple((s - 1) * factor + 1 for s in self.shape)
+    def refined(self) -> "GridDomain":
+        """Same box with each cell split in two per axis (half the spacing)."""
+        shape = tuple(2 * s - 1 for s in self.shape)
         density = None
         if self.density is not None:
             density = self.density
             for axis in range(self.dim):
-                density = np.repeat(density, factor, axis=axis)
+                density = np.repeat(density, 2, axis=axis)
         return GridDomain(self.extent, shape, density)
 
     def describe(self) -> str:

@@ -40,7 +40,7 @@ from .grid import (
     boundary_mask,
     gradient,
 )
-from .pform import PFormContext, _safe_power
+from .pform import PFormContext, _safe_power, scaled_operator_field
 from .solve import _region_interior
 from .report import CheckReport
 
@@ -62,6 +62,9 @@ __all__ = [
     "a_operator",
 ]
 
+# mass-scaled residual below which verify_component_harmonicity sees rounding only
+_RESIDUAL_FLOOR = 1e-10
+
 
 class Mapping:
     """Base: a mapping of a grid domain into R^n, n = domain dimension."""
@@ -76,7 +79,8 @@ class Mapping:
         """Jacobi matrices at cell centers, shape cells_shape + (n, n)."""
         raise NotImplementedError
 
-    def refined(self, factor: int = 2) -> "Mapping":
+    def refined(self) -> "Mapping":
+        """The same mapping on `domain.refined()`."""
         raise NotImplementedError
 
     def omits_zero(self) -> bool:
@@ -139,8 +143,8 @@ class PowerMapping(_PuncturedMapping):
         row1 = np.stack([b, a], axis=-1)
         return np.stack([row0, row1], axis=-2)
 
-    def refined(self, factor: int = 2) -> "PowerMapping":
-        return PowerMapping(self.domain.refined(factor), self.k, self.puncture)
+    def refined(self) -> "PowerMapping":
+        return PowerMapping(self.domain.refined(), self.k, self.puncture)
 
     def omits_zero(self) -> bool:
         return False  # z^k hits 0 at the origin; the region excludes it
@@ -181,8 +185,8 @@ class RadialStretch(_PuncturedMapping):
                         * (eye + (self.a - 1.0) * proj),
                         np.zeros_like(proj))
 
-    def refined(self, factor: int = 2) -> "RadialStretch":
-        return RadialStretch(self.domain.refined(factor), self.a, self.puncture)
+    def refined(self) -> "RadialStretch":
+        return RadialStretch(self.domain.refined(), self.a, self.puncture)
 
     def omits_zero(self) -> bool:
         return True  # on the punctured region |f| = |x|^a > 0
@@ -206,8 +210,8 @@ class LinearMapping(Mapping):
         n = self.domain.dim
         return np.broadcast_to(self.matrix, self.domain.cells_shape + (n, n)).copy()
 
-    def refined(self, factor: int = 2) -> "LinearMapping":
-        return LinearMapping(self.domain.refined(factor), self.matrix)
+    def refined(self) -> "LinearMapping":
+        return LinearMapping(self.domain.refined(), self.matrix)
 
     def omits_zero(self) -> bool:
         return False
@@ -234,7 +238,7 @@ class SampledMapping(Mapping):
                  for i in range(self.domain.dim)]
         return np.stack(comps, axis=-2)  # row i = grad of component i
 
-    def refined(self, factor: int = 2) -> "SampledMapping":
+    def refined(self) -> "SampledMapping":
         raise ValueError("sampled mappings cannot be refined; supply finer samples")
 
 
@@ -356,8 +360,7 @@ def induced_context(mapping: Mapping) -> tuple[QrAnalysis, PFormContext]:
 def _matched_residuals(mapping: Mapping, include_log: bool | None,
                        analysis: QrAnalysis) -> dict[str, Any]:
     """Residuals of components (and log|f|) at matched nodes, two levels."""
-    factor = 2
-    fine = mapping.refined(factor)
+    fine = mapping.refined()
     out: dict[str, Any] = {}
     levels = []
     for m, an in ((mapping, analysis), (fine, analyze(fine))):
@@ -366,8 +369,6 @@ def _matched_residuals(mapping: Mapping, include_log: bool | None,
         eligible = _region_interior(region, m.domain.dim)
         if not eligible.any():
             raise ValueError("analysis region has empty interior")
-        from .pform import scaled_operator_field
-
         fields = {}
         comps = m._component_functions()
         for i, comp in enumerate(comps):
@@ -383,7 +384,7 @@ def _matched_residuals(mapping: Mapping, include_log: bool | None,
     coarse_eligible, coarse_fields = levels[0]
     fine_eligible, fine_fields = levels[1]
     idx = np.argwhere(coarse_eligible)
-    fine_idx = tuple((idx * factor).T)
+    fine_idx = tuple((2 * idx).T)
     on_fine_grid = fine_eligible[fine_idx]
     for name in coarse_fields:
         rc = float(np.max(coarse_fields[name][tuple(idx.T)]))
@@ -395,17 +396,17 @@ def _matched_residuals(mapping: Mapping, include_log: bool | None,
 
 
 def verify_component_harmonicity(mapping: Mapping, min_order: float = 1.0,
-                                 include_log: bool | None = None,
-                                 floor: float = 1e-10, *,
+                                 include_log: bool | None = None, *,
                                  analysis: QrAnalysis | None = None) -> CheckReport:
     """Refinement check that the components of f are harmonic for p = n.
 
     Residuals are mass-scaled operator pairings measured at the same
     physical nodes on the mapping's grid and its refinement.  Each field
-    passes when either both residuals sit below the rounding floor (the
-    discrete operator annihilates quadratic and cubic harmonics exactly)
-    or the observed order log2(coarse/fine) reaches min_order.  log|f| is
-    included automatically when the mapping omits zero on its region.
+    passes when either both residuals sit below the rounding floor 1e-10
+    (the discrete operator annihilates quadratic and cubic harmonics
+    exactly) or the observed order log2(coarse/fine) reaches min_order.
+    log|f| is included automatically when the mapping omits zero on its
+    region.
 
     The row compares min_order (lhs) with the worst observed order (rhs).
     When every field sits at the rounding floor no order is observed, and
@@ -423,7 +424,7 @@ def verify_component_harmonicity(mapping: Mapping, min_order: float = 1.0,
     worst_order = math.inf
     for name, pair in res.items():
         rc, rf = pair["coarse"], pair["fine"]
-        if rc <= floor and rf <= floor:
+        if rc <= _RESIDUAL_FLOOR and rf <= _RESIDUAL_FLOOR:
             rows[name] = {**pair, "regime": "exact_floor", "order": None}
             continue
         order = math.log2(rc / rf) if rf > 0 else math.inf
@@ -432,13 +433,13 @@ def verify_component_harmonicity(mapping: Mapping, min_order: float = 1.0,
         passed = passed and ok
         worst_order = min(worst_order, order)
     if all(row["regime"] == "exact_floor" for row in rows.values()):
-        lhs, rhs = max(max(pair.values()) for pair in res.values()), floor
+        lhs, rhs = max(max(pair.values()) for pair in res.values()), _RESIDUAL_FLOOR
     else:
         lhs, rhs = min_order, worst_order
     return CheckReport(
         check="component_harmonicity", p=float(mapping.domain.dim),
         grid=mapping.domain.describe(),
-        passed=passed, lhs=lhs, rhs=rhs, slack=rhs - lhs, tolerance=floor,
+        passed=passed, lhs=lhs, rhs=rhs, tolerance=_RESIDUAL_FLOOR,
         details={"fields": rows, "include_log": include_log},
     )
 

@@ -101,13 +101,13 @@ def metrication_constant(dim: int, neighborhood: int = 16) -> float:
     return _METRICATION_CACHE[key]
 
 
-def _sampled_metrication(dim: int, neighborhood: int, samples: int = 600) -> float:
+def _sampled_metrication(dim: int, neighborhood: int) -> float:
     from scipy.optimize import linprog
 
     offsets = np.array(stencil_offsets(dim, neighborhood), dtype=float)
     costs = np.linalg.norm(offsets, axis=1)
     rng = np.random.default_rng(12345)
-    dirs = rng.standard_normal((samples, dim))
+    dirs = rng.standard_normal((600, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     worst = 1.0
     for u in dirs:
@@ -290,8 +290,7 @@ def truncation_function(source: Sequence[int], r: float, R: float,
 
 
 def certify_gradient_bound(u: GridFunction, structure: GridStructure,
-                           bound: float, label: str = "gradient_bound",
-                           rtol: float = 1e-12) -> CheckReport:
+                           bound: float, label: str = "gradient_bound") -> CheckReport:
     """Per-cell check gamma(u) <= bound, reported with the worst cell.
 
     The closed-form bounds are attained exactly, so a relative rounding
@@ -299,10 +298,10 @@ def certify_gradient_bound(u: GridFunction, structure: GridStructure,
     """
     g = gamma(u, structure)
     worst = float(np.max(g)) if g.size else 0.0
-    tol = rtol * bound
+    tol = 1e-12 * bound
     return CheckReport(
         check=label, p=None, grid=structure.describe(),
-        passed=worst <= bound + tol, lhs=worst, rhs=bound, slack=bound - worst,
+        passed=worst <= bound + tol, lhs=worst, rhs=bound,
         tolerance=tol, details={"max_cell_gamma": worst},
     )
 
@@ -365,7 +364,7 @@ def _caccioppoli_report(check: str, u, phi_vals: np.ndarray, weight: np.ndarray,
     tol = (resid * support_mass) ** (1.0 / ctx.p) + max(ctx.domain.spacing) * (lhs + rhs)
     return CheckReport(
         check=check, p=ctx.p, grid=ctx.describe(), passed=lhs <= rhs + tol,
-        lhs=lhs, rhs=rhs, slack=rhs - lhs, tolerance=tol,
+        lhs=lhs, rhs=rhs, tolerance=tol,
         details={"c": c, "residual": resid, **details},
     )
 

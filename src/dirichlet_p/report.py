@@ -13,9 +13,12 @@ __all__ = ["CheckReport"]
 class CheckReport:
     """Outcome of one inequality or identity check.
 
-    slack = rhs - lhs for inequalities of the form lhs <= rhs + tolerance;
-    passed means slack >= -tolerance.  `witness` optionally records the
-    offending input, `details` carries check-specific extras.
+    `passed` is the check's own verdict; `slack` = rhs - lhs is reported
+    beside it.  For a single inequality lhs <= rhs + tolerance the two
+    agree (passed means slack >= -tolerance), but several checks judge
+    more than the two sides: see each checker's docstring.  `witness`
+    optionally records the offending input, `details` carries
+    check-specific extras.
     """
 
     check: str
@@ -24,7 +27,6 @@ class CheckReport:
     passed: bool
     lhs: float
     rhs: float
-    slack: float
     tolerance: float
     witness: dict[str, Any] | None = None
     details: dict[str, Any] = field(default_factory=dict)
@@ -45,6 +47,10 @@ class CheckReport:
         if self.details:
             out["details"] = self.details
         return out
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
 
     def to_json(self, **kwargs: Any) -> str:
         kwargs.setdefault("sort_keys", True)

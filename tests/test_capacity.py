@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dirichlet_p import capacity as capacity_module
+from dirichlet_p import pform as pform_module
+from dirichlet_p import solve as solve_module
 from dirichlet_p.capacity import (
     Condenser,
     capacity,
@@ -23,7 +26,7 @@ from dirichlet_p.grid import (
     boundary_mask,
     unit_structure,
 )
-from dirichlet_p.pform import PFormContext, p_form
+from dirichlet_p.pform import PFormContext, p_form, pure_potential_violation
 from dirichlet_p.solve import SolveOptions
 from conftest import lbfgs_reference
 
@@ -131,6 +134,29 @@ class TestCapacityValues:
         bc = GridFunction(np.where(cond.inner, 1.0, 0.0), mask)
         ref = lbfgs_reference(ctx, bc, grad_tol=1e-8, max_iter=2000)
         assert np.max(np.abs(newton.potential.values - ref)) <= 1e-6
+
+    def test_one_operator_evaluation_after_the_solve(self, line17, monkeypatch):
+        # the VI residual and the multiplier diagnostic share one evaluation
+        calls = []
+
+        def counting(*args, _p_operator=pform_module.p_operator, **kwargs):
+            calls.append(None)
+            return _p_operator(*args, **kwargs)
+
+        def solve_then_reset(*args, _solve=capacity_module.solve_dirichlet, **kwargs):
+            result = _solve(*args, **kwargs)
+            calls.clear()
+            return result
+
+        for module in (pform_module, solve_module, capacity_module):
+            monkeypatch.setattr(module, "p_operator", counting)
+        monkeypatch.setattr(capacity_module, "solve_dirichlet", solve_then_reset)
+        ctx = PFormContext(unit_structure(line17), 3.0)
+        cond = Condenser(nodes_in_interval(line17, 0.25, 0.75), boundary_mask(line17))
+        r = capacity(cond, ctx)
+        assert len(calls) == 1
+        worst, _ = pure_potential_violation(r.potential, ctx, mask=cond.outer)
+        assert r.diagnostics["min_multiplier"] == worst
 
     def test_2d_annulus_converges_to_closed_form(self):
         # ring condenser r=0.25, R=0.75 with the half-spacing membership rule

@@ -165,7 +165,7 @@ class TestCheckCommand:
 
     def test_property_failure_exit_three(self, tmp_path, monkeypatch):
         failing = CheckReport(check="sector", p=2.0, grid="1d 17", passed=False,
-                              lhs=1.0, rhs=0.0, slack=-1.0, tolerance=0.0)
+                              lhs=1.0, rhs=0.0, tolerance=0.0)
         monkeypatch.setattr(cli, "check_sector", lambda *a, **k: failing)
         cfg = write_config(tmp_path, "c.json", {
             "domain": base_domain_1d(), "p": 2.0,

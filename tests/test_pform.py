@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from dirichlet_p import pform as pform_module
 from dirichlet_p.assemble import assemble_form_matrix, mass_matrix, stiffness_matrix
 from dirichlet_p.capacity import Condenser, capacity, nodes_in_box
 from dirichlet_p.grid import (
@@ -295,6 +296,19 @@ class TestPoincare:
         expected = float(np.max(scipy.linalg.eigvalsh(M, S)))
         assert np.isclose(k, expected, rtol=1e-7)
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 3)])
+    def test_one_free_node_matches_dense_oracle(self, shape, rng):
+        # ARPACK needs two unknowns, so one free node takes its own branch
+        d = GridDomain(((0.0, 1.0),) * len(shape), shape)
+        s = GridStructure(d, random_elliptic_field(d, rng))
+        mask = boundary_mask(d)
+        free = ~mask.reshape(-1)
+        assert free.sum() == 1
+        S = stiffness_matrix(s).toarray()[np.ix_(free, free)]
+        M = mass_matrix(d).toarray()[np.ix_(free, free)]
+        expected = float(np.max(scipy.linalg.eigvalsh(M, S)))
+        assert np.isclose(estimate_poincare(s, mask), expected, rtol=1e-12)
+
     def test_refinement_approaches_continuum_monotonically(self):
         # the unit interval with pinned ends and unit coefficient has the
         # continuum constant 1/(2 pi^2) for the full carre du champ pairing
@@ -453,6 +467,18 @@ class TestDirichletAxioms:
         rep = check_dirichlet_axioms(e_big, zero, 0.5, ctx, mask=outer)
         assert rep.passed
         assert abs(rep.details["pairing_meet"]) <= rep.tolerance
+
+    def test_one_operator_evaluation_per_input(self, monkeypatch):
+        ctx, outer, e_big, e_small = _equilibrium_pair(3.0)
+        calls = []
+
+        def counting(u, *args, _p_operator=pform_module.p_operator, **kwargs):
+            calls.append(u)
+            return _p_operator(u, *args, **kwargs)
+
+        monkeypatch.setattr(pform_module, "p_operator", counting)
+        assert check_dirichlet_axioms(e_big, e_small, 0.5, ctx, mask=outer).passed
+        assert len(calls) == 2 and calls[0] is e_big and calls[1] is e_small
 
     def test_rejects_non_potential(self, square, square_structure, rng):
         ctx = PFormContext(square_structure, 2.0)

@@ -289,8 +289,7 @@ class TestObstacle:
         mask = boundary_mask(d)
         lo = 1.0 - 4.0 * (d.node_coords()[..., 0] - 0.5) ** 2
         u, res, iters, _, trace, active, _ = _newton(
-            np.where(mask, lo, 0.0), mask, ctx, SolveOptions(), lower=lo,
-            complementarity_tol=1e-8)
+            np.where(mask, lo, 0.0), mask, ctx, SolveOptions(), lower=lo)
         assert active.all() and iters == 0 and res == 0.0
         assert np.array_equal(u, lo)
         assert [r["violated"] for r in trace] == [15, 0]
