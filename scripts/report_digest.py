@@ -9,14 +9,28 @@ with `--csv`, and prints `name exit json-sha256 csv-sha256` per job ("-"
 for a file the job did not write).  Run it on two checkouts and diff the
 outputs.
 
-Usage: python scripts/report_digest.py [--seed 101] [--smoke]
+When a change moves reports in their last digits, compare them by value:
+`--keep DIR` saves each job's JSON report as DIR/<name>.json, and
+`--compare DIR` checks each report of this run against the one saved
+there.  Values other than floats must match exactly.  Floats must agree
+within rtol 1e-9 plus atol 1e-12, except the solver residuals
+(`solver_residual`, `residual_norm`, and `residual` in the rows of a
+`trace` or `rounds` list): where either side is at most the job's
+`grad_tol`, both must be, and they are not compared with each other.
+The run then prints `compare <name> ok` or the differing paths, and
+exits 1 on any difference.  To compare with an older checkout, run this
+script there with `--keep` (copy it in if it predates the option).
+
+Usage: python scripts/report_digest.py [--seed 101] [--smoke] [--keep DIR] [--compare DIR]
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import pathlib
+import shutil
 import sys
 import tempfile
 
@@ -26,6 +40,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from dirichlet_p import cli  # noqa: E402
+from dirichlet_p.config import parse_solve_options  # noqa: E402
+
+RTOL, ATOL = 1e-9, 1e-12
+RESIDUALS = ("solver_residual", "residual_norm")
+TRACES = ("trace", "rounds")
 
 
 def _sha256(path: pathlib.Path) -> str:
@@ -66,11 +85,58 @@ def _extra_jobs(seed: int, workdir: str, smoke: bool) -> list[workloads.Job]:
     return jobs
 
 
+def compare_reports(ref, new, grad_tol: float, path: str = "", in_trace: bool = False
+                    ) -> list[str]:
+    """Paths at which report `new` differs from `ref`, with the reason."""
+    if type(ref) is not type(new):
+        return [f"{path}: {ref!r} != {new!r}"]
+    if isinstance(ref, dict):
+        if ref.keys() != new.keys():
+            return [f"{path}: keys {sorted(ref)} != {sorted(new)}"]
+        out = []
+        for key in ref:
+            residual = key in RESIDUALS or (in_trace and key == "residual")
+            if residual and isinstance(ref[key], float) and isinstance(new[key], float) \
+                    and min(ref[key], new[key]) <= grad_tol:
+                if max(ref[key], new[key]) > grad_tol:
+                    out.append(f"{path}.{key}: {ref[key]!r} and {new[key]!r} straddle "
+                               f"grad_tol {grad_tol:g}")
+                continue
+            out += compare_reports(ref[key], new[key], grad_tol, f"{path}.{key}",
+                                   in_trace or key in TRACES)
+        return out
+    if isinstance(ref, list):
+        if len(ref) != len(new):
+            return [f"{path}: length {len(ref)} != {len(new)}"]
+        return [d for i, (a, b) in enumerate(zip(ref, new))
+                for d in compare_reports(a, b, grad_tol, f"{path}[{i}]", in_trace)]
+    if isinstance(ref, float):
+        if math.isclose(new, ref, rel_tol=RTOL, abs_tol=ATOL) or ref == new:
+            return []
+        return [f"{path}: {ref!r} != {new!r}"]
+    return [] if ref == new else [f"{path}: {ref!r} != {new!r}"]
+
+
+def _grad_tol(job: workloads.Job) -> float:
+    """The solver tolerance the job runs with, from its config and any --tol flag."""
+    argv = list(job.argv)
+    with open(argv[argv.index("--config") + 1]) as fh:
+        cfg = json.load(fh)
+    tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else None
+    return parse_solve_options(cfg, tol).grad_tol
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--smoke", action="store_true", help="the small job lists")
+    parser.add_argument("--keep", metavar="DIR", help="save each JSON report as DIR/<name>.json")
+    parser.add_argument("--compare", metavar="DIR",
+                        help="compare each JSON report with DIR/<name>.json by value")
     args = parser.parse_args()
+    if args.keep:
+        os.makedirs(args.keep, exist_ok=True)
+    failed = False
     with tempfile.TemporaryDirectory() as workdir:
         jobs = [*workloads.build("solvers", args.seed, workdir, args.smoke),
                 *workloads.build("geometry", args.seed, workdir, args.smoke),
@@ -79,7 +145,20 @@ def main() -> int:
             code = cli.main([*job.argv, "--csv"])
             out = pathlib.Path(job.out)
             print(job.name, code, _sha256(out), _sha256(out.with_suffix(".csv")), flush=True)
-    return 0
+            if args.keep and out.exists():
+                shutil.copyfile(out, os.path.join(args.keep, f"{job.name}.json"))
+            if args.compare:
+                ref = pathlib.Path(args.compare, f"{job.name}.json")
+                if not (ref.exists() and out.exists()):
+                    diffs = [f"missing report {ref if out.exists() else out}"]
+                else:
+                    diffs = compare_reports(json.loads(ref.read_text()),
+                                            json.loads(out.read_text()), _grad_tol(job))
+                failed |= bool(diffs)
+                print("compare", job.name, f"{len(diffs)} differences" if diffs else "ok")
+                for diff in diffs[:10]:
+                    print("  " + diff, flush=True)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,17 +1,21 @@
 """Sparse assembly of the grid bilinear forms.
 
-Builds the node-to-cell difference and averaging operators as Kronecker
-products of their 1-D factors and assembles quadratic forms
+Assembles quadratic forms
 
     u^T A v = sum_cells sum_kl w_kl(c) (grad u)_k (grad v)_l
 
 from per-cell coefficient matrices w.  With w = 2 m G this is the matrix of
 the bilinear map (u, v) -> int gamma(u, v) dm, i.e. the linear operator at
-p = 2.  This route shares no code with the algebraic gradient/adjoint
-pipeline, so the two can cross-check each other.
+p = 2.  Each cell adds its 2^d x 2^d corner matrix into a fixed CSR
+pattern of the 3^d-point node stencil, which is built once per node shape.
+This route shares no code with the algebraic gradient/adjoint pipeline,
+so the two can cross-check each other.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,13 +24,17 @@ import scipy.sparse.linalg as spla
 from .grid import GridDomain, GridStructure
 
 __all__ = [
-    "gradient_operators",
     "cell_average_operator",
     "assemble_form_matrix",
     "stiffness_matrix",
     "mass_matrix",
     "solve_linear_dirichlet",
 ]
+
+# `splu` options for the symmetric positive definite blocks: a minimum-degree
+# ordering of A + A^T, kept symmetric, with diagonal pivots
+_SPD_SPLU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+             "options": {"SymmetricMode": True}}
 
 
 def _two_point_1d(n: int, left: float, right: float) -> sp.csr_matrix:
@@ -35,22 +43,6 @@ def _two_point_1d(n: int, left: float, right: float) -> sp.csr_matrix:
     cols = rows + np.tile([0, 1], n - 1)
     data = np.tile([left, right], n - 1)
     return sp.csr_matrix((data, (rows, cols)), shape=(n - 1, n))
-
-
-def gradient_operators(domain: GridDomain) -> list[sp.csr_matrix]:
-    """Sparse maps D_k from flat node values to flat cell-gradient components."""
-    ops = []
-    h = domain.spacing
-    for axis in range(domain.dim):
-        factors = []
-        for j, n in enumerate(domain.shape):
-            factors.append(_two_point_1d(n, -1.0 / h[axis], 1.0 / h[axis]) if j == axis
-                           else _two_point_1d(n, 0.5, 0.5))
-        op = factors[0]
-        for f in factors[1:]:
-            op = sp.kron(op, f, format="csr")
-        ops.append(op)
-    return ops
 
 
 def cell_average_operator(domain: GridDomain) -> sp.csr_matrix:
@@ -62,22 +54,66 @@ def cell_average_operator(domain: GridDomain) -> sp.csr_matrix:
     return op
 
 
+@functools.lru_cache(maxsize=4)
+def _stencil_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the 3^d-point stencil on a node grid, and its slot mask.
+
+    Slot (i, o) of the (nodes, 3^d) slot array couples node i with node
+    i + o for the offset o in {-1, 0, 1}^d (lexicographic order, so each
+    row's columns ascend); `keep` marks the slots whose neighbour lies in
+    the grid.  The arrays are int32 (and bool) and read-only.
+    """
+    dim = len(shape)
+    keep = np.ones(shape + (3,) * dim, dtype=bool)
+    for axis, n in enumerate(shape):
+        along = np.arange(n)[:, None] + np.arange(-1, 2)
+        view = [1] * (2 * dim)
+        view[axis], view[dim + axis] = n, 3
+        keep &= ((along >= 0) & (along < n)).reshape(view)
+    num_nodes = int(np.prod(shape))
+    keep = keep.reshape(num_nodes, 3 ** dim)
+    strides = [int(np.prod(shape[j + 1:])) for j in range(dim)]
+    offsets = np.array([np.dot(o, strides) for o in itertools.product((-1, 0, 1), repeat=dim)],
+                       dtype=np.int32)
+    indices = (np.arange(num_nodes, dtype=np.int32)[:, None] + offsets)[keep]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    keep = keep.reshape(-1)
+    for arr in (indptr, indices, keep):
+        arr.setflags(write=False)
+    return indptr, indices, keep
+
+
 def assemble_form_matrix(domain: GridDomain, cell_matrices: np.ndarray) -> sp.csr_matrix:
     """Matrix of (u, v) -> sum_c (W(c) grad u(c), grad v(c)) for per-cell W."""
     W = np.asarray(cell_matrices, dtype=float)
     expected = domain.cells_shape + (domain.dim, domain.dim)
     if W.shape != expected:
         raise ValueError(f"expected per-cell matrices of shape {expected}, got {W.shape}")
-    ops = gradient_operators(domain)
+    dim = domain.dim
+    # gradient component k weighs corner a of a cell by +-scale_k, plus on the
+    # far end of axis k; the signed sums are exact where terms cancel, so the
+    # couplings that vanish (the identity field's axis neighbours) stay zero
+    scale = 0.5 ** (dim - 1) / np.asarray(domain.spacing)
+    V = W * np.outer(scale, scale)
+    corners = list(itertools.product((0, 1), repeat=dim))
+
+    def signed(terms, corner):
+        return sum(t if c else -t for t, c in zip(terms, corner))
+
+    VB = [[signed([V[..., k, l] for l in range(dim)], b) for k in range(dim)] for b in corners]
+    slots = np.zeros(domain.shape + (3 ** dim,))
+    for a in corners:
+        rows = tuple(slice(a_j, a_j + n - 1) for a_j, n in zip(a, domain.shape))
+        for b, vb in zip(corners, VB):
+            offset = np.ravel_multi_index(tuple(np.subtract(b, a) + 1), (3,) * dim)
+            slots[rows + (offset,)] += signed(vb, a)
+    indptr, indices, keep = _stencil_pattern(domain.shape)
     n = domain.num_nodes
-    A = sp.csr_matrix((n, n))
-    for k in range(domain.dim):
-        for l in range(domain.dim):
-            w = W[..., k, l].reshape(-1)
-            if not np.any(w):
-                continue
-            A = A + ops[k].T @ sp.diags(w) @ ops[l]
-    return A.tocsr()
+    # copies: eliminate_zeros rewrites the index arrays in place
+    A = sp.csr_matrix((slots.reshape(-1)[keep], indices.copy(), indptr.copy()), shape=(n, n))
+    A.eliminate_zeros()
+    return A
 
 
 def stiffness_matrix(structure: GridStructure) -> sp.csr_matrix:
@@ -106,5 +142,5 @@ def solve_linear_dirichlet(structure: GridStructure, boundary_values: np.ndarray
     S_ff = S[free][:, free]
     S_fm = S[free][:, mask_flat]
     rhs = -S_fm @ vals[mask_flat]
-    vals[free] = spla.spsolve(S_ff.tocsc(), rhs)
+    vals[free] = spla.splu(S_ff, **_SPD_SPLU).solve(rhs)
     return vals.reshape(structure.domain.node_shape)

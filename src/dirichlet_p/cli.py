@@ -90,15 +90,23 @@ def _json_default(obj: Any):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+# report values that hold no nested report
+_LEAVES = frozenset({float, int, str, bool, type(None)})
+
+
 def _harvest_failures(obj: Any) -> bool:
-    """True when some nested report carries passed = False."""
+    """True when some nested report carries passed = False.
+
+    Numbers and strings get no call of their own, so a grid payload's
+    list of values is scanned, not walked.
+    """
     if isinstance(obj, dict):
         if obj.get("passed") is False:
             return True
-        return any(_harvest_failures(v) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return any(_harvest_failures(v) for v in obj)
-    return False
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return False
+    return any(_harvest_failures(v) for v in obj if type(v) not in _LEAVES)
 
 
 # -- subcommand implementations ------------------------------------------------

@@ -294,6 +294,8 @@ def check_coercive(ctx: PFormContext, k: float, mask: np.ndarray,
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("coercivity needs a nonempty Dirichlet mask")
+    if n_samples < 1:
+        raise ValueError("need at least 1 sample")
     rng = rng or np.random.default_rng(0)
     c = 1.0 + (math.sqrt(k) * ctx.p / 2.0) ** ctx.p
     worst = math.inf

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import ndimage
 
-from .assemble import assemble_form_matrix, solve_linear_dirichlet
+from .assemble import _SPD_SPLU, assemble_form_matrix, solve_linear_dirichlet
 from .grid import GridFunction, ShapeMismatchError, _flux_gamma, _values, dp_norm
 from .pform import PFormContext, _safe_power, p_energy, p_operator, scaled_operator_field
 
@@ -174,7 +174,7 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
             A = H_ff + shift if shift is not None else H_ff
             d = np.zeros_like(x)
             try:
-                d[inactive] = spla.splu(A.tocsc()).solve(-g[inactive])
+                d[inactive] = spla.splu(A.tocsc(), **_SPD_SPLU).solve(-g[inactive])
             except RuntimeError:
                 lam = max(lam * 10.0, 1e-10)
                 continue

@@ -355,6 +355,38 @@ class TestFlags:
         assert not (tmp_path / "out.csv").exists()
 
 
+def test_failure_two_lists_deep_exits_three(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "solve", lambda cfg, seed, tol: {
+        "values": [0.5, 1.0], "rows": [[1.0, {"check": "x", "passed": True}],
+                                       [2.0, {"check": "y", "passed": False}]]})
+    cfg = write_config(tmp_path, "c.json", {
+        "domain": base_domain_1d(), "p": 2.0, "solve": {"boundary": {"values": 0.0}},
+    })
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o.json")]) \
+        == cli.EXIT_PROPERTY
+
+
+def _ring_config(n):
+    return {"domain": {"dim": 2, "extent": [[-1.0, 1.0], [-1.0, 1.0]], "shape": [n, n]},
+            "p": 3.0, "solver": {"grad_tol": 1e-9},
+            "capacity": {"condenser": {
+                "inner": {"type": "disk", "center": [0.0, 0.0], "radius": 0.25},
+                "outer": {"type": "outside_disk", "center": [0.0, 0.0], "radius": 0.75}}}}
+
+
+def test_ring_report_unchanged_by_a_run_on_another_grid(tmp_path):
+    # per-grid caches must not carry one run's state into the next
+    ring = write_config(tmp_path, "ring.json", _ring_config(33))
+    check = write_config(tmp_path, "check.json", _set_suite_config(
+        ["sector", "monotone", "contraction", "d1d2", "choquet", "union_diff"]))
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(["capacity", "--config", ring, "--out", str(first)]) == cli.EXIT_OK
+    assert cli.main(["check", "--config", check, "--out", str(tmp_path / "c.json")]) \
+        == cli.EXIT_OK
+    assert cli.main(["capacity", "--config", ring, "--out", str(second)]) == cli.EXIT_OK
+    assert first.read_bytes() == second.read_bytes()
+
+
 def _metric_config(**extra):
     return {"domain": base_domain_2d(9),
             "metric": {"source": [0.5, 0.5], "neighborhood": 8, **extra}}

@@ -354,6 +354,13 @@ class TestCoercive:
         rep = check_coercive(PFormContext(s, 3.0), k, mask, n_samples=20, rng=rng)
         assert rep.passed, rep.witness
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_rejects_no_samples(self, square, square_structure, n_samples):
+        # a check that draws nothing would pass vacuously
+        with pytest.raises(ValueError, match="sample"):
+            check_coercive(PFormContext(square_structure, 3.0), 1.0, boundary_mask(square),
+                           n_samples=n_samples)
+
 
 class TestHemicontinuity:
     def test_equal_inputs_constant_map(self, square, square_structure, rng):
