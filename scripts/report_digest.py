@@ -17,8 +17,12 @@ within rtol 1e-9 plus atol 1e-12, except the solver residuals
 (`solver_residual`, `residual_norm`, and `residual` in the rows of a
 `trace` or `rounds` list): where either side is at most the job's
 `grad_tol`, both must be, and they are not compared with each other.
-The run then prints `compare <name> ok` or the differing paths, and
-exits 1 on any difference.  To compare with an older checkout, run this
+The run then prints `compare <name> ok` or the number of differences,
+followed by `max_rel R max_abs A`, the largest relative and absolute
+deviation of any compared float (a converged residual checked only
+against `grad_tol` does not count; a float that moves off 0 counts as
+`inf` relative), and then the differing paths.  It exits 1 on any
+difference.  To compare with an older checkout, run this
 script there with `--keep` (copy it in if it predates the option).
 
 Usage: python scripts/report_digest.py [--seed 101] [--smoke] [--keep DIR] [--compare DIR]
@@ -85,9 +89,13 @@ def _extra_jobs(seed: int, workdir: str, smoke: bool) -> list[workloads.Job]:
     return jobs
 
 
-def compare_reports(ref, new, grad_tol: float, path: str = "", in_trace: bool = False
-                    ) -> list[str]:
-    """Paths at which report `new` differs from `ref`, with the reason."""
+def compare_reports(ref, new, grad_tol: float, path: str = "", in_trace: bool = False,
+                    moved: list[float] | None = None) -> list[str]:
+    """Paths at which report `new` differs from `ref`, with the reason.
+
+    `moved`, when given as [max_rel, max_abs], is raised to the largest
+    relative and absolute deviation of the finite floats compared.
+    """
     if type(ref) is not type(new):
         return [f"{path}: {ref!r} != {new!r}"]
     if isinstance(ref, dict):
@@ -103,14 +111,18 @@ def compare_reports(ref, new, grad_tol: float, path: str = "", in_trace: bool = 
                                f"grad_tol {grad_tol:g}")
                 continue
             out += compare_reports(ref[key], new[key], grad_tol, f"{path}.{key}",
-                                   in_trace or key in TRACES)
+                                   in_trace or key in TRACES, moved)
         return out
     if isinstance(ref, list):
         if len(ref) != len(new):
             return [f"{path}: length {len(ref)} != {len(new)}"]
         return [d for i, (a, b) in enumerate(zip(ref, new))
-                for d in compare_reports(a, b, grad_tol, f"{path}[{i}]", in_trace)]
+                for d in compare_reports(a, b, grad_tol, f"{path}[{i}]", in_trace, moved)]
     if isinstance(ref, float):
+        if moved is not None and ref != new and math.isfinite(ref) and math.isfinite(new):
+            dev = abs(new - ref)
+            moved[0] = max(moved[0], dev / abs(ref) if ref else math.inf)
+            moved[1] = max(moved[1], dev)
         if math.isclose(new, ref, rel_tol=RTOL, abs_tol=ATOL) or ref == new:
             return []
         return [f"{path}: {ref!r} != {new!r}"]
@@ -149,13 +161,16 @@ def main() -> int:
                 shutil.copyfile(out, os.path.join(args.keep, f"{job.name}.json"))
             if args.compare:
                 ref = pathlib.Path(args.compare, f"{job.name}.json")
+                moved = [0.0, 0.0]
                 if not (ref.exists() and out.exists()):
                     diffs = [f"missing report {ref if out.exists() else out}"]
                 else:
                     diffs = compare_reports(json.loads(ref.read_text()),
-                                            json.loads(out.read_text()), _grad_tol(job))
+                                            json.loads(out.read_text()), _grad_tol(job),
+                                            moved=moved)
                 failed |= bool(diffs)
-                print("compare", job.name, f"{len(diffs)} differences" if diffs else "ok")
+                print("compare", job.name, f"{len(diffs)} differences" if diffs else "ok",
+                      f"max_rel {moved[0]:.2g} max_abs {moved[1]:.2g}")
                 for diff in diffs[:10]:
                     print("  " + diff, flush=True)
     return 1 if failed else 0

@@ -54,6 +54,35 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _det(mats: np.ndarray) -> np.ndarray:
+    """Per-block determinant: ad - bc for 2x2 blocks, LAPACK otherwise."""
+    if mats.shape[-1] != 2:
+        return np.linalg.det(mats)
+    return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+
+
+def _sym_eigvalsh(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric part of each block, ascending.
+
+    2x2 blocks use the closed form m +- r, m = (a + d)/2 and
+    r = hypot((a - d)/2, b).  The eigenvalue of larger magnitude,
+    m + sign(m) r, adds terms of one sign; the other is (ad - b^2) over
+    it, which keeps its accuracy where m - sign(m) r would cancel.
+    Other sizes use LAPACK.
+    """
+    if mats.shape[-1] != 2:
+        return np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+    a, d = mats[..., 0, 0], mats[..., 1, 1]
+    b = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
+    m = 0.5 * (a + d)
+    r = np.hypot(0.5 * (a - d), b)
+    neg = m < 0
+    big = m + np.where(neg, -r, r)
+    nonzero = big != 0  # big = 0 only for the zero block
+    small = np.where(nonzero, (a * d - b * b) / np.where(nonzero, big, 1.0), 0.0)
+    return np.stack([np.where(neg, big, small), np.where(neg, small, big)], axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class GridDomain:
     """Rectangular grid: geometry plus a finite measure.
@@ -190,10 +219,10 @@ class CoefficientField:
         scale = max(np.max(np.abs(mats)), 1e-300)
         if sym_err > 1e-10 * scale:
             raise ValueError(f"coefficient matrices not symmetric (error {sym_err:.3e})")
-        eigs = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+        eigs = _sym_eigvalsh(mats)
         tol = 1e-8 * (self.alpha + self.beta)
         lo, hi = float(np.min(eigs)), float(np.max(eigs))
-        if lo < self.alpha - tol or hi > self.beta + tol:
+        if not (lo >= self.alpha - tol and hi <= self.beta + tol):  # NaN fails too
             raise ValueError(
                 f"eigenvalues [{lo:.6g}, {hi:.6g}] escape the declared bounds "
                 f"[{self.alpha:.6g}, {self.beta:.6g}]"
@@ -225,7 +254,7 @@ class CoefficientField:
         if mats.shape != expected:
             raise ShapeMismatchError(f"expected matrix field of shape {expected}, got {mats.shape}")
         if alpha is None or beta is None:
-            eigs = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+            eigs = _sym_eigvalsh(mats)
             alpha = float(np.min(eigs)) if alpha is None else alpha
             beta = float(np.max(eigs)) if beta is None else beta
         return cls(mats, alpha, beta)

@@ -21,6 +21,12 @@ Analytic kinds (plane powers, radial stretches, linear maps) are
 differentiated in closed form at cell centers; sampled mappings reuse the
 grid gradient so that their harmonicity tests live in one consistent
 discrete calculus.
+
+The per-cell algebra is closed form in 2-D: J = ad - bc, the singular
+values from the conformal and anticonformal parts of Df, theta as
+adj(Df) adj(Df)^T / J, and theta's eigenvalues and determinant from its
+own entries.  In 1-D and 3-D it goes through LAPACK (det, svd, inv,
+eigvalsh).
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from .grid import (
     GridFunction,
     GridStructure,
     ShapeMismatchError,
+    _det,
+    _sym_eigvalsh,
     boundary_mask,
     gradient,
 )
@@ -255,10 +263,28 @@ class JacobianField:
         return float(np.mean(self.flagged))
 
 
+def _singular_values(Df: np.ndarray) -> np.ndarray:
+    """Per-cell singular values, descending.
+
+    For 2x2 blocks, Df z = alpha z + beta conj(z) in complex notation, so
+    sigma_max = |alpha| + |beta| = (|(a+d, c-b)| + |(a-d, c+b)|)/2, and
+    sigma_min = |ad - bc| / sigma_max (0 where Df = 0), which keeps its
+    relative accuracy where the difference |alpha| - |beta| would cancel.
+    Other sizes use LAPACK.
+    """
+    if Df.shape[-1] != 2:
+        return np.linalg.svd(Df, compute_uv=False)
+    a, b, c, d = Df[..., 0, 0], Df[..., 0, 1], Df[..., 1, 0], Df[..., 1, 1]
+    smax = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, c + b))
+    nonzero = smax > 0
+    smin = np.where(nonzero, np.abs(_det(Df)) / np.where(nonzero, smax, 1.0), 0.0)
+    return np.stack([smax, smin], axis=-1)
+
+
 def differentiate(mapping: Mapping) -> JacobianField:
     """Per-cell differential and Jacobian; cells with J <= 0 are flagged."""
     Df = mapping.cell_jacobian()
-    J = np.linalg.det(Df)
+    J = _det(Df)
     return JacobianField(Df=Df, J=J, flagged=J <= 0.0)
 
 
@@ -276,24 +302,30 @@ def _dilatations(jf: JacobianField, sv: np.ndarray) -> tuple[float, float]:
 
 def dilatations(jf: JacobianField) -> tuple[float, float]:
     """Outer and inner dilatations over unflagged cells (both >= 1)."""
-    return _dilatations(jf, np.linalg.svd(jf.Df[~jf.flagged], compute_uv=False))
+    return _dilatations(jf, _singular_values(jf.Df[~jf.flagged]))
 
 
 def distortion_tensor(jf: JacobianField) -> np.ndarray:
     """Unit-determinant tensor J^(2/n) Df^-1 Df^-T per cell.
 
+    In the plane this is adj(Df) adj(Df)^T / J, symmetric by construction.
     Flagged cells get the identity (they are excluded from analysis and
     their mass is reported separately).
     """
     n = jf.Df.shape[-1]
-    out = np.empty_like(jf.Df)
-    eye = np.eye(n)
     ok = ~jf.flagged
+    out = np.empty_like(jf.Df)
+    out[jf.flagged] = np.eye(n)
+    if n == 2:
+        Df, J = jf.Df[ok], jf.J[ok]
+        a, b, c, d = Df[..., 0, 0], Df[..., 0, 1], Df[..., 1, 0], Df[..., 1, 1]
+        off = -(a * b + c * d) / J
+        out[ok] = np.stack([np.stack([(b * b + d * d) / J, off], axis=-1),
+                            np.stack([off, (a * a + c * c) / J], axis=-1)], axis=-2)
+        return out
     inv = np.linalg.inv(jf.Df[ok])
     theta = (jf.J[ok] ** (2.0 / n))[..., None, None] * (inv @ np.swapaxes(inv, -1, -2))
-    theta = 0.5 * (theta + np.swapaxes(theta, -1, -2))
-    out[ok] = theta
-    out[jf.flagged] = eye
+    out[ok] = 0.5 * (theta + np.swapaxes(theta, -1, -2))
     return out
 
 
@@ -319,21 +351,22 @@ def analyze(mapping: Mapping) -> QrAnalysis:
     lies in [K_O^(-2/n), K_I^(2/n)] up to rounding, and det theta = 1.
     """
     jf = differentiate(mapping)
-    sv = np.linalg.svd(jf.Df, compute_uv=False)
+    sv = _singular_values(jf.Df)
     K_O, K_I = _dilatations(jf, sv[~jf.flagged])
     n = mapping.domain.dim
     theta = distortion_tensor(jf)
     alpha = K_O ** (-2.0 / n)
     beta = K_I ** (2.0 / n)
-    eigs = np.linalg.eigvalsh(theta[~jf.flagged])
+    # from theta's own entries, not from sv: otherwise the check is a tautology
+    eigs = _sym_eigvalsh(theta[~jf.flagged])
     tol = 1e-10 * max(beta, 1.0)
     lo = float(np.min(eigs)) if eigs.size else 1.0
     hi = float(np.max(eigs)) if eigs.size else 1.0
-    if lo < alpha - tol or hi > beta + tol:
+    if not (lo >= alpha - tol and hi <= beta + tol):  # NaN fails too
         raise ValueError(
             f"ellipticity certification failed: eigenvalues [{lo:.6g}, {hi:.6g}] "
             f"escape [{alpha:.6g}, {beta:.6g}]")
-    dets = np.linalg.det(theta[~jf.flagged])
+    dets = _det(theta[~jf.flagged])
     det_err = float(np.max(np.abs(dets - 1.0))) if dets.size else 0.0
     excluded = float(np.sum(np.where(jf.flagged, mapping.domain.measure, 0.0)))
     return QrAnalysis(

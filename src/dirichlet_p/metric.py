@@ -32,6 +32,7 @@ from .grid import (
     GridDomain,
     GridFunction,
     GridStructure,
+    _det,
     _values,
     boundary_mask,
     cell_mean,
@@ -166,20 +167,31 @@ class MetricField:
         return float(self.distances[tuple(node)])
 
 
+def _metric_tensor(G: np.ndarray) -> np.ndarray:
+    """Per-cell (2G)^-1: by adjugate for 2x2 blocks, LAPACK otherwise."""
+    if G.shape[-1] != 2:
+        return np.linalg.inv(2.0 * G)
+    a, b, c, d = G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1]
+    adj = np.stack([d, -b, -c, a], axis=-1)
+    return (adj / (2.0 * _det(G))[..., None]).reshape(G.shape)
+
+
 def _edge_weight_arrays(structure: GridStructure, offsets: list[tuple[int, ...]]):
     """Edge lengths and targets of every stencil move, one column per offset.
 
     Returns (weights, targets), both of shape (num_nodes, len(offsets)):
     row j holds the moves out of flat node j.  The metric tensor (2G)^-1
     is sampled as the mean over the cells whose closed extent contains the
-    segment midpoint.  Moves leaving the grid become self-loops of
-    infinite length, so every row has the same number of entries.
+    segment midpoint, as the mean of the per-cell quadratic forms
+    e^T (2G)^-1 e (which is the form of the mean tensor).  Moves leaving
+    the grid become self-loops of infinite length, so every row has the
+    same number of entries.
     """
     domain = structure.domain
     dim = domain.dim
     shape = domain.node_shape
     cells = domain.cells_shape
-    Minv = np.linalg.inv(2.0 * structure.field.matrices)
+    Minv = _metric_tensor(structure.field.matrices).reshape(cells + (dim * dim,))
     h = np.asarray(domain.spacing)
     n = domain.num_nodes
     weights = np.full((n, len(offsets)), np.inf)
@@ -195,7 +207,9 @@ def _edge_weight_arrays(structure: GridStructure, offsets: list[tuple[int, ...]]
                 cand_axes.append([o // 2 - 1, o // 2])
             else:
                 cand_axes.append([(o - 1) // 2])
-        acc = np.zeros(view + (dim, dim))
+        e = np.asarray(off, dtype=float) * h
+        quad = Minv @ np.outer(e, e).ravel()  # e^T M e per cell
+        acc = np.zeros(view)
         count = np.zeros(view)
         for combo in itertools.product(*cand_axes):
             view_sl = []
@@ -211,12 +225,10 @@ def _edge_weight_arrays(structure: GridStructure, offsets: list[tuple[int, ...]]
                 cell_sl.append(slice(i0 + c, i1 + c + 1))
             if not ok:
                 continue
-            acc[tuple(view_sl)] += Minv[tuple(cell_sl)]
+            acc[tuple(view_sl)] += quad[tuple(cell_sl)]
             count[tuple(view_sl)] += 1.0
-        acc /= count[..., None, None]  # the mean tensor
-        e = np.asarray(off, dtype=float) * h
         on_grid = tuple(slice(lo, lo + v) for lo, v in zip(src_lo, view)) + (k,)
-        weights_nd[on_grid] = np.sqrt(np.einsum("i,...ij,j->...", e, acc, e))
+        weights_nd[on_grid] = np.sqrt(acc / count)
     # built after the loop so its temporaries and the targets never coexist
     strides = [int(np.prod(shape[a + 1:])) for a in range(dim)]
     targets = np.repeat(np.arange(n, dtype=np.int32)[:, None], len(offsets), axis=1)

@@ -25,6 +25,21 @@ def random_elliptic_field(domain: GridDomain, rng: np.random.Generator,
     return CoefficientField(mats, alpha, beta)
 
 
+def random_2x2_blocks(seed: int = 2024) -> dict[str, np.ndarray]:
+    """Seeded 2x2 blocks for testing the closed-form cell kernels.
+
+    "random": 65,536 standard normal blocks; "near_singular": 1,000 with
+    one row (chosen at random) scaled by 1e-8; "conformal": 1,000 blocks
+    [[a, -b], [b, a]].
+    """
+    rng = np.random.default_rng(seed)
+    near = rng.standard_normal((1000, 2, 2))
+    near[np.arange(1000), rng.integers(0, 2, 1000)] *= 1e-8
+    a, b = rng.standard_normal((2, 1000))
+    return {"random": rng.standard_normal((65536, 2, 2)), "near_singular": near,
+            "conformal": np.stack([np.stack([a, -b], -1), np.stack([b, a], -1)], -2)}
+
+
 def random_function(domain: GridDomain, rng: np.random.Generator,
                     smooth: bool = False) -> GridFunction:
     vals = rng.standard_normal(domain.node_shape)

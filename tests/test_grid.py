@@ -26,7 +26,8 @@ from dirichlet_p.grid import (
     unit_structure,
     unit_truncation,
 )
-from conftest import random_elliptic_field, random_function
+from dirichlet_p.grid import _sym_eigvalsh
+from conftest import random_2x2_blocks, random_elliptic_field, random_function
 
 
 class TestGridDomain:
@@ -89,6 +90,45 @@ class TestCoefficientField:
     def test_random_elliptic_passes_validation(self, square, rng):
         fld = random_elliptic_field(square, rng)
         assert fld.alpha == 0.5 and fld.beta == 2.0
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_entries(self, square, bad):
+        mats = np.array(np.broadcast_to(np.eye(2), square.cells_shape + (2, 2)))
+        mats[3, 4, 1, 1] = bad
+        with pytest.raises(ValueError, match="bounds"):
+            CoefficientField(mats, 0.5, 2.0)
+
+
+class TestSymEigvalsh:
+    @pytest.mark.parametrize("kind", ["random", "near_singular", "conformal"])
+    def test_2x2_matches_lapack(self, kind):
+        mats = random_2x2_blocks()[kind]
+        ref = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+        scale = np.max(np.abs(ref), axis=-1, keepdims=True)  # spectral norm
+        assert np.all(np.abs(_sym_eigvalsh(mats) - ref) <= 1e-14 * scale)
+
+    def test_2x2_graded_block_keeps_small_eigenvalue(self, rng):
+        # D C D with D = diag(1, 1e-6): eigenvalues near 1 and 1e-12, where
+        # m - r would cancel to about 2e-4 relative
+        q, _ = np.linalg.qr(rng.standard_normal((1000, 2, 2)))
+        C = np.einsum("...ij,...j,...kj->...ik", q, rng.uniform(0.5, 2.0, (1000, 2)), q)
+        D = np.array([1.0, 1e-6])
+        mats = C * D[:, None] * D[None, :]
+        lo = np.linalg.eigvalsh(mats)[:, 0]
+        assert np.all(np.abs(_sym_eigvalsh(mats)[:, 0] - lo) <= 1e-13 * lo)
+
+    def test_2x2_edge_blocks(self):
+        mats = np.array([np.zeros((2, 2)), -np.eye(2), np.diag([-3.0, 2.0]),
+                         [[0.0, 1.0], [1.0, 0.0]], [[1.0, 2.0], [0.0, 1.0]]])
+        expected = [[0.0, 0.0], [-1.0, -1.0], [-3.0, 2.0], [-1.0, 1.0], [0.0, 2.0]]
+        assert np.allclose(_sym_eigvalsh(mats), expected, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_other_sizes_are_lapack(self, rng, n):
+        mats = rng.standard_normal((50, n, n))
+        assert np.array_equal(_sym_eigvalsh(mats),
+                              np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2))))
 
 
 class TestGradient:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dirichlet_p.grid import GridDomain, energy, unit_structure
+from dirichlet_p.grid import GridDomain, _det, _sym_eigvalsh, energy, unit_structure
 from dirichlet_p.mappings import (
+    JacobianField,
     LinearMapping,
     PowerMapping,
     RadialStretch,
@@ -11,11 +12,13 @@ from dirichlet_p.mappings import (
     analyze,
     differentiate,
     dilatations,
+    distortion_tensor,
     induced_context,
     induced_structure,
     verify_component_harmonicity,
 )
-from conftest import random_function
+from dirichlet_p.mappings import _singular_values
+from conftest import random_2x2_blocks, random_function
 
 
 @pytest.fixture
@@ -110,6 +113,66 @@ class TestDistortionTensor:
         assert np.allclose(t1, t2, atol=1e-12)
 
 
+class TestClosedFormKernels:
+    """The 2-D cell algebra against LAPACK on random, near-singular and conformal blocks."""
+
+    @pytest.mark.parametrize("kind", ["random", "near_singular", "conformal"])
+    def test_singular_values_match_lapack(self, kind):
+        Df = random_2x2_blocks()[kind]
+        # rows ordered largest first: a downward-graded block, on which
+        # LAPACK's smallest singular value keeps its relative accuracy
+        # (with the small row first it loses about 5e-5)
+        big_first = np.take_along_axis(
+            Df, np.argsort(-np.linalg.norm(Df, axis=-1), axis=-1)[..., None], axis=-2)
+        ref = np.linalg.svd(big_first, compute_uv=False)
+        sv = _singular_values(Df)
+        assert np.all(np.abs(sv[:, 0] - ref[:, 0]) <= 1e-14 * ref[:, 0])
+        assert np.all(np.abs(sv[:, 1] - ref[:, 1]) <= 1e-10 * ref[:, 1])
+
+    @pytest.mark.parametrize("kind", ["random", "near_singular", "conformal"])
+    def test_theta_matches_lapack(self, kind):
+        Df = random_2x2_blocks()[kind]
+        jf = differentiate_blocks(Df)
+        ok = ~jf.flagged
+        inv = np.linalg.inv(Df[ok])
+        ref = jf.J[ok][:, None, None] * (inv @ np.swapaxes(inv, -1, -2))
+        theta = distortion_tensor(jf)[ok]
+        assert np.array_equal(theta, np.swapaxes(theta, -1, -2))
+        # both sides carry rounding of order eps * cond(Df); the fixed bound
+        # holds up to cond(Df) = 100, about 98% of the random blocks
+        sv = np.linalg.svd(Df[ok], compute_uv=False)
+        bound = np.maximum(1e-13, 4 * np.finfo(float).eps * sv[:, 0] / sv[:, 1])
+        err = np.linalg.norm(theta - ref, axis=(-2, -1))
+        assert np.all(err <= bound * np.linalg.norm(ref, axis=(-2, -1)))
+
+    def test_conformal_theta_is_exactly_the_identity(self, box):
+        Df = random_2x2_blocks()["conformal"]
+        jf = differentiate_blocks(Df)
+        assert np.array_equal(distortion_tensor(jf), np.broadcast_to(np.eye(2), Df.shape))
+        for k in (2, 3):
+            an = analyze(PowerMapping(box, k))
+            assert np.array_equal(an.theta, np.broadcast_to(np.eye(2), an.theta.shape))
+            assert an.details["det_error"] == 0.0
+
+    def test_three_d_stays_on_lapack(self):
+        d3 = GridDomain(((-1.0, 1.0),) * 3, (7, 7, 7))
+        an = analyze(RadialStretch(d3, 1.5))
+        Df, J, ok = an.jacobian.Df, an.jacobian.J, ~an.jacobian.flagged
+        assert np.array_equal(J, np.linalg.det(Df))
+        assert np.array_equal(an.singular_values, np.linalg.svd(Df, compute_uv=False))
+        inv = np.linalg.inv(Df[ok])
+        theta = (J[ok] ** (2.0 / 3.0))[:, None, None] * (inv @ np.swapaxes(inv, -1, -2))
+        assert np.array_equal(an.theta[ok], 0.5 * (theta + np.swapaxes(theta, -1, -2)))
+        assert np.array_equal(_sym_eigvalsh(an.theta), np.linalg.eigvalsh(an.theta))
+        assert an.details["det_error"] == np.max(np.abs(np.linalg.det(an.theta[ok]) - 1.0))
+
+
+def differentiate_blocks(Df: np.ndarray) -> JacobianField:
+    """The JacobianField that `differentiate` builds from these blocks."""
+    J = _det(Df)
+    return JacobianField(Df=Df, J=J, flagged=J <= 0.0)
+
+
 class TestInducedStructure:
     def test_conformal_matches_identity_structure(self, box, rng):
         an = analyze(PowerMapping(box, 2))
@@ -145,6 +208,26 @@ class TestComponentHarmonicity:
         assert fields["component_0"]["regime"] == "exact_floor"
         assert fields["component_1"]["regime"] == "exact_floor"
         assert fields["log_abs"]["order"] >= 1.9
+
+    def test_non_harmonic_component_fails(self):
+        # z^2's differential, but components (|z|^2, 2xy): the first has
+        # Laplacian 4, so its residual does not shrink under refinement
+        class SquaredModulus(PowerMapping):
+            def node_values(self):
+                c = self.domain.node_coords()
+                x, y = c[..., 0], c[..., 1]
+                return np.stack([x * x + y * y, 2.0 * x * y], axis=-1)
+
+            def refined(self):
+                return SquaredModulus(self.domain.refined(), self.k, self.puncture)
+
+        d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (33, 33))
+        rep = verify_component_harmonicity(SquaredModulus(d, 2))
+        assert rep.passed is False
+        first = rep.details["fields"]["component_0"]
+        assert first["regime"] == "refinement"
+        assert first["order"] == 0.0
+        assert rep.details["fields"]["component_1"]["regime"] == "exact_floor"
 
     def test_radial_stretch_components(self):
         d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (65, 65))
