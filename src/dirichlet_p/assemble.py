@@ -10,6 +10,11 @@ p = 2.  Each cell adds its 2^d x 2^d corner matrix into a fixed CSR
 pattern of the 3^d-point node stencil, which is built once per node shape.
 This route shares no code with the algebraic gradient/adjoint pipeline,
 so the two can cross-check each other.
+
+The symmetric positive definite blocks that the solvers factor (free or
+inactive nodes) are taken in a geometric nested-dissection order of the
+node grid, also built once per node shape: the subsequence of that order
+on a block's nodes is again a dissection order, at O(n) cost per block.
 """
 
 from __future__ import annotations
@@ -31,10 +36,14 @@ __all__ = [
     "solve_linear_dirichlet",
 ]
 
-# `splu` options for the symmetric positive definite blocks: a minimum-degree
-# ordering of A + A^T, kept symmetric, with diagonal pivots
-_SPD_SPLU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+# `splu` options for the symmetric positive definite blocks, which arrive in
+# the dissection order of `_block_order`: no ordering of its own, kept
+# symmetric, with diagonal pivots (stable for SPD matrices in any symmetric order)
+_SPD_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
              "options": {"SymmetricMode": True}}
+
+# bound of the per-node-shape caches; one `solvers` benchmark pass meets five shapes
+_SHAPE_CACHE = 16
 
 
 def _two_point_1d(n: int, left: float, right: float) -> sp.csr_matrix:
@@ -54,7 +63,7 @@ def cell_average_operator(domain: GridDomain) -> sp.csr_matrix:
     return op
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
 def _stencil_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the 3^d-point stencil on a node grid, and its slot mask.
 
@@ -82,6 +91,65 @@ def _stencil_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np
     for arr in (indptr, indices, keep):
         arr.setflags(write=False)
     return indptr, indices, keep
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _dissection_order(shape: tuple[int, ...]) -> np.ndarray:
+    """Geometric nested-dissection order of the flat nodes of a grid.
+
+    A box of nodes is cut at the middle node of its longest axis (the first
+    such axis on ties); the two halves are ordered first, recursively, and
+    the separator plane last.  Boxes with at most 2 nodes per axis are
+    leaves.  Leaves and separators keep their nodes' lexicographic order.
+    Built level by level over all boxes at once; the array is read-only.
+    """
+    dim = len(shape)
+    n = int(np.prod(shape))
+    coords = np.indices(shape).reshape(dim, n).T
+    order = np.empty(n, dtype=np.intp)
+    nodes = np.arange(n)
+    box = np.zeros(n, dtype=np.intp)
+    lo = np.zeros((1, dim), dtype=np.intp)
+    hi = np.array([shape], dtype=np.intp)
+    start = np.zeros(1, dtype=np.intp)
+    while nodes.size:
+        b = np.arange(len(lo))
+        ext = hi - lo
+        axis = np.argmax(ext, axis=1)
+        cut = ext[b, axis] > 2
+        mid = lo[b, axis] + ext[b, axis] // 2
+        # place each leaf box whole, and each cut box's separator plane after its halves
+        plo, phi = lo.copy(), hi.copy()
+        plo[b[cut], axis[cut]] = mid[cut]
+        phi[b[cut], axis[cut]] = mid[cut] + 1
+        pext = phi - plo
+        offset = start + ext.prod(axis=1) - pext.prod(axis=1)
+        strides = np.ones_like(lo)
+        strides[:, :-1] = np.cumprod(pext[:, :0:-1], axis=1)[:, ::-1]
+        c = coords[nodes]
+        side = c[np.arange(len(nodes)), axis[box]] - mid[box]
+        placed = ~cut[box] | (side == 0)
+        pb = box[placed]
+        order[offset[pb] + ((c[placed] - plo[pb]) * strides[pb]).sum(axis=1)] = nodes[placed]
+        # the halves of the cut boxes become the next level's boxes: lower halves first
+        cb, ca = b[cut], axis[cut]
+        k = len(cb)
+        lo = np.concatenate([lo[cb], lo[cb]])
+        hi = np.concatenate([hi[cb], hi[cb]])
+        hi[np.arange(k), ca] = mid[cut]
+        lo[k + np.arange(k), ca] = mid[cut] + 1
+        start = np.concatenate([start[cb], start[cb] + (hi[:k] - lo[:k]).prod(axis=1)])
+        rest = ~placed
+        box = (np.cumsum(cut) - 1)[box[rest]] + k * (side[rest] > 0)
+        nodes = nodes[rest]
+    order.setflags(write=False)
+    return order
+
+
+def _block_order(shape: tuple[int, ...], keep: np.ndarray) -> np.ndarray:
+    """The flat nodes where `keep` holds, in the grid's dissection order (a new array)."""
+    order = _dissection_order(shape)
+    return order[keep[order]]
 
 
 def assemble_form_matrix(domain: GridDomain, cell_matrices: np.ndarray) -> sp.csr_matrix:
@@ -138,9 +206,8 @@ def solve_linear_dirichlet(structure: GridStructure, boundary_values: np.ndarray
     free = ~mask_flat
     if not free.any():
         return vals.reshape(structure.domain.node_shape)
-    S = stiffness_matrix(structure).tocsc()
-    S_ff = S[free][:, free]
-    S_fm = S[free][:, mask_flat]
-    rhs = -S_fm @ vals[mask_flat]
-    vals[free] = spla.splu(S_ff, **_SPD_SPLU).solve(rhs)
+    o = _block_order(structure.domain.node_shape, free)
+    S_o = stiffness_matrix(structure)[o]
+    rhs = -(S_o[:, mask_flat] @ vals[mask_flat])
+    vals[o] = spla.splu(S_o[:, o].tocsc(), **_SPD_SPLU).solve(rhs)
     return vals.reshape(structure.domain.node_shape)

@@ -54,6 +54,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_finite(mats: np.ndarray) -> None:
+    """Reject NaN or infinite coefficient entries before any arithmetic on them."""
+    if not np.isfinite(mats).all():
+        raise ValueError("non-finite coefficient entries: their eigenvalues escape any bounds")
+
+
 def _det(mats: np.ndarray) -> np.ndarray:
     """Per-block determinant: ad - bc for 2x2 blocks, LAPACK otherwise."""
     if mats.shape[-1] != 2:
@@ -215,6 +221,7 @@ class CoefficientField:
         d = mats.shape[-1]
         if mats.shape[-2] != d:
             raise ValueError("coefficient matrices must be square")
+        _require_finite(mats)
         sym_err = np.max(np.abs(mats - np.swapaxes(mats, -1, -2)))
         scale = max(np.max(np.abs(mats)), 1e-300)
         if sym_err > 1e-10 * scale:
@@ -222,7 +229,7 @@ class CoefficientField:
         eigs = _sym_eigvalsh(mats)
         tol = 1e-8 * (self.alpha + self.beta)
         lo, hi = float(np.min(eigs)), float(np.max(eigs))
-        if not (lo >= self.alpha - tol and hi <= self.beta + tol):  # NaN fails too
+        if not (lo >= self.alpha - tol and hi <= self.beta + tol):
             raise ValueError(
                 f"eigenvalues [{lo:.6g}, {hi:.6g}] escape the declared bounds "
                 f"[{self.alpha:.6g}, {self.beta:.6g}]"
@@ -254,6 +261,7 @@ class CoefficientField:
         if mats.shape != expected:
             raise ShapeMismatchError(f"expected matrix field of shape {expected}, got {mats.shape}")
         if alpha is None or beta is None:
+            _require_finite(mats)
             eigs = _sym_eigvalsh(mats)
             alpha = float(np.min(eigs)) if alpha is None else alpha
             beta = float(np.max(eigs)) if beta is None else beta

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import ndimage
 
-from .assemble import _SPD_SPLU, assemble_form_matrix, solve_linear_dirichlet
+from .assemble import _SPD_SPLU, _block_order, assemble_form_matrix, solve_linear_dirichlet
 from .grid import GridFunction, ShapeMismatchError, _flux_gamma, _values, dp_norm
 from .pform import PFormContext, _safe_power, p_energy, p_operator, scaled_operator_field
 
@@ -130,6 +130,7 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
     The last item returned is the free nodes' operator coefficients at the solution.
     """
     free = ~mask.reshape(-1)
+    free_index = np.cumsum(free) - 1
     mass = ctx.domain.node_mass().reshape(-1)[free]
     embed, fun, jac = _free_objective(vals.reshape(-1), mask, ctx)
     x = vals.reshape(-1)[free]
@@ -167,14 +168,17 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
         u = GridFunction(embed(x).reshape(ctx.domain.node_shape))
         block = free.copy()
         block[free] = inactive
-        H_ff = hessian_matrix(u, ctx).tocsc()[block][:, block]
+        # the inactive block in the grid's dissection order; o indexes the free nodes
+        nodes = _block_order(ctx.domain.node_shape, block)
+        H_oo = hessian_matrix(u, ctx)[nodes][:, nodes].tocsc()
+        o = free_index[nodes]
         step = None
         for _attempt in range(25):
-            shift = lam * sp.diags(np.maximum(H_ff.diagonal(), 1e-300)) if lam > 0 else None
-            A = H_ff + shift if shift is not None else H_ff
+            shift = lam * sp.diags(np.maximum(H_oo.diagonal(), 1e-300)) if lam > 0 else None
+            A = H_oo + shift if shift is not None else H_oo
             d = np.zeros_like(x)
             try:
-                d[inactive] = spla.splu(A.tocsc(), **_SPD_SPLU).solve(-g[inactive])
+                d[o] = spla.splu(A.tocsc(), **_SPD_SPLU).solve(-g[o])
             except RuntimeError:
                 lam = max(lam * 10.0, 1e-10)
                 continue

@@ -92,6 +92,7 @@ class TestCoefficientField:
         assert fld.alpha == 0.5 and fld.beta == 2.0
 
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite_entries(self, square, bad):
         mats = np.array(np.broadcast_to(np.eye(2), square.cells_shape + (2, 2)))
