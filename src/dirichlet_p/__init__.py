@@ -22,7 +22,7 @@ from .grid import (
     gradient,
     unit_structure,
 )
-from .pform import NodeFunctional, PFormContext, p_energy, p_form, p_operator
+from .pform import PFormContext, p_energy, p_form, p_operator
 
 __all__ = [
     "CoefficientField",
@@ -38,7 +38,6 @@ __all__ = [
     "gamma",
     "gradient",
     "unit_structure",
-    "NodeFunctional",
     "PFormContext",
     "p_energy",
     "p_form",

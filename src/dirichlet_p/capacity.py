@@ -32,14 +32,12 @@ from .pform import (
     p_operator,
 )
 from .report import CheckReport
-from .solve import SolveOptions, SolveResult, _vi_residual, solve_dirichlet
+from .solve import SolveOptions, SolveResult, solve_dirichlet, vi_residual
 
 __all__ = [
     "Condenser",
     "CapacityResult",
     "capacity",
-    "capacity_of_open",
-    "is_pure_potential",
     "check_choquet",
     "check_union_difference",
     "nodes_in_interval",
@@ -160,10 +158,14 @@ def capacity(cond: Condenser, ctx: PFormContext, opts: SolveOptions | None = Non
     eps = 0.  vi_residual is the worst normalized violation of
     <op(e), w - e> >= 0 over sampled admissible competitors w (w >= 1 on
     the inner set, w = 0 on the outer set), certifying the inequality-
-    constrained formulation that the equality solve replaces.
+    constrained formulation that the equality solve replaces.  The
+    vi_samples competitors are the constant 1, max(e, 1) and
+    vi_samples - 2 random upward bumps of e, so vi_samples must be >= 3.
     """
     opts = opts or SolveOptions()
     rng = rng or np.random.default_rng(0)
+    if vi_samples < 3:
+        raise ValueError(f"need vi_samples >= 3, got {vi_samples}")
     if cond.inner.shape != ctx.domain.node_shape:
         raise ShapeMismatchError("condenser does not match the grid")
     e, solve_res = _equilibrium(cond.inner, cond.outer, ctx, opts)
@@ -171,17 +173,13 @@ def capacity(cond: Condenser, ctx: PFormContext, opts: SolveOptions | None = Non
     pairing = p_form(e, e, ctx)
 
     free = ~(cond.inner | cond.outer)
-    competitors: list[np.ndarray] = []
-    ones = np.where(cond.outer, 0.0, 1.0)
-    competitors.append(ones)
-    scale = 1.0
-    for _ in range(max(vi_samples - 2, 1)):
-        bump = np.abs(rng.standard_normal(e.values.shape)) * 0.25 * scale
-        w = e.values + np.where(free | cond.inner, bump, 0.0)
-        competitors.append(w)
+    competitors = [np.where(cond.outer, 0.0, 1.0)]
+    for _ in range(vi_samples - 2):
+        bump = np.abs(rng.standard_normal(e.values.shape)) * 0.25
+        competitors.append(e.values + np.where(free | cond.inner, bump, 0.0))
     competitors.append(np.where(cond.outer, 0.0, np.maximum(e.values, 1.0)))
-    coeff = p_operator(e, ctx, mask=cond.outer).coefficients
-    vi = _vi_residual(coeff, e, ctx, competitors)
+    coeff = p_operator(e, ctx, mask=cond.outer)
+    vi = vi_residual(coeff, e, ctx, competitors)
 
     _, worst_mult, _ = _pure_potential_test(coeff)
     diagnostics = {
@@ -195,38 +193,6 @@ def capacity(cond: Condenser, ctx: PFormContext, opts: SolveOptions | None = Non
     }
     diagnostics.update(_free_components_touching_inner(cond.inner, cond.outer))
     return CapacityResult(value=value, potential=e, vi_residual=vi, diagnostics=diagnostics)
-
-
-def capacity_of_open(inner: np.ndarray, outer: np.ndarray, ctx: PFormContext,
-                     opts: SolveOptions | None = None) -> CapacityResult:
-    """Capacity of an open node set: the supremum over contained compacts.
-
-    On a finite grid every node set is its own maximal compact subset, so
-    the supremum is attained at the set itself; the attaining set is
-    recorded in the diagnostics and the computation is the same code path
-    as `capacity`, which is the discrete form of the compact/open
-    consistency of the two definitions.
-    """
-    inner = np.asarray(inner, dtype=bool)
-    outer = np.asarray(outer, dtype=bool)
-    if (inner & outer).any():
-        raise ValueError("open set must be disjoint from the outer set")
-    result = capacity(Condenser(inner, outer), ctx, opts)
-    result.diagnostics["attaining_compact_size"] = int(inner.sum())
-    return result
-
-
-def is_pure_potential(u: GridFunction, ctx: PFormContext) -> bool:
-    """Coefficientwise cone test: <op(u), w> >= 0 for nonnegative nodal w.
-
-    u must be admissible (vanish on its own mask); equilibrium potentials
-    return True.
-    """
-    if u.mask is None:
-        raise ValueError("pure-potential test needs the outer mask on u")
-    if np.any(np.abs(u.values[u.mask]) > 1e-12):
-        raise ValueError("admissible functions vanish on the outer mask")
-    return _pure_potential_test(p_operator(u, ctx, mask=u.mask).coefficients)[0]
 
 
 # -- Choquet property suite ---------------------------------------------------

@@ -32,8 +32,10 @@ from .capacity import _memo_cap, capacity, check_choquet, check_union_difference
 from .config import (
     ConfigError,
     _as_list,
+    _at_least,
     _check_keys,
     _get_value,
+    _nonempty_list,
     load_config,
     nearest_node,
     node_set_from_shape,
@@ -143,7 +145,7 @@ def _cmd_capacity(cfg: dict, seed: int, tol: float | None) -> dict:
     block = cfg["capacity"]
     cond = parse_condenser(block["condenser"], ctx.domain)
     rng = np.random.default_rng(seed)
-    vi_samples = _get_value(block, "vi_samples", int, "capacity", 8)
+    vi_samples = _get_value(block, "vi_samples", _at_least(3), "capacity", 8)
     result = capacity(cond, ctx, opts, vi_samples=vi_samples, rng=rng)
     return {
         "value": result.value,
@@ -291,8 +293,9 @@ def _cmd_check(cfg: dict, seed: int, tol: float | None) -> dict:
     ctx = parse_context(cfg)
     opts = parse_solve_options(cfg, tol)
     block = cfg.get("check", {})
-    suites = _get_value(block, "suites", _as_list, "check", ["sector", "monotone", "contraction"])
-    trials = _get_value(block, "trials", int, "check", 50)
+    suites = _get_value(block, "suites", _nonempty_list, "check",
+                        ["sector", "monotone", "contraction"])
+    trials = _get_value(block, "trials", _at_least(1), "check", 50)
     known = {"sector", "monotone", "contraction", "d1d2", "choquet", "union_diff"}
     for name in suites:
         if name not in known:

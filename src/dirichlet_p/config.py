@@ -104,6 +104,22 @@ def _as_list(value: Any) -> list:
     return value
 
 
+def _nonempty_list(value: Any) -> list:
+    if not _as_list(value):
+        raise ValueError("expected a nonempty list")
+    return value
+
+
+def _at_least(low: int) -> Callable[[Any], int]:
+    """Converter to an int no smaller than low: a count that would make a run vacuous fails."""
+    def convert(value: Any) -> int:
+        n = int(value)
+        if n < low:
+            raise ValueError(f"must be at least {low}")
+        return n
+    return convert
+
+
 def parse_domain(cfg: dict[str, Any]) -> GridDomain:
     _check_keys(cfg, {"dim", "extent", "shape", "density"}, {"dim", "extent", "shape"},
                 "domain")

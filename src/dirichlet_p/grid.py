@@ -37,10 +37,6 @@ __all__ = [
     "dp_norm",
     "meet",
     "join",
-    "positive_part",
-    "unit_truncation",
-    "two_sided_truncation",
-    "product",
 ]
 
 
@@ -294,9 +290,6 @@ class GridStructure:
     def measure(self) -> np.ndarray:
         return self.domain.measure
 
-    def with_field(self, field: CoefficientField) -> "GridStructure":
-        return GridStructure(self.domain, field)
-
     def describe(self) -> str:
         return self.domain.describe()
 
@@ -498,24 +491,3 @@ def meet(u: GridFunction, v: GridFunction) -> GridFunction:
 def join(u: GridFunction, v: GridFunction) -> GridFunction:
     """Nodewise maximum u v v."""
     return GridFunction(np.maximum(_values(u), _values(v)), _merge_masks(u, v))
-
-
-def positive_part(u: GridFunction) -> GridFunction:
-    return GridFunction(np.maximum(_values(u), 0.0), getattr(u, "mask", None))
-
-
-def unit_truncation(u: GridFunction) -> GridFunction:
-    """u+ ^ 1, the unit contraction applied nodewise."""
-    return GridFunction(np.clip(_values(u), 0.0, 1.0), getattr(u, "mask", None))
-
-
-def two_sided_truncation(u: GridFunction, level: float) -> GridFunction:
-    """((-n) v u) ^ n for a level n >= 0."""
-    level = float(level)
-    if level < 0:
-        raise ValueError("truncation level must be nonnegative")
-    return GridFunction(np.clip(_values(u), -level, level), getattr(u, "mask", None))
-
-
-def product(u: GridFunction, v: GridFunction) -> GridFunction:
-    return GridFunction(_values(u) * _values(v), _merge_masks(u, v))

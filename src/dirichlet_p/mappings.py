@@ -48,7 +48,7 @@ from .grid import (
     boundary_mask,
     gradient,
 )
-from .pform import PFormContext, _safe_power, scaled_operator_field
+from .pform import PFormContext, scaled_operator_field
 from .solve import _region_interior
 from .report import CheckReport
 
@@ -61,13 +61,10 @@ __all__ = [
     "JacobianField",
     "QrAnalysis",
     "differentiate",
-    "dilatations",
     "distortion_tensor",
     "analyze",
     "induced_structure",
-    "induced_context",
     "verify_component_harmonicity",
-    "a_operator",
 ]
 
 # mass-scaled residual below which verify_component_harmonicity sees rounding only
@@ -154,9 +151,6 @@ class PowerMapping(_PuncturedMapping):
     def refined(self) -> "PowerMapping":
         return PowerMapping(self.domain.refined(), self.k, self.puncture)
 
-    def omits_zero(self) -> bool:
-        return False  # z^k hits 0 at the origin; the region excludes it
-
 
 @dataclass(eq=False)
 class RadialStretch(_PuncturedMapping):
@@ -221,9 +215,6 @@ class LinearMapping(Mapping):
     def refined(self) -> "LinearMapping":
         return LinearMapping(self.domain.refined(), self.matrix)
 
-    def omits_zero(self) -> bool:
-        return False
-
 
 @dataclass(eq=False)
 class SampledMapping(Mapping):
@@ -258,10 +249,6 @@ class JacobianField:
     J: np.ndarray
     flagged: np.ndarray  # J <= 0: excluded from dilatations, reported
 
-    @property
-    def excluded_fraction(self) -> float:
-        return float(np.mean(self.flagged))
-
 
 def _singular_values(Df: np.ndarray) -> np.ndarray:
     """Per-cell singular values, descending.
@@ -288,21 +275,17 @@ def differentiate(mapping: Mapping) -> JacobianField:
     return JacobianField(Df=Df, J=J, flagged=J <= 0.0)
 
 
-def _dilatations(jf: JacobianField, sv: np.ndarray) -> tuple[float, float]:
-    """K_O, K_I from the singular values sv of the unflagged cells' Df."""
+def _dilatations(jf: JacobianField) -> tuple[float, float]:
+    """Outer and inner dilatations K_O, K_I over the unflagged cells (both >= 1)."""
     ok = ~jf.flagged
     if not ok.any():
         raise ValueError("every cell is degenerate; no dilatations")
     n = jf.Df.shape[-1]
+    sv = _singular_values(jf.Df[ok])
     J = jf.J[ok]
     K_O = float(np.max(sv[..., 0] ** n / J))
     K_I = float(np.max(J / sv[..., -1] ** n))
     return K_O, K_I
-
-
-def dilatations(jf: JacobianField) -> tuple[float, float]:
-    """Outer and inner dilatations over unflagged cells (both >= 1)."""
-    return _dilatations(jf, _singular_values(jf.Df[~jf.flagged]))
 
 
 def distortion_tensor(jf: JacobianField) -> np.ndarray:
@@ -333,8 +316,6 @@ def distortion_tensor(jf: JacobianField) -> np.ndarray:
 class QrAnalysis:
     """Everything the distortion analysis produces for one mapping."""
 
-    jacobian: JacobianField
-    singular_values: np.ndarray
     K_O: float
     K_I: float
     theta: np.ndarray
@@ -351,8 +332,7 @@ def analyze(mapping: Mapping) -> QrAnalysis:
     lies in [K_O^(-2/n), K_I^(2/n)] up to rounding, and det theta = 1.
     """
     jf = differentiate(mapping)
-    sv = _singular_values(jf.Df)
-    K_O, K_I = _dilatations(jf, sv[~jf.flagged])
+    K_O, K_I = _dilatations(jf)
     n = mapping.domain.dim
     theta = distortion_tensor(jf)
     alpha = K_O ** (-2.0 / n)
@@ -370,8 +350,7 @@ def analyze(mapping: Mapping) -> QrAnalysis:
     det_err = float(np.max(np.abs(dets - 1.0))) if dets.size else 0.0
     excluded = float(np.sum(np.where(jf.flagged, mapping.domain.measure, 0.0)))
     return QrAnalysis(
-        jacobian=jf, singular_values=sv, K_O=K_O, K_I=K_I, theta=theta,
-        alpha=alpha, beta=beta, excluded_measure=excluded,
+        K_O=K_O, K_I=K_I, theta=theta, alpha=alpha, beta=beta, excluded_measure=excluded,
         details={"det_error": det_err, "flagged_cells": int(jf.flagged.sum())},
     )
 
@@ -381,13 +360,6 @@ def induced_structure(analysis: QrAnalysis, domain: GridDomain) -> GridStructure
     tol = 1e-9 * max(analysis.beta, 1.0)
     fld = CoefficientField(analysis.theta, analysis.alpha - tol, analysis.beta + tol)
     return GridStructure(domain, fld)
-
-
-def induced_context(mapping: Mapping) -> tuple[QrAnalysis, PFormContext]:
-    """Analysis plus the nonlinear context with exponent p = n."""
-    analysis = analyze(mapping)
-    structure = induced_structure(analysis, mapping.domain)
-    return analysis, PFormContext(structure, float(mapping.domain.dim))
 
 
 def _matched_residuals(mapping: Mapping, include_log: bool | None,
@@ -475,17 +447,3 @@ def verify_component_harmonicity(mapping: Mapping, min_order: float = 1.0,
         passed=passed, lhs=lhs, rhs=rhs, tolerance=_RESIDUAL_FLOOR,
         details={"fields": rows, "include_log": include_log},
     )
-
-
-def a_operator(G: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:
-    """The monotone flux A(x, xi) = (G xi, xi)^((p-2)/2) G xi.
-
-    Vectorized over leading axes of G and xi; satisfies
-    (A(x, xi), xi) = (G xi, xi)^(p/2) and positive homogeneity of degree
-    p - 1 in xi.
-    """
-    G = np.asarray(G, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    Gxi = np.einsum("...ij,...j->...i", G, xi)
-    q = np.einsum("...i,...i->...", Gxi, xi)
-    return _safe_power(q, (p - 2.0) / 2.0)[..., None] * Gxi

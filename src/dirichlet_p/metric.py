@@ -19,6 +19,7 @@ consume.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .grid import (
     cell_mean,
     gamma,
     gradient,
+    unit_structure,
 )
 from .pform import PFormContext, _safe_power
 from .report import CheckReport
@@ -80,10 +82,6 @@ def stencil_offsets(dim: int, neighborhood: int = 16) -> list[tuple[int, ...]]:
     return offsets
 
 
-_METRICATION_CACHE: dict[tuple[int, int], float] = {}
-_CUTOFF_BOUND_CACHE: dict[tuple[int, int], float] = {}
-
-
 def metrication_constant(dim: int, neighborhood: int = 16) -> float:
     """Worst-case relative overestimation of Euclidean length by the stencil.
 
@@ -96,12 +94,10 @@ def metrication_constant(dim: int, neighborhood: int = 16) -> float:
         if neighborhood == 8:
             return math.sqrt(4.0 - 2.0 * math.sqrt(2.0)) - 1.0
         return math.sqrt(1.0 + (math.sqrt(5.0) - 2.0) ** 2) - 1.0
-    key = (dim, neighborhood)
-    if key not in _METRICATION_CACHE:
-        _METRICATION_CACHE[key] = _sampled_metrication(dim, neighborhood)
-    return _METRICATION_CACHE[key]
+    return _sampled_metrication(dim, neighborhood)
 
 
+@functools.cache
 def _sampled_metrication(dim: int, neighborhood: int) -> float:
     from scipy.optimize import linprog
 
@@ -142,16 +138,17 @@ def cutoff_gamma_bound(dim: int, neighborhood: int = 16) -> float:
             return 4.0 - 2.0 * math.sqrt(2.0)
         s = math.sqrt(2.5) + math.sqrt(0.5)
         return ((s - 1.0) ** 2 + (3.0 - s) ** 2) / 2.0
-    key = (dim, neighborhood)
-    if key not in _CUTOFF_BOUND_CACHE:
-        from .grid import GridDomain, unit_structure
+    return _probed_cutoff_bound(dim, neighborhood)
 
-        domain = GridDomain(((0.0, 1.0),) * dim, (13,) * dim)
-        structure = unit_structure(domain)
-        fld = intrinsic_distance((6,) * dim, structure, neighborhood)
-        g = gamma(GridFunction(fld.distances), structure)
-        _CUTOFF_BOUND_CACHE[key] = float(np.max(g)) * (1.0 + 1e-9)
-    return _CUTOFF_BOUND_CACHE[key]
+
+@functools.cache
+def _probed_cutoff_bound(dim: int, neighborhood: int) -> float:
+    """Largest cell gamma of the distance profile from the center of a 13^dim unit grid."""
+    domain = GridDomain(((0.0, 1.0),) * dim, (13,) * dim)
+    structure = unit_structure(domain)
+    fld = intrinsic_distance((6,) * dim, structure, neighborhood)
+    g = gamma(GridFunction(fld.distances), structure)
+    return float(np.max(g)) * (1.0 + 1e-9)
 
 
 @dataclass(eq=False)
@@ -231,9 +228,9 @@ def _edge_weight_arrays(structure: GridStructure, offsets: list[tuple[int, ...]]
         weights_nd[on_grid] = np.sqrt(acc / count)
     # built after the loop so its temporaries and the targets never coexist
     strides = [int(np.prod(shape[a + 1:])) for a in range(dim)]
-    targets = np.repeat(np.arange(n, dtype=np.int32)[:, None], len(offsets), axis=1)
-    for k, off in enumerate(offsets):
-        targets[np.isfinite(weights[:, k]), k] += int(np.dot(off, strides))
+    step = np.array([np.dot(off, strides) for off in offsets], dtype=np.int32)
+    targets = np.where(np.isfinite(weights), step, np.int32(0))
+    targets += np.arange(n, dtype=np.int32)[:, None]
     return weights, targets
 
 

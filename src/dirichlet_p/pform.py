@@ -8,16 +8,22 @@ with the convex potential
 
     energy_p(u) = (1/p) sum_c (gamma(u)(c) + eps)^(p/2) m(c)
 
-whose exact algebraic gradient is the monotone operator returned by
-`p_operator`; the identity <p_operator(u), v> = form_p(u, v) holds to
-machine precision by construction, not by discretization.  eps is a
-regularization used below p = 2 where the integrand is singular at
-gamma = 0; for p >= 2 it defaults to zero and all identities are exact.
+whose exact algebraic gradient is the monotone operator generating the
+form.  `p_operator` returns its node coefficients F, an array of the node
+shape, zero on the Dirichlet mask, so that the pairing with a test
+function v is sum(F * v); the identity sum(p_operator(u) * v) =
+form_p(u, v) holds to machine precision by construction, not by
+discretization.  eps is a regularization used below p = 2 where the
+integrand is singular at gamma = 0; for p >= 2 it defaults to zero and
+all identities are exact.
 
 The check_* functions turn the defining properties of the form
 (homogeneity, sector condition, monotonicity, coercivity, hemicontinuity,
 contraction compatibility and the pure-potential axioms) into executable
-verdicts with explicit tolerances.
+verdicts with explicit tolerances.  The `check` command runs the sector,
+monotone, contraction and pure-potential verdicts; `check_coercive` (with
+`estimate_poincare`) and `check_hemicontinuous` are library verdicts that
+no command runs.
 """
 
 from __future__ import annotations
@@ -45,13 +51,11 @@ from .report import CheckReport
 
 __all__ = [
     "PFormContext",
-    "NodeFunctional",
     "PurePotentialError",
     "p_form",
     "p_energy",
     "p_operator",
     "scaled_operator_field",
-    "pure_potential_violation",
     "check_sector",
     "check_monotone",
     "check_coercive",
@@ -98,32 +102,6 @@ class PFormContext:
         return self.structure.describe()
 
 
-@dataclass(eq=False)
-class NodeFunctional:
-    """Nodal coefficients of a functional v -> sum_j F_j v_j.
-
-    Coefficients on masked nodes are zeroed: the pairing ignores any test
-    function supported there.
-    """
-
-    coefficients: np.ndarray
-    mask: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.mask is not None:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != self.coefficients.shape:
-                raise ShapeMismatchError("mask and coefficients have different shapes")
-            self.coefficients = np.where(self.mask, 0.0, self.coefficients)
-
-    def pair(self, v) -> float:
-        vals = _values(v)
-        if vals.shape != self.coefficients.shape:
-            raise ShapeMismatchError("test function lives on a different grid")
-        return float(np.sum(self.coefficients * vals))
-
-
 def _safe_power(base: np.ndarray, expo: float) -> np.ndarray:
     """base**expo with the convention 0**0 = 1 and 0**negative = 0."""
     if expo == 0.0:
@@ -167,28 +145,34 @@ def p_energy(u, ctx: PFormContext) -> float:
     return float(np.sum(_safe_power(g, ctx.p / 2.0) * ctx.measure)) / ctx.p
 
 
-def p_operator(u, ctx: PFormContext, mask: np.ndarray | None = None) -> NodeFunctional:
+def p_operator(u, ctx: PFormContext, mask: np.ndarray | None = None) -> np.ndarray:
     """Gradient of p_energy at u: the monotone operator generating the form.
 
-    <p_operator(u), v> = p_form(u, v) holds to machine precision for every
-    v vanishing on the mask (taken from u when not given).  Homogeneous of
-    degree p - 1 for eps = 0.
+    Returns the node coefficients F, zeroed on the mask (taken from u when
+    not given), so that sum(F * v) = p_form(u, v) to machine precision for
+    every v vanishing on the mask.  Homogeneous of degree p - 1 for eps = 0.
     """
     if mask is None and isinstance(u, GridFunction):
         mask = u.mask
     Ggu, w = _weights(u, ctx)
     q = 2.0 * (ctx.measure * w)[..., None] * Ggu
-    return NodeFunctional(gradient_adjoint(q, ctx.domain), mask)
+    coeff = gradient_adjoint(q, ctx.domain)
+    if mask is None:
+        return coeff
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != coeff.shape:
+        raise ShapeMismatchError("mask and coefficients have different shapes")
+    return np.where(mask, 0.0, coeff)
 
 
 def scaled_operator_field(u, ctx: PFormContext) -> np.ndarray:
-    """|coefficients of p_operator(u)| divided by the node mass.
+    """|p_operator(u)| divided by the node mass.
 
     This is the residual density used for harmonicity certificates and for
     solver convergence: it is the pairing against the nodal hat function at
     j, normalized by the measure carried by node j.
     """
-    coeff = p_operator(u, ctx, mask=np.zeros(ctx.domain.node_shape, dtype=bool)).coefficients
+    coeff = p_operator(u, ctx, mask=np.zeros(ctx.domain.node_shape, dtype=bool))
     return np.abs(coeff) / ctx.domain.node_mass()
 
 
@@ -468,18 +452,6 @@ class PurePotentialError(ValueError):
     """An input function fails the pure-potential cone condition."""
 
 
-def pure_potential_violation(u, ctx: PFormContext,
-                             mask: np.ndarray | None = None) -> tuple[float, tuple[int, ...]]:
-    """Most negative operator coefficient off the mask, with its node.
-
-    A pure potential pairs nonnegatively with every nonnegative test
-    function, which on the grid is a coefficientwise sign condition.
-    Returns (worst coefficient, node index); worst >= 0 means clean.
-    """
-    _, worst, idx = _pure_potential_test(p_operator(u, ctx, mask=mask).coefficients)
-    return worst, idx
-
-
 def _pure_potential_test(coeff: np.ndarray) -> tuple[bool, float, tuple[int, ...]]:
     """(clean, worst coefficient, node) for operator coefficients, zero on the mask.
 
@@ -514,8 +486,8 @@ def check_dirichlet_axioms(u, v, alpha: float, ctx: PFormContext,
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    _require_pure_potential(p_operator(u, ctx, mask=mask).coefficients, "u")
-    v_coeff = p_operator(v, ctx, mask=mask).coefficients
+    _require_pure_potential(p_operator(u, ctx, mask=mask), "u")
+    v_coeff = p_operator(v, ctx, mask=mask)
     _require_pure_potential(v_coeff, "v")
     uvals = _values(u)
     vvals = _values(v)

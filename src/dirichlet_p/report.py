@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -51,7 +50,3 @@ class CheckReport:
     @property
     def slack(self) -> float:
         return self.rhs - self.lhs
-
-    def to_json(self, **kwargs: Any) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)

@@ -115,7 +115,7 @@ def _free_objective(base: np.ndarray, mask: np.ndarray, ctx: PFormContext):
 
     def jac(x: np.ndarray) -> np.ndarray:
         gf = GridFunction(embed(x).reshape(shape))
-        return p_operator(gf, ctx, mask=mask).coefficients.reshape(-1)[free]
+        return p_operator(gf, ctx, mask=mask).reshape(-1)[free]
 
     return embed, fun, jac
 
@@ -276,15 +276,14 @@ def harmonicity_residual(u, region: np.ndarray, ctx: PFormContext) -> float:
     return float(np.max(scaled_operator_field(u, ctx)[eligible]))
 
 
-def vi_residual(u: GridFunction, ctx: PFormContext, feasible: list[np.ndarray],
-                mask: np.ndarray) -> float:
-    """Worst normalized violation of <op(u), v - u> >= 0 over feasible samples."""
-    return _vi_residual(p_operator(u, ctx, mask=mask).coefficients, u, ctx, feasible)
+def vi_residual(coeff: np.ndarray, u: GridFunction, ctx: PFormContext,
+                feasible: list[np.ndarray]) -> float:
+    """Worst normalized violation of <op(u), v - u> >= 0 over feasible samples.
 
-
-def _vi_residual(coeff: np.ndarray, u: GridFunction, ctx: PFormContext,
-                 feasible: list[np.ndarray]) -> float:
-    """vi_residual with the coefficients of op(u), zero on the mask, given."""
+    coeff is p_operator(u) with the mask of the constraint set, so it is
+    zero on the pinned nodes; each violation is divided by the D_p norm of
+    v - u.
+    """
     worst = 0.0
     for v in feasible:
         d = np.asarray(v, dtype=float) - u.values
@@ -352,8 +351,8 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
         bump[mask.reshape(-1)] = 0.0
         feasible.append(vals + bump)
     feasible.append(np.where(free, np.maximum(vals, lo_flat) + scale, vals))
-    vi = _vi_residual(coeff.reshape(domain.node_shape), u, ctx,
-                      [f.reshape(domain.node_shape) for f in feasible])
+    vi = vi_residual(coeff.reshape(domain.node_shape), u, ctx,
+                     [f.reshape(domain.node_shape) for f in feasible])
 
     return SolveResult(
         solution=u, residual_norm=residual, iterations=linear_iters + iterations,

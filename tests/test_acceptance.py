@@ -94,8 +94,7 @@ def test_criterion_01_p2_reduction():
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        cols[:, j] = p_operator(GridFunction(e.reshape(d.node_shape)),
-                                ctx).coefficients.reshape(-1)
+        cols[:, j] = p_operator(GridFunction(e.reshape(d.node_shape)), ctx).reshape(-1)
     entry_err = float(np.max(np.abs(cols - S))) / max(float(np.max(np.abs(S))), 1.0)
     ok = worst <= 1e-12 and entry_err <= 1e-10
     _line(1, ok, f"p=2 reduction: form dev {worst:.2e} (<=1e-12), "

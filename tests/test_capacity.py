@@ -9,10 +9,8 @@ from dirichlet_p import solve as solve_module
 from dirichlet_p.capacity import (
     Condenser,
     capacity,
-    capacity_of_open,
     check_choquet,
     check_union_difference,
-    is_pure_potential,
     nodes_in_ball,
     nodes_in_box,
     nodes_in_interval,
@@ -26,7 +24,13 @@ from dirichlet_p.grid import (
     boundary_mask,
     unit_structure,
 )
-from dirichlet_p.pform import PFormContext, p_form, pure_potential_violation
+from dirichlet_p.pform import (
+    PFormContext,
+    PurePotentialError,
+    check_dirichlet_axioms,
+    p_form,
+    p_operator,
+)
 from dirichlet_p.solve import SolveOptions
 from conftest import lbfgs_reference
 
@@ -60,6 +64,13 @@ class TestCondenser:
             Condenser(np.zeros(line17.node_shape, dtype=bool), outer)
         with pytest.raises(ValueError, match="disjoint"):
             Condenser(outer.copy(), outer)
+
+    @pytest.mark.parametrize("vi_samples", [2, -3])
+    def test_rejects_too_few_vi_samples(self, line17, vi_samples):
+        # the two fixed competitors and at least one random one
+        cond = Condenser(nodes_in_interval(line17, 0.4, 0.6), boundary_mask(line17))
+        with pytest.raises(ValueError, match="vi_samples"):
+            capacity(cond, PFormContext(unit_structure(line17), 2.0), vi_samples=vi_samples)
 
     def test_connectivity_diagnostic(self, line17):
         outer = boundary_mask(line17)
@@ -155,7 +166,7 @@ class TestCapacityValues:
         cond = Condenser(nodes_in_interval(line17, 0.25, 0.75), boundary_mask(line17))
         r = capacity(cond, ctx)
         assert len(calls) == 1
-        worst, _ = pure_potential_violation(r.potential, ctx, mask=cond.outer)
+        worst = float(np.min(p_operator(r.potential, ctx, mask=cond.outer)))
         assert r.diagnostics["min_multiplier"] == worst
 
     def test_2d_annulus_converges_to_closed_form(self):
@@ -172,21 +183,27 @@ class TestCapacityValues:
 
 class TestOpenSets:
     def test_open_equals_compact(self, line17):
+        # every node set is compact on a grid, so the supremum of the
+        # capacities of the compacts inside an open set K is attained at K
         ctx = PFormContext(unit_structure(line17), 2.0)
         outer = boundary_mask(line17)
         K = nodes_in_interval(line17, 0.375, 0.625)
-        via_open = capacity_of_open(K, outer, ctx)
-        via_compact = capacity(Condenser(K, outer), ctx)
-        assert via_open.value == via_compact.value
-        assert via_open.diagnostics["attaining_compact_size"] == int(K.sum())
+        idx = np.flatnonzero(K)
+        caps = {}
+        for i in range(len(idx)):
+            for j in range(i, len(idx)):
+                C = np.zeros_like(K)
+                C[idx[i]:idx[j] + 1] = True
+                caps[i, j] = capacity(Condenser(C, outer), ctx).value
+        assert max(caps.values()) == caps[0, len(idx) - 1]
 
     def test_monotone_in_the_set(self, line17):
         ctx = PFormContext(unit_structure(line17), 2.0)
         outer = boundary_mask(line17)
         small = nodes_in_interval(line17, 0.4375, 0.5625)
         big = nodes_in_interval(line17, 0.25, 0.75)
-        assert capacity_of_open(small, outer, ctx).value <= \
-            capacity_of_open(big, outer, ctx).value + 1e-10
+        assert capacity(Condenser(small, outer), ctx).value <= \
+            capacity(Condenser(big, outer), ctx).value + 1e-10
 
     def test_union_of_separated_squares_subadditive(self):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (17, 17))
@@ -194,24 +211,30 @@ class TestOpenSets:
         outer = boundary_mask(d)
         s1 = nodes_in_box(d, (0.1875, 0.1875), (0.375, 0.375))
         s2 = nodes_in_box(d, (0.625, 0.625), (0.8125, 0.8125))
-        cu = capacity_of_open(s1 | s2, outer, ctx).value
-        c1 = capacity_of_open(s1, outer, ctx).value
-        c2 = capacity_of_open(s2, outer, ctx).value
+        cu = capacity(Condenser(s1 | s2, outer), ctx).value
+        c1 = capacity(Condenser(s1, outer), ctx).value
+        c2 = capacity(Condenser(s2, outer), ctx).value
         assert cu <= c1 + c2 + 1e-9 * max(c1 + c2, 1.0)
 
 
 class TestPurePotential:
+    """The coefficientwise cone test <op(u), w> >= 0 for nonnegative nodal w,
+    as `check_dirichlet_axioms` applies it to its inputs."""
+
     def test_zero_is_pure(self, line17):
         ctx = PFormContext(unit_structure(line17), 2.0)
-        u = GridFunction(np.zeros(line17.node_shape), boundary_mask(line17))
-        assert is_pure_potential(u, ctx)
+        mask = boundary_mask(line17)
+        zero = GridFunction(np.zeros(line17.node_shape), mask)
+        assert check_dirichlet_axioms(zero, zero, 0.5, ctx, mask=mask).passed
 
     def test_equilibrium_potential_is_pure(self, line17):
         for p in (2.0, 3.0):
             ctx = PFormContext(unit_structure(line17), p)
             cond = Condenser(nodes_in_interval(line17, 0.25, 0.75), boundary_mask(line17))
             r = capacity(cond, ctx, SolveOptions(grad_tol=1e-10))
-            assert is_pure_potential(r.potential, ctx)
+            assert r.diagnostics["min_multiplier"] >= -1e-10 * r.value
+            e = r.potential
+            assert check_dirichlet_axioms(e, e, 0.25, ctx, mask=cond.outer).passed
 
     def test_interior_dip_is_not_pure(self):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (9, 9))
@@ -219,13 +242,9 @@ class TestPurePotential:
         mask = boundary_mask(d)
         vals = np.zeros(d.node_shape)
         vals[4, 4] = -1.0
-        assert not is_pure_potential(GridFunction(vals, mask), ctx)
-
-    def test_requires_admissibility(self, line17):
-        ctx = PFormContext(unit_structure(line17), 2.0)
-        u = GridFunction(np.ones(line17.node_shape), boundary_mask(line17))
-        with pytest.raises(ValueError, match="vanish"):
-            is_pure_potential(u, ctx)
+        zero = GridFunction(np.zeros(d.node_shape), mask)
+        with pytest.raises(PurePotentialError, match="u is not a pure potential"):
+            check_dirichlet_axioms(GridFunction(vals, mask), zero, 0.5, ctx, mask=mask)
 
 
 class TestChoquet1D:

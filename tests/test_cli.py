@@ -431,9 +431,18 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
     ("check", {"domain": base_domain_1d(), "p": 2.0, "check": {"suites": "sector"}},
      "'suites'"),
     ("check", {"domain": base_domain_1d(), "p": 2.0, "check": {"trials": "x"}}, "'trials'"),
+    ("check", {"domain": base_domain_1d(), "p": 2.0, "check": {"trials": 0}}, "'trials'"),
+    ("check", {"domain": base_domain_1d(), "p": 2.0, "check": {"trials": -4}}, "'trials'"),
+    ("check", {"domain": base_domain_1d(), "p": 2.0, "check": {"suites": []}}, "'suites'"),
     ("capacity", {"domain": base_domain_1d(), "p": 2.0, "capacity": {
         "condenser": {"inner": {"type": "interval", "a": 0.25, "b": 0.5},
                       "outer": "domain_boundary"}, "vi_samples": "many"}}, "'vi_samples'"),
+    ("capacity", {"domain": base_domain_1d(), "p": 2.0, "capacity": {
+        "condenser": {"inner": {"type": "interval", "a": 0.25, "b": 0.5},
+                      "outer": "domain_boundary"}, "vi_samples": 2}}, "'vi_samples'"),
+    ("capacity", {"domain": base_domain_1d(), "p": 2.0, "capacity": {
+        "condenser": {"inner": {"type": "interval", "a": 0.25, "b": 0.5},
+                      "outer": "domain_boundary"}, "vi_samples": -3}}, "'vi_samples'"),
     ("check", {"domain": base_domain_1d(), "p": 2.0, "seed": "abc"}, "'seed'"),
     ("caccioppoli", _caccioppoli_config("re_z2", {**BALL, "r": "a"}), "'r'"),
     ("metric", _metric_config(neighborhood=12), "'neighborhood'"),
@@ -446,8 +455,9 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
         "condenser": {"inner": {"type": "interval", "a": "x", "b": 0.5},
                       "outer": "domain_boundary"}}}, "'a'"),
 ], ids=["balls-not-a-list", "targets-not-a-list", "suites-not-a-list", "trials-not-int",
-        "vi-samples-not-int", "seed-not-int", "ball-r-not-float", "neighborhood-not-8-or-16",
-        "affine-linear-not-numbers", "grad-tol-not-float", "max-iter-not-int",
+        "trials-zero", "trials-negative", "suites-empty",
+        "vi-samples-not-int", "vi-samples-two", "vi-samples-negative", "seed-not-int",
+        "ball-r-not-float", "neighborhood-not-8-or-16", "affine-linear-not-numbers", "grad-tol-not-float", "max-iter-not-int",
         "interval-a-not-float"])
 def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, command, config, key):
     path = write_config(tmp_path, "c.json", config)

@@ -20,11 +20,7 @@ from dirichlet_p.grid import (
     gradient_adjoint,
     join,
     meet,
-    positive_part,
-    product,
-    two_sided_truncation,
     unit_structure,
-    unit_truncation,
 )
 from dirichlet_p.grid import _sym_eigvalsh
 from conftest import random_2x2_blocks, random_elliptic_field, random_function
@@ -298,24 +294,6 @@ class TestLatticeOps:
         v = GridFunction(r.standard_normal((5, 5)))
         total = meet(u, v).values + join(u, v).values
         assert np.array_equal(total, u.values + v.values)
-
-    def test_unit_truncation_saturates(self, square):
-        u = GridFunction.constant(square, 5.0)
-        assert np.all(unit_truncation(u).values == 1.0)
-        w = GridFunction.constant(square, -3.0)
-        assert np.all(unit_truncation(w).values == 0.0)
-
-    def test_two_sided_truncation(self, square):
-        u = GridFunction.constant(square, -7.0)
-        assert np.all(two_sided_truncation(u, 2.0).values == -2.0)
-        with pytest.raises(ValueError):
-            two_sided_truncation(u, -1.0)
-
-    def test_positive_part_and_product(self, square, rng):
-        u = random_function(square, rng)
-        v = random_function(square, rng)
-        assert np.all(positive_part(u).values >= 0.0)
-        assert np.array_equal(product(u, v).values, u.values * v.values)
 
     def test_mask_merge_conflict(self, square):
         m1 = boundary_mask(square)

@@ -1,23 +1,29 @@
 import numpy as np
 import pytest
 
-from dirichlet_p.grid import GridDomain, _det, _sym_eigvalsh, energy, unit_structure
+from dirichlet_p import mappings as mappings_module
+from dirichlet_p.grid import (
+    GridDomain,
+    _det,
+    _sym_eigvalsh,
+    energy,
+    gradient,
+    unit_structure,
+)
 from dirichlet_p.mappings import (
     JacobianField,
     LinearMapping,
     PowerMapping,
     RadialStretch,
     SampledMapping,
-    a_operator,
     analyze,
     differentiate,
-    dilatations,
     distortion_tensor,
-    induced_context,
     induced_structure,
     verify_component_harmonicity,
 )
 from dirichlet_p.mappings import _singular_values
+from dirichlet_p.pform import PFormContext, _weights
 from conftest import random_2x2_blocks, random_function
 
 
@@ -57,28 +63,28 @@ class TestDifferentiate:
         assert np.allclose(jf.Df, [[2.0, 0.0], [0.0, 1.0]], atol=1e-12)
 
     def test_orientation_reversal_flagged(self, box):
-        jf = differentiate(LinearMapping(box, np.diag([1.0, -1.0])))
-        assert jf.flagged.all()
+        mapping = LinearMapping(box, np.diag([1.0, -1.0]))
+        assert differentiate(mapping).flagged.all()
         with pytest.raises(ValueError, match="degenerate"):
-            dilatations(jf)
+            analyze(mapping)
 
 
 class TestDilatations:
     def test_conformal_power_maps(self, box):
         for k in (2, 3):
-            K_O, K_I = dilatations(differentiate(PowerMapping(box, k)))
-            assert abs(K_O - 1.0) <= 1e-10
-            assert abs(K_I - 1.0) <= 1e-10
+            an = analyze(PowerMapping(box, k))
+            assert abs(an.K_O - 1.0) <= 1e-10
+            assert abs(an.K_I - 1.0) <= 1e-10
 
     def test_radial_stretch_dilatation(self, box):
-        K_O, K_I = dilatations(differentiate(RadialStretch(box, 3.0)))
-        assert abs(K_O - 3.0) <= 1e-8
-        assert abs(K_I - 3.0) <= 1e-8
+        an = analyze(RadialStretch(box, 3.0))
+        assert abs(an.K_O - 3.0) <= 1e-8
+        assert abs(an.K_I - 3.0) <= 1e-8
 
     def test_linear_diag(self, box):
-        K_O, K_I = dilatations(differentiate(LinearMapping(box, np.diag([2.0, 1.0]))))
-        assert np.isclose(K_O, 2.0)
-        assert np.isclose(K_I, 2.0)
+        an = analyze(LinearMapping(box, np.diag([2.0, 1.0])))
+        assert np.isclose(an.K_O, 2.0)
+        assert np.isclose(an.K_I, 2.0)
 
 
 class TestDistortionTensor:
@@ -156,10 +162,12 @@ class TestClosedFormKernels:
 
     def test_three_d_stays_on_lapack(self):
         d3 = GridDomain(((-1.0, 1.0),) * 3, (7, 7, 7))
-        an = analyze(RadialStretch(d3, 1.5))
-        Df, J, ok = an.jacobian.Df, an.jacobian.J, ~an.jacobian.flagged
+        mapping = RadialStretch(d3, 1.5)
+        an = analyze(mapping)
+        jf = differentiate(mapping)
+        Df, J, ok = jf.Df, jf.J, ~jf.flagged
         assert np.array_equal(J, np.linalg.det(Df))
-        assert np.array_equal(an.singular_values, np.linalg.svd(Df, compute_uv=False))
+        assert np.array_equal(_singular_values(Df), np.linalg.svd(Df, compute_uv=False))
         inv = np.linalg.inv(Df[ok])
         theta = (J[ok] ** (2.0 / 3.0))[:, None, None] * (inv @ np.swapaxes(inv, -1, -2))
         assert np.array_equal(an.theta[ok], 0.5 * (theta + np.swapaxes(theta, -1, -2)))
@@ -184,12 +192,20 @@ class TestInducedStructure:
             assert np.isclose(energy(u, v, induced), energy(u, v, reference),
                               rtol=1e-10, atol=1e-12)
 
-    def test_context_has_p_equal_dimension(self, box):
-        _, ctx = induced_context(RadialStretch(box, 2.0))
-        assert ctx.p == 2.0
-        d3 = GridDomain(((-1.0, 1.0),) * 3, (7, 7, 7))
-        _, ctx3 = induced_context(RadialStretch(d3, 1.5))
-        assert ctx3.p == 3.0
+    def test_context_has_p_equal_dimension(self, box, monkeypatch):
+        # the induced form is the n-form: every residual field is measured with p = n
+        seen = []
+
+        def spying(u, ctx, _field=mappings_module.scaled_operator_field):
+            seen.append(ctx.p)
+            return _field(u, ctx)
+
+        monkeypatch.setattr(mappings_module, "scaled_operator_field", spying)
+        d3 = GridDomain(((-1.0, 1.0),) * 3, (9, 9, 9))
+        for mapping, n in ((RadialStretch(box, 2.0), 2.0), (RadialStretch(d3, 1.5), 3.0)):
+            seen.clear()
+            assert verify_component_harmonicity(mapping).p == n
+            assert seen and set(seen) == {n}
 
 
 class TestComponentHarmonicity:
@@ -244,20 +260,22 @@ class TestComponentHarmonicity:
             verify_component_harmonicity(sm)
 
 
-class TestAOperator:
-    def test_direct_value(self):
-        out = a_operator(np.eye(2), np.array([2.0, 0.0]), 4.0)
-        assert np.allclose(out, [8.0, 0.0])
+def _flux(G: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:
+    """The monotone flux A(x, xi) = (G xi, xi)^((p-2)/2) G xi, over leading axes."""
+    Gxi = np.einsum("...ij,...j->...i", G, xi)
+    q = np.einsum("...i,...i->...", Gxi, xi)
+    return (q ** ((p - 2.0) / 2.0))[..., None] * Gxi
 
-    def test_zero_input(self):
-        assert np.allclose(a_operator(np.eye(2), np.zeros(2), 3.0), 0.0)
+
+class TestAOperator:
+    """The flux A(x, xi) of the p-form, through the inline oracle `_flux`."""
 
     def test_positive_homogeneity(self, rng):
         G = np.array([[2.0, 0.3], [0.3, 1.0]])
         xi = rng.standard_normal(2)
         for p in (2.0, 3.0, 4.0):
-            lhs = a_operator(G, 2.5 * xi, p)
-            rhs = 2.5 ** (p - 1.0) * a_operator(G, xi, p)
+            lhs = _flux(G, 2.5 * xi, p)
+            rhs = 2.5 ** (p - 1.0) * _flux(G, xi, p)
             assert np.allclose(lhs, rhs, rtol=1e-12)
 
     def test_coercivity_lower_bound(self, rng):
@@ -266,13 +284,18 @@ class TestAOperator:
         for p in (2.0, 3.0):
             for _ in range(20):
                 xi = rng.standard_normal(2)
-                val = float(a_operator(G, xi, p) @ xi)
+                val = float(_flux(G, xi, p) @ xi)
                 q = float(xi @ (G @ xi))
                 assert np.isclose(val, q ** (p / 2.0), rtol=1e-12)
                 assert val >= alpha ** (p / 2.0) * np.linalg.norm(xi) ** p - 1e-12
 
     def test_batched_over_cells(self, box, rng):
-        an = analyze(RadialStretch(box, 2.0))
-        xi = rng.standard_normal(2)
-        out = a_operator(an.theta, xi, 2.0)
-        assert out.shape == box.cells_shape + (2,)
+        # over the cells of the induced structure, p_operator's weight times
+        # G grad u is 2^((p-2)/2) A(grad u), since gamma = 2 (G xi, xi)
+        s = induced_structure(analyze(RadialStretch(box, 2.0)), box)
+        u = random_function(box, rng)
+        for p in (2.0, 3.0, 4.0):
+            Ggu, w = _weights(u, PFormContext(s, p))
+            ref = 2.0 ** ((p - 2.0) / 2.0) * _flux(s.field.matrices, gradient(u, box), p)
+            assert ref.shape == box.cells_shape + (2,)
+            assert np.allclose(w[..., None] * Ggu, ref, rtol=1e-12, atol=0.0)

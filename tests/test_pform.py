@@ -33,7 +33,6 @@ from dirichlet_p.pform import (
     p_energy,
     p_form,
     p_operator,
-    pure_potential_violation,
 )
 from dirichlet_p.solve import SolveOptions, hessian_matrix
 from conftest import random_elliptic_field, random_function
@@ -118,18 +117,18 @@ class TestOperator:
                 v = random_function(square, rng)
                 v.values[mask] = 0.0
                 direct = p_form(u, GridFunction(v.values), ctx)
-                assert abs(F.pair(v) - direct) <= 1e-12 * max(abs(direct), 1.0)
+                assert abs(np.sum(F * v.values) - direct) <= 1e-12 * max(abs(direct), 1.0)
 
     def test_constant_gives_zero_functional(self, square, square_structure):
         ctx = PFormContext(square_structure, 3.0)
         F = p_operator(GridFunction.constant(square, 2.0), ctx)
-        assert np.all(F.coefficients == 0.0)
+        assert np.all(F == 0.0)
 
     def test_operator_homogeneity(self, square, square_structure, rng):
         ctx = PFormContext(square_structure, 3.0)
         u = random_function(square, rng)
-        F1 = p_operator(u, ctx).coefficients
-        F2 = p_operator(GridFunction(2.0 * u.values), ctx).coefficients
+        F1 = p_operator(u, ctx)
+        F2 = p_operator(GridFunction(2.0 * u.values), ctx)
         assert np.allclose(F2, 2.0 ** 2 * F1, rtol=1e-12)
 
     def test_euler_identity(self, square, square_structure, rng):
@@ -137,7 +136,7 @@ class TestOperator:
             ctx = PFormContext(square_structure, p)
             u = random_function(square, rng)
             F = p_operator(u, ctx)
-            assert np.isclose(F.pair(u), p * p_energy(u, ctx), rtol=1e-11)
+            assert np.isclose(np.sum(F * u.values), p * p_energy(u, ctx), rtol=1e-11)
 
     def test_p2_matches_assembled_stiffness_entrywise(self, rng):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (8, 8))
@@ -149,7 +148,7 @@ class TestOperator:
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
-            cols[:, j] = p_operator(GridFunction(e.reshape(d.node_shape)), ctx).coefficients.reshape(-1)
+            cols[:, j] = p_operator(GridFunction(e.reshape(d.node_shape)), ctx).reshape(-1)
         assert np.max(np.abs(cols - S)) <= 1e-10 * max(np.max(np.abs(S)), 1.0)
 
     def test_gradient_consistency_central_difference(self, square, rng):
@@ -216,7 +215,7 @@ class TestOneGradient:
         assert np.array_equal(gamma(u, s), _reference_gamma_pair(u, u, s))
         assert np.array_equal(carre_du_champ(u, v, s), _reference_gamma_pair(u, v, s))
         assert p_form(u, v, ctx) == _reference_p_form(u, v, ctx)
-        assert np.array_equal(p_operator(u, ctx).coefficients, _reference_p_operator(u, ctx))
+        assert np.array_equal(p_operator(u, ctx), _reference_p_operator(u, ctx))
         H, H_ref = hessian_matrix(u, ctx), _reference_hessian(u, ctx)
         assert np.array_equal(H.indptr, H_ref.indptr)
         assert np.array_equal(H.indices, H_ref.indices)
@@ -354,6 +353,20 @@ class TestCoercive:
         rep = check_coercive(PFormContext(s, 3.0), k, mask, n_samples=20, rng=rng)
         assert rep.passed, rep.witness
 
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_too_small_constant_fails(self, p):
+        # the same samples pass with the computed Poincare constant and fail
+        # with a hundredth of it
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (17, 17))
+        s = unit_structure(d)
+        mask = boundary_mask(d)
+        k = estimate_poincare(s, mask)
+        ctx = PFormContext(s, p)
+        assert check_coercive(ctx, k, mask).passed
+        rep = check_coercive(ctx, k / 100.0, mask)
+        assert rep.passed is False
+        assert rep.witness is not None and rep.witness["lhs"] > rep.witness["rhs"]
+
     @pytest.mark.parametrize("n_samples", [0, -1])
     def test_rejects_no_samples(self, square, square_structure, n_samples):
         # a check that draws nothing would pass vacuously
@@ -385,6 +398,23 @@ class TestHemicontinuity:
         v = random_function(square, rng)
         rep = check_hemicontinuous(u, v, ctx, samples=64)
         assert rep.passed and rep.lhs <= 0.75
+
+    def test_step_in_the_map_fails(self, square, square_structure, rng, monkeypatch):
+        # t -> <op(t u), u> with a jump of 1e4 at t = 1/2: the largest
+        # increment no longer shrinks when the sampling doubles
+        ctx = PFormContext(square_structure, 3.0)
+        u = GridFunction(rng.standard_normal(square.node_shape))
+        zero = GridFunction(np.zeros(square.node_shape))
+        assert check_hemicontinuous(u, zero, ctx).passed
+
+        def stepped(w, d, ctx, _p_form=pform_module.p_form):
+            t = float(np.vdot(w.values, u.values) / np.vdot(u.values, u.values))
+            return _p_form(w, d, ctx) + (1e4 if t >= 0.5 else 0.0)
+
+        monkeypatch.setattr(pform_module, "p_form", stepped)
+        rep = check_hemicontinuous(u, zero, ctx)
+        assert rep.passed is False
+        assert rep.lhs > 0.75
 
     def test_rejects_too_few_samples(self, square, square_structure, rng):
         ctx = PFormContext(square_structure, 3.0)
@@ -496,9 +526,10 @@ class TestDirichletAxioms:
 
     def test_violation_locator(self, square, square_structure):
         ctx = PFormContext(square_structure, 2.0)
+        outer = boundary_mask(square)
         vals = np.zeros(square.node_shape)
         vals[4, 4] = -1.0  # strict interior dip: negative coefficient nearby
-        worst, node = pure_potential_violation(GridFunction(vals), ctx,
-                                               mask=boundary_mask(square))
-        assert worst < 0.0
-        assert len(node) == 2
+        zero = GridFunction(np.zeros(square.node_shape), outer)
+        with pytest.raises(PurePotentialError,
+                           match=r"coefficient -[0-9.e+-]+ at node \(\d+, \d+\)"):
+            check_dirichlet_axioms(GridFunction(vals), zero, 0.1, ctx, mask=outer)

@@ -170,7 +170,7 @@ class TestNewton:
         t = 1e-5
 
         def op(w):
-            return p_operator(GridFunction(w), ctx).coefficients.reshape(-1)
+            return p_operator(GridFunction(w), ctx).reshape(-1)
 
         fd = (op(u + t * v) - op(u - t * v)) / (2.0 * t)
         hv = hessian_matrix(GridFunction(u), ctx) @ v.reshape(-1)
@@ -229,7 +229,7 @@ def _reference_obstacle(ctx, lo, boundary, opts, complementarity_tol=1e-8):
                           mask2.reshape(domain.node_shape))
         vals = solve_dirichlet(ctx, bc, opts).solution.values.reshape(-1)
         coeff = p_operator(GridFunction(vals.reshape(domain.node_shape)), ctx,
-                           mask=mask).coefficients.reshape(-1)
+                           mask=mask).reshape(-1)
         violated = free & ~active & (vals < lo_flat - atol)
         negative_mult = active & (coeff < -complementarity_tol * np.maximum(node_mass, 1e-300))
         if not violated.any() and not negative_mult.any():
