@@ -10,8 +10,11 @@ follow a fixed contract so CI can tell classes of failure apart:
 
 Reports are deterministic: a fixed seed produces byte-identical JSON, and
 the --threads hint never enters the output (all reductions run in a fixed
-order regardless of it).  DIRICHLET_P_LOG in {error, info, debug} controls
-logging on stderr.
+order regardless of it).  A report is, byte for byte, what
+json.dumps(report, sort_keys=True, indent=2) writes, plus a newline; the
+values of its grid payloads (a solution, a potential) are encoded by the
+stdlib's C encoder and spliced into that layout.  DIRICHLET_P_LOG in
+{error, info, debug} controls logging on stderr.
 """
 
 from __future__ import annotations
@@ -78,8 +81,12 @@ EXIT_COMPUTE = 2
 EXIT_PROPERTY = 3
 
 
+class _GridValues(list):
+    """The flat values of a grid payload: numbers only, encoded in C."""
+
+
 def _grid_payload(values: np.ndarray) -> dict[str, Any]:
-    return {"shape": list(values.shape), "values": values.reshape(-1).tolist()}
+    return {"shape": list(values.shape), "values": _GridValues(values.reshape(-1).tolist())}
 
 
 def _json_default(obj: Any):
@@ -93,14 +100,65 @@ def _json_default(obj: Any):
 
 
 # report values that hold no nested report
-_LEAVES = frozenset({float, int, str, bool, type(None)})
+_LEAVES = frozenset({float, int, str, bool, type(None), _GridValues})
+
+
+# stands in for a grid's values in the encoded skeleton of a report
+_GRID_MARK = "\0grid\0"
+
+
+def _skeleton(obj: Any, grids: list[_GridValues]) -> Any:
+    """obj with each grid's values replaced by _GRID_MARK.
+
+    The grids are appended to `grids` in the order json.dumps(obj,
+    sort_keys=True) writes them.  Containers are copied, not changed.
+    """
+    if type(obj) is _GridValues:
+        grids.append(obj)
+        return _GRID_MARK
+    if isinstance(obj, dict):
+        return {k: _skeleton(obj[k], grids) for k in sorted(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_skeleton(v, grids) for v in obj]
+    return obj
+
+
+def _encode_report(report: dict) -> str:
+    """Exactly json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n".
+
+    With `indent` set, json.dumps encodes every number in Python.  Here
+    the report is encoded that way with each grid's values replaced by a
+    mark, and each grid's values are encoded by the C encoder (which
+    json.dumps runs when `indent` is None): a newline plus the indent as
+    the item separator lays the numbers out as `indent=2` does.  Raises
+    ValueError on a non-finite number, like json.dumps.
+    """
+    grids: list[_GridValues] = []
+    text = json.dumps(_skeleton(report, grids), sort_keys=True, indent=2,
+                      default=_json_default, allow_nan=False)
+    before, *afters = text.split(json.dumps(_GRID_MARK))
+    parts = [before]
+    for values, after in zip(grids, afters):
+        # the closing bracket lines up with the start of the grid's line
+        line = before[before.rfind("\n") + 1:]
+        outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        if values:
+            inner = outer + "  "
+            # the C encoder's own brackets are cut off
+            parts += ["[", inner, json.dumps(values, separators=("," + inner, ": "),
+                                             allow_nan=False)[1:-1], outer, "]"]
+        else:
+            parts.append("[]")
+        parts.append(after)
+        before = after
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _harvest_failures(obj: Any) -> bool:
     """True when some nested report carries passed = False.
 
-    Numbers and strings get no call of their own, so a grid payload's
-    list of values is scanned, not walked.
+    Numbers, strings and grid values get no call of their own.
     """
     if isinstance(obj, dict):
         if obj.get("passed") is False:
@@ -183,7 +241,7 @@ def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
     ctx = parse_context(cfg)
     block = cfg["caccioppoli"]
     balls = []
-    for ball in _get_value(block, "balls", _as_list, "caccioppoli"):
+    for ball in _get_value(block, "balls", _nonempty_list, "caccioppoli"):
         _check_keys(ball, _BALL_KEYS, _BALL_KEYS, "caccioppoli ball")
         balls.append((ball["center"], _get_value(ball, "r", float, "caccioppoli ball"),
                       _get_value(ball, "R", float, "caccioppoli ball")))
@@ -478,8 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     if "p" in cfg:
         report["p"] = float(cfg["p"])
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, default=_json_default,
-                          allow_nan=False) + "\n"
+        text = _encode_report(report)
     except ValueError:
         print("computation produced non-finite values", file=sys.stderr)
         return EXIT_COMPUTE

@@ -338,8 +338,10 @@ class TestFlags:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
                              ids=["nan", "inf", "neg-inf"])
-    @pytest.mark.parametrize("wrap", [lambda v: [1.0, [2.0, v]], lambda v: {"a": {"b": v}}],
-                             ids=["list", "dict"])
+    @pytest.mark.parametrize("wrap", [lambda v: [1.0, [2.0, v]], lambda v: {"a": {"b": v}},
+                                      lambda v: cli._grid_payload(np.array([[1.0, 2.0],
+                                                                            [v, 3.0]]))],
+                             ids=["list", "dict", "grid"])
     def test_nonfinite_report_exits_two(self, tmp_path, monkeypatch, capsys, value, wrap):
         monkeypatch.setitem(cli._COMMANDS, "solve",
                             lambda cfg, seed, tol: {"value": wrap(value)})
@@ -353,6 +355,44 @@ class TestFlags:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "out.csv").exists()
+
+
+def _grid(*values):
+    return cli._grid_payload(np.array(values, dtype=float))
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2]
+
+
+@pytest.mark.parametrize("report", [
+    {"results": {"solution": _grid(0.5)}},
+    *[{"results": {"potential": _grid(x)}} for x in EDGE_FLOATS],
+    {"results": {"potential": _grid(*EDGE_FLOATS, 1.0, -2.5e-300)}},
+    {"grid": _grid(1.0, 2.0)},
+    {"results": {"a": [_grid(1.0, 2.0), [_grid(3.0)]], "b": {"c": {"d": _grid(4.0, 5.0)}}}},
+    {"results": {"rows": [{"solution": _grid(1.0, 2.0)}, (_grid(3.0), 4)]}},
+    {"results": {"z": _grid(1.0), "a": _grid(2.0), "m": {"values": [], "shape": [0]}}},
+    {"results": {"potential": cli._grid_payload(np.arange(6.0).reshape(2, 3)),
+                 "empty": cli._grid_payload(np.zeros((0, 3))), "n": np.float64(0.25),
+                 "flags": np.array([True, False]), "label": "\u00e9\x00", "none": None}},
+], ids=["one-value", "negative-zero", "subnormal", "1e-05", "1e16", "0.1+0.2", "mixed",
+        "top-level", "in-lists-and-dicts", "in-list-rows", "sorted-before-found",
+        "shaped-empty-and-numpy"])
+def test_encode_report_matches_stdlib_indent_2(report):
+    expected = json.dumps(report, sort_keys=True, indent=2, default=cli._json_default,
+                          allow_nan=False) + "\n"
+    assert cli._encode_report(report) == expected
+
+
+def test_grid_values_stay_lists_and_the_report_is_not_changed():
+    report = {"results": {"solution": _grid(1.0, 2.0), "rows": [{"passed": True}]}}
+    before = repr(report)
+    cli._encode_report(report)
+    assert repr(report) == before
+    assert isinstance(report["results"]["solution"]["values"], list)
+    assert cli._flatten_for_csv(report)[1:] == [
+        ["solution.shape[0]", 2], ["solution.values[0]", 1.0],
+        ["solution.values[1]", 2.0], ["rows[0].passed", True]]
 
 
 def test_failure_two_lists_deep_exits_three(tmp_path, monkeypatch):
@@ -427,6 +467,8 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
 @pytest.mark.parametrize("command, config, key", [
     ("caccioppoli", {"domain": base_domain_2d(9), "p": 2.0,
                      "caccioppoli": {"u": "re_z2", "balls": 3}}, "'balls'"),
+    ("caccioppoli", {"domain": base_domain_2d(9), "p": 2.0,
+                     "caccioppoli": {"u": "re_z2", "balls": []}}, "'balls'"),
     ("metric", _metric_config(targets=3), "'targets'"),
     ("check", {"domain": base_domain_1d(), "p": 2.0, "check": {"suites": "sector"}},
      "'suites'"),
@@ -454,8 +496,8 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
     ("capacity", {"domain": base_domain_1d(), "p": 2.0, "capacity": {
         "condenser": {"inner": {"type": "interval", "a": "x", "b": 0.5},
                       "outer": "domain_boundary"}}}, "'a'"),
-], ids=["balls-not-a-list", "targets-not-a-list", "suites-not-a-list", "trials-not-int",
-        "trials-zero", "trials-negative", "suites-empty",
+], ids=["balls-not-a-list", "balls-empty", "targets-not-a-list", "suites-not-a-list",
+        "trials-not-int", "trials-zero", "trials-negative", "suites-empty",
         "vi-samples-not-int", "vi-samples-two", "vi-samples-negative", "seed-not-int",
         "ball-r-not-float", "neighborhood-not-8-or-16", "affine-linear-not-numbers", "grad-tol-not-float", "max-iter-not-int",
         "interval-a-not-float"])

@@ -242,6 +242,23 @@ class TestSector:
                 rep = check_sector(u, v, ctx)
                 assert rep.passed and rep.slack >= -rep.tolerance
 
+    @pytest.mark.parametrize("wrong", [
+        # the p = 4 form: homogeneous of degree 3 in u, not p - 1 = 2
+        lambda u, v, ctx, _p_form=pform_module.p_form:
+            _p_form(u, v, PFormContext(ctx.structure, 4.0)),
+        lambda u, v, ctx, _p_form=pform_module.p_form: -_p_form(u, v, ctx),
+    ], ids=["degree-3", "negated"])
+    def test_wrong_form_fails(self, square, square_structure, rng, monkeypatch, wrong):
+        # u = 2w, v = w is the equality case of the honest sector bound
+        ctx = PFormContext(square_structure, 3.0)
+        w = random_function(square, rng)
+        u = GridFunction(2.0 * w.values)
+        assert check_sector(u, w, ctx).passed
+        monkeypatch.setattr(pform_module, "p_form", wrong)
+        rep = check_sector(u, w, ctx)
+        assert rep.passed is False
+        assert rep.slack < -rep.tolerance
+
 
 class TestMonotone:
     def test_identical_inputs(self, square, square_structure, rng):
@@ -270,6 +287,23 @@ class TestMonotone:
             rep = check_monotone(u, v, ctx)
             assert rep.passed
             assert rep.details["min_cell_value"] >= -rep.tolerance
+
+    @pytest.mark.parametrize("wrong", [
+        # divided by |u|^p: homogeneous of degree -1 in u, so it decays along rays
+        lambda u, v, ctx, _density=pform_module._form_density:
+            _density(u, v, ctx) / np.linalg.norm(u.values) ** ctx.p,
+        lambda u, v, ctx, _density=pform_module._form_density: -_density(u, v, ctx),
+    ], ids=["degree-minus-1", "negated"])
+    def test_wrong_operator_fails(self, square, square_structure, rng, monkeypatch, wrong):
+        ctx = PFormContext(square_structure, 3.0)
+        w = random_function(square, rng)
+        v = GridFunction(2.0 * w.values)
+        assert check_monotone(w, v, ctx).passed
+        monkeypatch.setattr(pform_module, "_form_density", wrong)
+        rep = check_monotone(w, v, ctx)
+        assert rep.passed is False
+        assert rep.details["min_cell_value"] < -rep.tolerance
+        assert rep.details["pairing"] < 0.0
 
 
 class TestPoincare:

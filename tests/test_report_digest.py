@@ -22,9 +22,9 @@ SCRIPT = str(ROOT / "scripts" / "report_digest.py")
 GOLDEN = ROOT / "tests" / "golden"
 
 
-def _smoke_compare(golden: pathlib.Path) -> subprocess.CompletedProcess:
+def _smoke_compare(golden: pathlib.Path, *flags: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, SCRIPT, "--smoke", "--seed", "101",
-                           "--compare", str(golden)],
+                           "--compare", str(golden), *flags],
                           capture_output=True, text=True, timeout=300)
 
 
@@ -35,9 +35,14 @@ def _compare_lines(stdout: str) -> dict[str, list[str]]:
 
 
 @pytest.fixture(scope="module")
-def golden_run() -> subprocess.CompletedProcess:
-    """One smoke run that digests every job and compares it with tests/golden."""
-    return _smoke_compare(GOLDEN)
+def kept(tmp_path_factory) -> pathlib.Path:
+    return tmp_path_factory.mktemp("kept")
+
+
+@pytest.fixture(scope="module")
+def golden_run(kept) -> subprocess.CompletedProcess:
+    """One smoke run that digests every job, compares it with tests/golden and keeps it."""
+    return _smoke_compare(GOLDEN, "--keep", str(kept))
 
 
 def test_smoke_digests_every_job(golden_run):
@@ -55,6 +60,15 @@ def test_smoke_reports_match_golden(golden_run):
     assert {name for name, fields in compared.items() if fields[0] != "ok"} == set(), \
         golden_run.stdout
     assert golden_run.returncode == 0
+
+
+def test_smoke_reports_are_stdlib_indent_2_json(golden_run, kept):
+    # pins the byte layout of every command's report, whatever its values
+    reports = sorted(kept.glob("*.json"))
+    assert len(reports) == 18
+    for path in reports:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path.name
 
 
 def _edited_golden(tmp_path: pathlib.Path, name: str, edit) -> pathlib.Path:
