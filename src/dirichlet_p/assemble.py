@@ -8,8 +8,11 @@ from per-cell coefficient matrices w.  With w = 2 m G this is the matrix of
 the bilinear map (u, v) -> int gamma(u, v) dm, i.e. the linear operator at
 p = 2.  Each cell adds its 2^d x 2^d corner matrix into a fixed CSR
 pattern of the 3^d-point node stencil, which is built once per node shape.
-This route shares no code with the algebraic gradient/adjoint pipeline,
-so the two can cross-check each other.
+The slots are kept offset-major, one node-shaped plane per stencil offset,
+so each corner pair adds into one contiguous plane; in 2-D the corner
+entries are four signed sums written out in closed form.  This route
+shares no code with the algebraic gradient/adjoint pipeline, so the two
+can cross-check each other.
 
 The symmetric positive definite blocks that the solvers factor (free or
 inactive nodes) are taken in a geometric nested-dissection order of the
@@ -67,10 +70,11 @@ def cell_average_operator(domain: GridDomain) -> sp.csr_matrix:
 def _stencil_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the 3^d-point stencil on a node grid, and its slot mask.
 
-    Slot (i, o) of the (nodes, 3^d) slot array couples node i with node
-    i + o for the offset o in {-1, 0, 1}^d (lexicographic order, so each
-    row's columns ascend); `keep` marks the slots whose neighbour lies in
-    the grid.  The arrays are int32 (and bool) and read-only.
+    Slot (i, o) couples node i with node i + o for the offset o in
+    {-1, 0, 1}^d (lexicographic order, so each row's columns ascend);
+    `keep`, flat in node-major (i, o) order, marks the slots whose
+    neighbour lies in the grid.  The arrays are int32 (and bool) and
+    read-only.
     """
     dim = len(shape)
     keep = np.ones(shape + (3,) * dim, dtype=bool)
@@ -165,21 +169,45 @@ def assemble_form_matrix(domain: GridDomain, cell_matrices: np.ndarray) -> sp.cs
     scale = 0.5 ** (dim - 1) / np.asarray(domain.spacing)
     V = W * np.outer(scale, scale)
     corners = list(itertools.product((0, 1), repeat=dim))
+    # slot plane o holds, for every node i, its coupling with node i + o
+    slots = np.zeros((3 ** dim,) + domain.shape)
 
-    def signed(terms, corner):
-        return sum(t if c else -t for t, c in zip(terms, corner))
-
-    VB = [[signed([V[..., k, l] for l in range(dim)], b) for k in range(dim)] for b in corners]
-    slots = np.zeros(domain.shape + (3 ** dim,))
-    for a in corners:
+    def add(a, b, entry, sign=1):
+        """Add sign * entry to the slots that couple corner a with corner b of each cell."""
+        offset = 0
+        for a_j, b_j in zip(a, b):
+            offset = 3 * offset + b_j - a_j + 1
         rows = tuple(slice(a_j, a_j + n - 1) for a_j, n in zip(a, domain.shape))
-        for b, vb in zip(corners, VB):
-            offset = np.ravel_multi_index(tuple(np.subtract(b, a) + 1), (3,) * dim)
-            slots[rows + (offset,)] += signed(vb, a)
+        if sign > 0:
+            slots[(offset,) + rows] += entry
+        else:
+            slots[(offset,) + rows] -= entry
+
+    if dim == 2:
+        # the signed sums written out: with S_k = V_k0 + V_k1 and
+        # D_k = V_k1 - V_k0, the entry of corners (a, b) is +-Q[a0 != a1][b0 != b1],
+        # + exactly when a1 == b1; these are the IEEE values of the sums below
+        S0, S1 = V[..., 0, 0] + V[..., 0, 1], V[..., 1, 0] + V[..., 1, 1]
+        D0, D1 = V[..., 0, 1] - V[..., 0, 0], V[..., 1, 1] - V[..., 1, 0]
+        Q = ((S0 + S1, D0 + D1), (S1 - S0, D1 - D0))
+        for a in corners:
+            for b in corners:
+                add(a, b, Q[a[0] != a[1]][b[0] != b[1]], 1 if a[1] == b[1] else -1)
+    else:
+        def signed(terms, corner):
+            first, *rest = (t if c else -t for t, c in zip(terms, corner))
+            return sum(rest, first)
+
+        VB = [[signed([V[..., k, l] for l in range(dim)], b) for k in range(dim)]
+              for b in corners]
+        for a in corners:
+            for b, vb in zip(corners, VB):
+                add(a, b, signed(vb, a))
     indptr, indices, keep = _stencil_pattern(domain.shape)
     n = domain.num_nodes
+    data = slots.reshape(3 ** dim, n).T[keep.reshape(n, -1)]
     # copies: eliminate_zeros rewrites the index arrays in place
-    A = sp.csr_matrix((slots.reshape(-1)[keep], indices.copy(), indptr.copy()), shape=(n, n))
+    A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
     A.eliminate_zeros()
     return A
 

@@ -11,10 +11,15 @@ the lattice identities then hold cell by cell exactly (up to rounding),
 not merely in integrated form.  Cells are also the integration atoms: the
 measure of a cell is density * cell volume, and integrals of node
 functions use the cell average of the corner values.
+
+In 2-D the per-cell products G grad u and (G grad u, grad v) are written
+out per component; every sum has two terms, so they equal the einsum used
+in 1-D and 3-D bitwise.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -140,7 +145,7 @@ class GridDomain:
     def num_cells(self) -> int:
         return int(np.prod(self.cells_shape))
 
-    @property
+    @functools.cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple((b - a) / (s - 1) for (a, b), s in zip(self.extent, self.shape))
 
@@ -148,12 +153,12 @@ class GridDomain:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
+    @functools.cached_property
     def measure(self) -> np.ndarray:
-        """Per-cell measure m(c) = density(c) * cell volume."""
+        """Per-cell measure m(c) = density(c) * cell volume; built once, read-only."""
         if self.density is None:
-            return np.full(self.cells_shape, self.cell_volume)
-        return self.density * self.cell_volume
+            return _readonly(np.full(self.cells_shape, self.cell_volume))
+        return _readonly(self.density * self.cell_volume)
 
     @property
     def total_measure(self) -> float:
@@ -400,13 +405,8 @@ def cell_mean(u, domain: GridDomain) -> np.ndarray:
     return vals
 
 
-def gradient(u, domain: GridDomain) -> np.ndarray:
-    """Cell gradient, shape = cells_shape + (dim,).
-
-    Component i is the mean over the cell's edges parallel to axis i of the
-    forward differences (u(node + e_i) - u(node)) / h_i.  Linear in u and
-    exact for affine functions.
-    """
+def _gradient_components(u, domain: GridDomain) -> list[np.ndarray]:
+    """The components of `gradient`, one cell array per axis."""
     vals = _values(u)
     _check_shape(vals, domain)
     h = domain.spacing
@@ -417,7 +417,17 @@ def gradient(u, domain: GridDomain) -> np.ndarray:
             if other != axis:
                 d = _avg(d, other)
         comps.append(d)
-    return np.stack(comps, axis=-1)
+    return comps
+
+
+def gradient(u, domain: GridDomain) -> np.ndarray:
+    """Cell gradient, shape = cells_shape + (dim,).
+
+    Component i is the mean over the cell's edges parallel to axis i of the
+    forward differences (u(node + e_i) - u(node)) / h_i.  Linear in u and
+    exact for affine functions.
+    """
+    return np.stack(_gradient_components(u, domain), axis=-1)
 
 
 def gradient_adjoint(q: np.ndarray, domain: GridDomain) -> np.ndarray:
@@ -443,15 +453,28 @@ def gradient_adjoint(q: np.ndarray, domain: GridDomain) -> np.ndarray:
 
 def _flux_gamma(u, structure: GridStructure) -> tuple[np.ndarray, np.ndarray]:
     """(G grad u, gamma(u)) per cell from a single gradient evaluation."""
-    gu = gradient(u, structure.domain)
-    Ggu = np.einsum("...ij,...j->...i", structure.field.matrices, gu)
-    return Ggu, 2.0 * np.einsum("...i,...i->...", Ggu, gu)
+    if structure.dim != 2:
+        gu = gradient(u, structure.domain)
+        Ggu = np.einsum("...ij,...j->...i", structure.field.matrices, gu)
+        return Ggu, 2.0 * np.einsum("...i,...i->...", Ggu, gu)
+    gx, gy = _gradient_components(u, structure.domain)
+    G = structure.field.matrices
+    a = G[..., 0, 0] * gx + G[..., 0, 1] * gy
+    b = G[..., 1, 0] * gx + G[..., 1, 1] * gy
+    return np.stack([a, b], axis=-1), 2.0 * (a * gx + b * gy)
+
+
+def _pair(Ggu: np.ndarray, v, domain: GridDomain) -> np.ndarray:
+    """gamma(u, v) = 2 (G grad u, grad v) per cell, from G grad u."""
+    if domain.dim != 2:
+        return 2.0 * np.einsum("...i,...i->...", Ggu, gradient(v, domain))
+    vx, vy = _gradient_components(v, domain)
+    return 2.0 * (Ggu[..., 0] * vx + Ggu[..., 1] * vy)
 
 
 def carre_du_champ(u, v, structure: GridStructure) -> np.ndarray:
     """Per-cell field gamma(u, v) = 2 (G grad u, grad v); symmetric, bilinear."""
-    Ggu, _ = _flux_gamma(u, structure)
-    return 2.0 * np.einsum("...i,...i->...", Ggu, gradient(v, structure.domain))
+    return _pair(_flux_gamma(u, structure)[0], v, structure.domain)
 
 
 def gamma(u, structure: GridStructure) -> np.ndarray:

@@ -41,10 +41,10 @@ from .grid import (
     GridStructure,
     ShapeMismatchError,
     _flux_gamma,
+    _pair,
     _values,
     dp_norm,
     gamma,
-    gradient,
     gradient_adjoint,
 )
 from .report import CheckReport
@@ -114,16 +114,21 @@ def _safe_power(base: np.ndarray, expo: float) -> np.ndarray:
     return out
 
 
+def _weight(g: np.ndarray, ctx: PFormContext) -> np.ndarray:
+    """(gamma(u)+eps)^((p-2)/2) per cell, from the per-cell gamma(u)."""
+    return _safe_power(g + ctx.eps, (ctx.p - 2.0) / 2.0)
+
+
 def _weights(u, ctx: PFormContext) -> tuple[np.ndarray, np.ndarray]:
     """(G grad u, (gamma(u)+eps)^((p-2)/2)) per cell, from one gradient of u."""
     Ggu, g = _flux_gamma(u, ctx.structure)
-    return Ggu, _safe_power(g + ctx.eps, (ctx.p - 2.0) / 2.0)
+    return Ggu, _weight(g, ctx)
 
 
 def _form_density(u, v, ctx: PFormContext) -> np.ndarray:
     """Per-cell integrand (gamma(u)+eps)^((p-2)/2) gamma(u, v) of p_form."""
     Ggu, w = _weights(u, ctx)
-    return w * (2.0 * np.einsum("...i,...i->...", Ggu, gradient(v, ctx.domain)))
+    return w * _pair(Ggu, v, ctx.domain)
 
 
 def p_form(u, v, ctx: PFormContext) -> float:
@@ -141,8 +146,12 @@ def p_energy(u, ctx: PFormContext) -> float:
     Its directional derivative at u in direction v equals p_form(u, v), and
     for eps = 0 it is positively homogeneous of degree p.
     """
-    g = gamma(u, ctx.structure) + ctx.eps
-    return float(np.sum(_safe_power(g, ctx.p / 2.0) * ctx.measure)) / ctx.p
+    return _energy(gamma(u, ctx.structure), ctx)
+
+
+def _energy(g: np.ndarray, ctx: PFormContext) -> float:
+    """p_energy from the per-cell gamma(u)."""
+    return float(np.sum(_safe_power(g + ctx.eps, ctx.p / 2.0) * ctx.measure)) / ctx.p
 
 
 def p_operator(u, ctx: PFormContext, mask: np.ndarray | None = None) -> np.ndarray:
@@ -154,15 +163,20 @@ def p_operator(u, ctx: PFormContext, mask: np.ndarray | None = None) -> np.ndarr
     """
     if mask is None and isinstance(u, GridFunction):
         mask = u.mask
-    Ggu, w = _weights(u, ctx)
-    q = 2.0 * (ctx.measure * w)[..., None] * Ggu
-    coeff = gradient_adjoint(q, ctx.domain)
+    coeff = _operator(_flux_gamma(u, ctx.structure), ctx)
     if mask is None:
         return coeff
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != coeff.shape:
         raise ShapeMismatchError("mask and coefficients have different shapes")
     return np.where(mask, 0.0, coeff)
+
+
+def _operator(flux: tuple[np.ndarray, np.ndarray], ctx: PFormContext) -> np.ndarray:
+    """Unmasked p_operator coefficients from the cell flux (G grad u, gamma(u))."""
+    Ggu, g = flux
+    q = 2.0 * (ctx.measure * _weight(g, ctx))[..., None] * Ggu
+    return gradient_adjoint(q, ctx.domain)
 
 
 def scaled_operator_field(u, ctx: PFormContext) -> np.ndarray:

@@ -6,7 +6,11 @@ mass-scaled infinity norm of the operator coefficients (the same quantity
 `harmonicity_residual` reports), not on energy decrements.  The method
 is Newton with the exact sparse Hessian and a Levenberg shift that
 covers cells with degenerate gradient; the initial guess is the linear
-(p = 2) solution, which already lies in the convex basin.
+(p = 2) solution, which already lies in the convex basin.  Each point the
+loop evaluates (the start and every line-search trial) costs one cell
+flux (G grad u, gamma(u)), from which its energy, its operator
+coefficients and, at an iterate, its Hessian are all formed, bitwise
+equal to `p_energy`, `p_operator` and `hessian_matrix` at that point.
 
 The obstacle solve runs the same Newton loop with a primal-dual
 active-set step (Hintermüller, Ito and Kunisch 2002): nodes below the
@@ -30,7 +34,14 @@ from scipy import ndimage
 
 from .assemble import _SPD_SPLU, _block_order, assemble_form_matrix, solve_linear_dirichlet
 from .grid import GridFunction, ShapeMismatchError, _flux_gamma, _values, dp_norm
-from .pform import PFormContext, _safe_power, p_energy, p_operator, scaled_operator_field
+from .pform import (
+    PFormContext,
+    _energy,
+    _operator,
+    _safe_power,
+    _weight,
+    scaled_operator_field,
+)
 
 __all__ = [
     "SolveError",
@@ -79,15 +90,30 @@ class SolveResult:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def hessian_matrix(u, ctx: PFormContext) -> sp.csr_matrix:
-    """Exact sparse Hessian of p_energy at u (positive semidefinite for p >= 2)."""
+def hessian_matrix(u, ctx: PFormContext, *,
+                   flux: tuple[np.ndarray, np.ndarray] | None = None) -> sp.csr_matrix:
+    """Exact sparse Hessian of p_energy at u (positive semidefinite for p >= 2).
+
+    flux, when given, is the cell flux (G grad u, gamma(u)) of u, which is
+    then not differentiated again.  In 2-D the cell blocks are written out
+    per entry, bitwise equal to the broadcast of other dimensions.
+    """
     G = ctx.structure.field.matrices
-    Gg, gam = _flux_gamma(u, ctx.structure)
-    base = gam + ctx.eps
-    w = _safe_power(base, (ctx.p - 2.0) / 2.0)
-    w4 = _safe_power(base, (ctx.p - 4.0) / 2.0)
-    rank1 = 2.0 * (ctx.p - 2.0) * w4[..., None, None] * (Gg[..., :, None] * Gg[..., None, :])
-    blocks = 2.0 * ctx.measure[..., None, None] * (w[..., None, None] * G + rank1)
+    Gg, gam = _flux_gamma(u, ctx.structure) if flux is None else flux
+    w = _weight(gam, ctx)
+    c4 = 2.0 * (ctx.p - 2.0) * _safe_power(gam + ctx.eps, (ctx.p - 4.0) / 2.0)
+    m2 = 2.0 * ctx.measure
+    if ctx.domain.dim != 2:
+        rank1 = c4[..., None, None] * (Gg[..., :, None] * Gg[..., None, :])
+        blocks = m2[..., None, None] * (w[..., None, None] * G + rank1)
+    else:
+        g0, g1 = Gg[..., 0], Gg[..., 1]
+        g01 = g0 * g1
+        blocks = np.empty(G.shape)
+        blocks[..., 0, 0] = m2 * (w * G[..., 0, 0] + c4 * (g0 * g0))
+        blocks[..., 0, 1] = m2 * (w * G[..., 0, 1] + c4 * g01)
+        blocks[..., 1, 0] = m2 * (w * G[..., 1, 0] + c4 * g01)
+        blocks[..., 1, 1] = m2 * (w * G[..., 1, 1] + c4 * (g1 * g1))
     return assemble_form_matrix(ctx.domain, blocks)
 
 
@@ -97,27 +123,29 @@ def _scaled_residual(coeff: np.ndarray, mass: np.ndarray) -> float:
 
 
 def _free_objective(base: np.ndarray, mask: np.ndarray, ctx: PFormContext):
-    """Energy and its gradient as functions of the free values.
+    """The energy and its gradient at free values, from one cell flux per point.
 
-    Returns (embed, fun, jac): embed writes free values into a copy of the
-    flat array base, whose masked entries stay pinned.
+    Returns (evaluate, gradient).  evaluate(x) writes the free values x into
+    a copy of the flat array base, whose masked entries stay pinned, and
+    returns (u, flux, energy): the node values u, their cell flux
+    (G grad u, gamma(u)) and p_energy(u).  gradient(flux) returns the free
+    nodes' p_operator coefficients at that point.  Both equal p_energy and
+    p_operator bitwise.
     """
     free = ~mask.reshape(-1)
     shape = ctx.domain.node_shape
 
-    def embed(x: np.ndarray) -> np.ndarray:
+    def evaluate(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], float]:
         u = base.copy()
         u[free] = x
-        return u
+        u = u.reshape(shape)
+        flux = _flux_gamma(u, ctx.structure)
+        return u, flux, _energy(flux[1], ctx)
 
-    def fun(x: np.ndarray) -> float:
-        return p_energy(GridFunction(embed(x).reshape(shape)), ctx)
+    def gradient(flux: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        return _operator(flux, ctx).reshape(-1)[free]
 
-    def jac(x: np.ndarray) -> np.ndarray:
-        gf = GridFunction(embed(x).reshape(shape))
-        return p_operator(gf, ctx, mask=mask).reshape(-1)[free]
-
-    return embed, fun, jac
+    return evaluate, gradient
 
 
 def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOptions,
@@ -132,26 +160,27 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
     free = ~mask.reshape(-1)
     free_index = np.cumsum(free) - 1
     mass = ctx.domain.node_mass().reshape(-1)[free]
-    embed, fun, jac = _free_objective(vals.reshape(-1), mask, ctx)
+    evaluate, gradient = _free_objective(vals.reshape(-1), mask, ctx)
     x = vals.reshape(-1)[free]
     lo = np.full(x.shape, -np.inf) if lower is None else lower.reshape(-1)[free]
     active = np.zeros(x.shape, dtype=bool) if active is None else active.copy()
-    J = fun(x)
+    # each point is evaluated once: its values, cell flux, energy and gradient
+    u, flux, J = evaluate(x)
+    g = gradient(flux)
     trace: list[dict] = []
     # energy_trace is the running minimum over iterates that violate no bound
     energy_trace = [J]
     lam = 0.0
     iterations = 0
     for it in range(opts.max_iter + 1):
-        g = jac(x)
         violated = ~active & (x < lo)
         released = active & (g < -_RELEASE_TOL * mass)
         active = (active | violated) & ~released
         changed = bool(violated.any() or released.any())
         if violated.any():
             x = np.where(violated, lo, x)
-            J = fun(x)
-            g = jac(x)
+            u, flux, J = evaluate(x)
+            g = gradient(flux)
         inactive = ~active
         res = _scaled_residual(g[inactive], mass[inactive])
         row = {"iteration": it, "energy": J, "residual": res, "lambda": lam}
@@ -160,17 +189,16 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
                        released=int(released.sum()))
         trace.append(row)
         if res <= opts.grad_tol and not changed:
-            return embed(x), res, iterations, energy_trace, trace, active, g
+            return u.reshape(-1), res, iterations, energy_trace, trace, active, g
         if it == opts.max_iter:
             break
         if not inactive.any():
             continue
-        u = GridFunction(embed(x).reshape(ctx.domain.node_shape))
         block = free.copy()
         block[free] = inactive
         # the inactive block in the grid's dissection order; o indexes the free nodes
         nodes = _block_order(ctx.domain.node_shape, block)
-        H_oo = hessian_matrix(u, ctx)[nodes][:, nodes].tocsc()
+        H_oo = hessian_matrix(u, ctx, flux=flux)[nodes][:, nodes].tocsc()
         o = free_index[nodes]
         step = None
         for _attempt in range(25):
@@ -193,24 +221,26 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
             ok = False
             while t > 1e-14:
                 x_try = x + t * d
-                J_try = fun(x_try)
+                u_try, flux_try, J_try = evaluate(x_try)
                 if resolution_limited:
-                    res_try = _scaled_residual(jac(x_try)[inactive], mass[inactive])
+                    g_try = gradient(flux_try)
+                    res_try = _scaled_residual(g_try[inactive], mass[inactive])
                     if res_try < res:
                         J_try = min(J_try, J)
                         ok = True
                         break
                 elif J_try <= J + _ARMIJO_C1 * t * slope:
+                    g_try = gradient(flux_try)
                     ok = True
                     break
                 t *= _BACKTRACK
             if ok:
-                step = (x_try, J_try, t)
+                step = (x_try, u_try, flux_try, J_try, g_try, t)
                 break
             lam = max(lam * 10.0, 1e-10)
         if step is None:
             raise SolveError("line search failed at a stationary-looking point", trace)
-        x, J, t_used = step
+        x, u, flux, J, g, t_used = step
         if not np.any(x < lo):
             energy_trace.append(min(energy_trace[-1], J))
         iterations += 1

@@ -9,8 +9,7 @@ from dirichlet_p.grid import (
     GridFunction,
     unit_structure,
 )
-from dirichlet_p.pform import PFormContext
-from dirichlet_p.solve import _free_objective
+from dirichlet_p.pform import PFormContext, p_energy, p_operator
 
 
 def random_elliptic_field(domain: GridDomain, rng: np.random.Generator,
@@ -50,19 +49,45 @@ def random_function(domain: GridDomain, rng: np.random.Generator,
     return GridFunction(vals)
 
 
+def reference_objective(base: np.ndarray, mask: np.ndarray, ctx: PFormContext):
+    """(embed, fun, jac): p_energy and the free p_operator coefficients at free values.
+
+    Built on the public p_energy and p_operator only, not on the solver's
+    own evaluator; embed writes free values into a copy of the flat array
+    base, whose masked entries stay pinned.
+    """
+    free = ~mask.reshape(-1)
+    shape = ctx.domain.node_shape
+
+    def embed(x: np.ndarray) -> np.ndarray:
+        u = base.copy()
+        u[free] = x
+        return u
+
+    def fun(x: np.ndarray) -> float:
+        return p_energy(GridFunction(embed(x).reshape(shape)), ctx)
+
+    def jac(x: np.ndarray) -> np.ndarray:
+        gf = GridFunction(embed(x).reshape(shape))
+        return p_operator(gf, ctx, mask=mask).reshape(-1)[free]
+
+    return embed, fun, jac
+
+
 def lbfgs_reference(ctx: PFormContext, boundary: GridFunction, grad_tol: float,
                     max_iter: int) -> np.ndarray:
     """Minimizer of p_energy with the masked values of `boundary` pinned.
 
-    scipy's L-BFGS-B on `_free_objective`, from the linear solve, restarted
-    until the mass-scaled residual is at most grad_tol: a reference for the
-    Newton loop that shares only the energy and its gradient with it.
+    scipy's L-BFGS-B on `reference_objective`, from the linear solve,
+    restarted until the mass-scaled residual is at most grad_tol: a
+    reference for the Newton loop that shares only p_energy and p_operator
+    with it.
     """
     mask = boundary.mask
     free = ~mask.reshape(-1)
     mass = ctx.domain.node_mass().reshape(-1)[free]
     start = solve_linear_dirichlet(ctx.structure, np.where(mask, boundary.values, 0.0), mask)
-    embed, fun, jac = _free_objective(start.reshape(-1), mask, ctx)
+    embed, fun, jac = reference_objective(start.reshape(-1), mask, ctx)
     x = start.reshape(-1)[free]
     for _ in range(6):
         x = scipy.optimize.minimize(

@@ -41,6 +41,19 @@ class TestGridDomain:
         assert np.allclose(d.measure, 3.0 * 0.25)
         assert np.isclose(d.total_measure, 3.0)
 
+    @pytest.mark.parametrize("with_density", [False, True])
+    def test_measure_is_cached_and_read_only(self, with_density, rng):
+        dens = rng.uniform(0.5, 2.0, (4, 6)) if with_density else None
+        d = GridDomain(((0.0, 1.0), (0.0, 3.0)), (5, 7), dens)
+        m = d.measure
+        assert m is d.measure and d.spacing is d.spacing
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+        volume = 0.25 * 0.5
+        fresh = dens * volume if with_density else np.full((4, 6), volume)
+        assert m.tobytes() == fresh.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GridDomain(((1.0, 0.0),), (5,))

@@ -28,6 +28,7 @@ from dirichlet_p.metric import (
     stencil_offsets,
     truncation_function,
 )
+from dirichlet_p import metric as metric_module
 from dirichlet_p.pform import PFormContext
 from conftest import random_elliptic_field
 
@@ -345,3 +346,47 @@ class TestCaccioppoli:
             assert rep.passed
             tols[shape] = rep.tolerance
         assert tols[33] < tols[17]
+
+
+class TestCaccioppoliFalsifiable:
+    """Each Caccioppoli row fails once its constant is below the proven one.
+
+    The constant multiplies the right side, so scaling that side by 1/8
+    runs the check with 1/8 of the proven constant (p, p/(R-r) or
+    p sqrt(beta/alpha)).  On these inputs lhs/rhs is at most about 0.43,
+    so the rows fail only once the constant drops below about 0.2-0.4 of
+    the proven one; 1/8 is below that for every row and p.
+    """
+
+    @staticmethod
+    def _run(row, p):
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+        ctx = PFormContext(unit_structure(d), p)
+        u = GridFunction.from_callable(d, lambda x, y: 2 * x - y + 0.3)
+        dist = np.linalg.norm(d.node_coords() - np.array([0.5, 0.5]), axis=-1)
+        phi = GridFunction(np.clip((0.3 - dist) / 0.3, 0.0, 1.0))
+        if row == "caccioppoli":
+            return check_caccioppoli(u, phi, None, ctx)
+        if row == "caccioppoli_ball":
+            return check_caccioppoli_ball(u, (16, 16), 0.2, 0.4, None, ctx)
+        return check_caccioppoli_euclidean(u, phi, None, 1.0, 1.0, ctx)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("row", ["caccioppoli", "caccioppoli_ball", "caccioppoli_euclidean"])
+    def test_constant_below_the_proven_one_fails(self, row, p, monkeypatch):
+        honest = self._run(row, p)
+        assert honest.check == row and honest.passed
+
+        def smaller_constant(*args, _report=metric_module._caccioppoli_report):
+            *head, sides, details = args
+
+            def scaled(ubar, c):
+                lhs, rhs = sides(ubar, c)
+                return lhs, rhs / 8.0
+
+            return _report(*head, scaled, details)
+
+        monkeypatch.setattr(metric_module, "_caccioppoli_report", smaller_constant)
+        rep = self._run(row, p)
+        assert rep.passed is False
+        assert rep.lhs == honest.lhs and rep.rhs == honest.rhs / 8.0

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from dirichlet_p.assemble import solve_linear_dirichlet
+from dirichlet_p import grid as grid_module
+from dirichlet_p import pform as pform_module
+from dirichlet_p import solve as solve_module
+from dirichlet_p.assemble import solve_linear_dirichlet, stiffness_matrix
 from dirichlet_p.capacity import Condenser, capacity
 from dirichlet_p.config import node_set_from_shape
 from dirichlet_p.grid import (
@@ -16,14 +19,13 @@ from dirichlet_p.pform import PFormContext, p_energy, p_operator
 from dirichlet_p.solve import (
     SolveError,
     SolveOptions,
-    _free_objective,
     _newton,
     harmonicity_residual,
     hessian_matrix,
     solve_dirichlet,
     solve_obstacle,
 )
-from conftest import lbfgs_reference, random_elliptic_field
+from conftest import lbfgs_reference, random_elliptic_field, reference_objective
 
 
 def _affine_boundary(domain, lin, const=0.0):
@@ -176,6 +178,44 @@ class TestNewton:
         hv = hessian_matrix(GridFunction(u), ctx) @ v.reshape(-1)
         assert np.linalg.norm(hv - fd) <= 1e-7 * np.linalg.norm(fd)
 
+    @pytest.mark.parametrize("shape", [(9,), (8, 13), (17, 17), (4, 5, 4)])
+    def test_p2_hessian_is_the_stiffness_matrix_bitwise(self, shape, rng):
+        # at p = 2, eps = 0 the rank-one term vanishes, flat cells included,
+        # so a p = 2 Hessian can stand in for the stiffness matrix
+        d = GridDomain(tuple((0.0, 1.0 + 0.5 * j) for j in range(len(shape))), shape)
+        s = GridStructure(d, random_elliptic_field(d, rng))
+        u = rng.standard_normal(shape)
+        u[tuple(slice(0, max(2, n // 2)) for n in shape)] = 0.5
+        assert np.any(grid_module.gamma(u, s) == 0.0)
+        H = hessian_matrix(GridFunction(u), PFormContext(s, 2.0))
+        S = stiffness_matrix(s)
+        assert np.array_equal(H.indptr, S.indptr) and np.array_equal(H.indices, S.indices)
+        assert H.data.tobytes() == S.data.tobytes()
+
+    def test_one_flux_per_evaluated_point(self, monkeypatch):
+        # energy, gradient and Hessian of each point share one cell flux: a
+        # ring solve computes it once at the start and once per line-search
+        # trial, and never twice at one point
+        points = []
+
+        def spy(u, structure, _flux_gamma=grid_module._flux_gamma):
+            points.append(grid_module._values(u).tobytes())
+            return _flux_gamma(u, structure)
+
+        for module in (grid_module, pform_module, solve_module):
+            monkeypatch.setattr(module, "_flux_gamma", spy)
+        d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (33, 33))
+        inner = node_set_from_shape({"type": "disk", "center": [0.0, 0.0], "radius": 0.25}, d)
+        outer = node_set_from_shape(
+            {"type": "outside_disk", "center": [0.0, 0.0], "radius": 0.75}, d)
+        bc = GridFunction(np.where(inner, 1.0, 0.0), inner | outer)
+        res = solve_dirichlet(PFormContext(unit_structure(d), 3.0), bc)
+        calls, distinct = len(points), len(set(points))
+        assert res.iterations >= 3
+        assert distinct == calls
+        # every step of this solve is a full step: one trial per iteration
+        assert calls == 1 + res.iterations
+
     @pytest.mark.parametrize("p", [3.0, 4.0])
     def test_ring_condenser_converges_fast(self, p):
         d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (33, 33))
@@ -215,7 +255,7 @@ def _reference_obstacle(ctx, lo, boundary, opts, complementarity_tol=1e-8):
     pinned = np.where(mask, boundary.values, 0.0)
     vals = solve_linear_dirichlet(ctx.structure, pinned, mask).reshape(-1)
     vals[free] = np.maximum(vals[free], lo_flat[free])
-    _, fun, jac = _free_objective(vals, mask, ctx)
+    _, fun, jac = reference_objective(vals, mask, ctx)
     bounds = [(l if np.isfinite(l) else None, None) for l in lo_flat[free]]
     out = scipy.optimize.minimize(
         fun, vals[free], jac=jac, method="L-BFGS-B", bounds=bounds,
