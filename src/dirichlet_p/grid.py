@@ -14,7 +14,8 @@ functions use the cell average of the corner values.
 
 In 2-D the per-cell products G grad u and (G grad u, grad v) are written
 out per component; every sum has two terms, so they equal the einsum used
-in 1-D and 3-D bitwise.
+in 1-D and 3-D up to the sign of zero (einsum accumulates onto +0.0 and
+never returns -0.0; a two-term sum does when both terms are -0.0).
 """
 
 from __future__ import annotations

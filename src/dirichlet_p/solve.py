@@ -24,6 +24,7 @@ carry residuals at solver tolerance.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -95,25 +96,17 @@ def hessian_matrix(u, ctx: PFormContext, *,
     """Exact sparse Hessian of p_energy at u (positive semidefinite for p >= 2).
 
     flux, when given, is the cell flux (G grad u, gamma(u)) of u, which is
-    then not differentiated again.  In 2-D the cell blocks are written out
-    per entry, bitwise equal to the broadcast of other dimensions.
+    then not differentiated again.  Each cell block entry is
+    2 m (w G_ij + c4 g_i g_j) with g = G grad u, formed entry by entry.
     """
     G = ctx.structure.field.matrices
     Gg, gam = _flux_gamma(u, ctx.structure) if flux is None else flux
     w = _weight(gam, ctx)
     c4 = 2.0 * (ctx.p - 2.0) * _safe_power(gam + ctx.eps, (ctx.p - 4.0) / 2.0)
     m2 = 2.0 * ctx.measure
-    if ctx.domain.dim != 2:
-        rank1 = c4[..., None, None] * (Gg[..., :, None] * Gg[..., None, :])
-        blocks = m2[..., None, None] * (w[..., None, None] * G + rank1)
-    else:
-        g0, g1 = Gg[..., 0], Gg[..., 1]
-        g01 = g0 * g1
-        blocks = np.empty(G.shape)
-        blocks[..., 0, 0] = m2 * (w * G[..., 0, 0] + c4 * (g0 * g0))
-        blocks[..., 0, 1] = m2 * (w * G[..., 0, 1] + c4 * g01)
-        blocks[..., 1, 0] = m2 * (w * G[..., 1, 0] + c4 * g01)
-        blocks[..., 1, 1] = m2 * (w * G[..., 1, 1] + c4 * (g1 * g1))
+    blocks = np.empty(G.shape)
+    for i, j in itertools.product(range(ctx.domain.dim), repeat=2):
+        blocks[..., i, j] = m2 * (w * G[..., i, j] + c4 * (Gg[..., i] * Gg[..., j]))
     return assemble_form_matrix(ctx.domain, blocks)
 
 

@@ -1,5 +1,8 @@
-"""The stencil-pattern assembly against a Kronecker-product oracle, its cache,
-and the nested-dissection order in which the solvers factor their blocks."""
+"""The stencil-pattern assembly against a Kronecker-product oracle and against
+the node-major layout it replaced, its cache, and the nested-dissection order
+in which the solvers factor their blocks."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -142,6 +145,64 @@ class TestShapeCaches:
         for shape in self.SHAPES:
             cached(shape)
         assert cached.cache_info().misses == misses
+
+
+def _node_major_assembly(domain, W):
+    """The assembly as written before the offset-major slot planes: a (nodes, 3^d)
+    slot array and Python `sum` corner entries.  The current one must match it
+    bit for bit."""
+    dim = domain.dim
+    scale = 0.5 ** (dim - 1) / np.asarray(domain.spacing)
+    V = W * np.outer(scale, scale)
+    corners = list(itertools.product((0, 1), repeat=dim))
+
+    def signed(terms, corner):
+        return sum(t if c else -t for t, c in zip(terms, corner))
+
+    VB = [[signed([V[..., k, l] for l in range(dim)], b) for k in range(dim)] for b in corners]
+    slots = np.zeros(domain.shape + (3 ** dim,))
+    for a in corners:
+        rows = tuple(slice(a_j, a_j + n - 1) for a_j, n in zip(a, domain.shape))
+        for b, vb in zip(corners, VB):
+            offset = np.ravel_multi_index(tuple(np.subtract(b, a) + 1), (3,) * dim)
+            slots[rows + (offset,)] += signed(vb, a)
+    indptr, indices, keep = _stencil_pattern(domain.shape)
+    n = domain.num_nodes
+    A = sp.csr_matrix((slots.reshape(-1)[keep], indices.copy(), indptr.copy()), shape=(n, n))
+    A.eliminate_zeros()
+    return A
+
+
+def _assert_same_csr(A, B):
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert A.data.tobytes() == B.data.tobytes()
+
+
+class TestOffsetMajorAssembly:
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 13), (17, 17), (9,), (2,), (4, 5, 4), (2, 2, 2)])
+    @pytest.mark.parametrize("kind", ["spd", "nonsymmetric", "zero_component"])
+    def test_matches_node_major(self, shape, kind, rng):
+        d = _domain(shape)
+        if kind == "spd":
+            W = 2.0 * d.measure[..., None, None] * random_elliptic_field(d, rng).matrices
+        else:
+            W = rng.standard_normal(d.cells_shape + (d.dim, d.dim))
+            if kind == "zero_component":
+                W[..., 0, -1] = 0.0
+        _assert_same_csr(assemble_form_matrix(d, W), _node_major_assembly(d, W))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (17, 17), (9,), (4, 4, 4)])
+    def test_identity_field_drops_cancelling_couplings(self, shape):
+        # equal spacings: in 2-D the identity field's axis-neighbour couplings
+        # cancel exactly, and must not be stored
+        d = GridDomain(((0.0, 1.0),) * len(shape), (shape[0],) * len(shape))
+        W = 2.0 * d.measure[..., None, None] * np.eye(d.dim)
+        A = assemble_form_matrix(d, W)
+        _assert_same_csr(A, _node_major_assembly(d, W))
+        assert np.all(A.data != 0.0)
+        if d.dim == 2:
+            assert A.nnz < len(_stencil_pattern(d.shape)[1])
 
 
 def _box_boundary(shape):

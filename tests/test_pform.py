@@ -8,9 +8,11 @@ from dirichlet_p import pform as pform_module
 from dirichlet_p.assemble import assemble_form_matrix, mass_matrix, stiffness_matrix
 from dirichlet_p.capacity import Condenser, capacity, nodes_in_box
 from dirichlet_p.grid import (
+    CoefficientField,
     GridDomain,
     GridFunction,
     GridStructure,
+    _flux_gamma,
     boundary_mask,
     carre_du_champ,
     energy,
@@ -22,6 +24,7 @@ from dirichlet_p.grid import (
 from dirichlet_p.pform import (
     PFormContext,
     PurePotentialError,
+    _form_density,
     _safe_power,
     check_coercive,
     check_contraction_operates,
@@ -203,23 +206,69 @@ def _reference_hessian(u, ctx):
     return assemble_form_matrix(ctx.domain, blocks)
 
 
-class TestOneGradient:
-    @pytest.mark.parametrize("shape", [(9,), (7, 6), (4, 5, 4)])
-    @pytest.mark.parametrize("p, eps", [(1.5, 1e-3), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)])
-    def test_bitwise_equal_to_two_gradient_reference(self, shape, p, eps, rng):
-        d = GridDomain(tuple((0.0, 1.0) for _ in shape), shape)
-        s = GridStructure(d, random_elliptic_field(d, rng))
-        ctx = PFormContext(s, p, eps)
-        u = GridFunction(rng.standard_normal(shape))
-        v = GridFunction(rng.standard_normal(shape))
-        assert np.array_equal(gamma(u, s), _reference_gamma_pair(u, u, s))
-        assert np.array_equal(carre_du_champ(u, v, s), _reference_gamma_pair(u, v, s))
-        assert p_form(u, v, ctx) == _reference_p_form(u, v, ctx)
-        assert np.array_equal(p_operator(u, ctx), _reference_p_operator(u, ctx))
-        H, H_ref = hessian_matrix(u, ctx), _reference_hessian(u, ctx)
+def _field(kind, domain, rng):
+    """SPD, bitwise asymmetric (within validation), diagonal or identity field."""
+    if kind == "identity":
+        return CoefficientField.identity(domain)
+    mats = np.array(random_elliptic_field(domain, rng).matrices)
+    if kind == "asymmetric" and domain.dim > 1:
+        mats[..., 0, -1] *= 1.0 + 1e-13
+        assert not np.array_equal(mats[..., 0, -1], mats[..., -1, 0])
+    elif kind == "diagonal":
+        mats *= np.eye(domain.dim)
+    return CoefficientField(mats, 0.5 - 1e-6, 2.0 + 1e-6)
+
+
+def _with_flat_patch(shape, rng):
+    """Random node values with a constant patch, so some cells have gamma = 0."""
+    u = rng.standard_normal(shape)
+    u[tuple(slice(0, max(2, n // 2)) for n in shape)] = 0.75
+    return GridFunction(u)
+
+
+def _assert_equal_to_reference(u, v, ctx):
+    s = ctx.structure
+    assert np.array_equal(gamma(u, s), _reference_gamma_pair(u, u, s))
+    assert np.array_equal(carre_du_champ(u, v, s), _reference_gamma_pair(u, v, s))
+    assert np.array_equal(_form_density(u, v, ctx),
+                          _reference_weights(u, ctx) * _reference_gamma_pair(u, v, s))
+    assert p_form(u, v, ctx) == _reference_p_form(u, v, ctx)
+    assert np.array_equal(p_operator(u, ctx), _reference_p_operator(u, ctx))
+    H_ref = _reference_hessian(u, ctx)
+    for H in (hessian_matrix(u, ctx), hessian_matrix(u, ctx, flux=_flux_gamma(u, s))):
         assert np.array_equal(H.indptr, H_ref.indptr)
         assert np.array_equal(H.indices, H_ref.indices)
         assert np.array_equal(H.data, H_ref.data)
+
+
+P_EPS = [(1.5, 1e-3), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)]
+
+
+class TestOneGradient:
+    """The operators against the two-gradient references, equal value for value.
+
+    In 2-D the cell products are written out per component, so these also
+    pin the closed forms; equality here is up to the sign of zero."""
+
+    @pytest.mark.parametrize("shape", [(9,), (7, 6), (4, 5, 4)])
+    @pytest.mark.parametrize("p, eps", P_EPS)
+    def test_bitwise_equal_to_two_gradient_reference(self, shape, p, eps, rng):
+        d = GridDomain(tuple((0.0, 1.0) for _ in shape), shape)
+        ctx = PFormContext(GridStructure(d, random_elliptic_field(d, rng)), p, eps)
+        u = GridFunction(rng.standard_normal(shape))
+        v = GridFunction(rng.standard_normal(shape))
+        _assert_equal_to_reference(u, v, ctx)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 13), (17, 17), (9,), (4, 5, 4)])
+    @pytest.mark.parametrize("kind", ["spd", "asymmetric", "diagonal", "identity"])
+    @pytest.mark.parametrize("p, eps", P_EPS)
+    def test_field_kinds_and_flat_cells(self, shape, kind, p, eps, rng):
+        # unequal spacings, so no coupling cancels by symmetry of the box
+        d = GridDomain(tuple((0.0, 1.0 + 0.5 * j) for j in range(len(shape))), shape)
+        ctx = PFormContext(GridStructure(d, _field(kind, d, rng)), p, eps)
+        u = _with_flat_patch(shape, rng)
+        _assert_equal_to_reference(u, GridFunction(rng.standard_normal(shape)), ctx)
+        assert np.any(gamma(u, ctx.structure) == 0.0)
 
 
 class TestSector:
