@@ -108,9 +108,10 @@ def _safe_power(base: np.ndarray, expo: float) -> np.ndarray:
         return np.ones_like(base)
     if expo > 0.0:
         return base ** expo
-    out = np.zeros_like(base)
-    pos = base > 0.0
-    out[pos] = base[pos] ** expo
+    # the whole array at once, then every cell that is not positive (NaN too) set to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = base ** expo
+    out[~(base > 0.0)] = 0.0
     return out
 
 

@@ -11,15 +11,23 @@ loop evaluates (the start and every line-search trial) costs one cell
 flux (G grad u, gamma(u)), from which its energy, its operator
 coefficients and, at an iterate, its Hessian are all formed, bitwise
 equal to `p_energy`, `p_operator` and `hessian_matrix` at that point.
+Newton factors the Hessian block once per inactive set: later steps on
+the same block solve by CG preconditioned with that factor, to the
+forcing term min(0.01, 0.01 res) (Eisenstat and Walker 1996), which
+keeps the quadratic local rate; a step factors afresh when CG misses
+that term within 20 iterations or the Levenberg shift is on (Shamanskii's
+reuse of one factor over several steps).  Each trace row records whether
+its step factored and how many CG iterations it took.
 
 The obstacle solve runs the same Newton loop with a primal-dual
 active-set step (Hintermüller, Ito and Kunisch 2002): nodes below the
 obstacle are pinned to it, pinned nodes with a negative multiplier are
-released, and each step factors the inactive block only, under the same
-Armijo search.  It solves the linear (p = 2) obstacle problem first, then
-the p-problem from that solution and its active set.  Active nodes sit
-exactly on the obstacle with nonnegative multipliers; inactive nodes
-carry residuals at solver tolerance.
+released, and each step solves on the inactive block only, under the same
+Armijo search; a change of the active set changes the block, so the step
+after it factors afresh.  It solves the linear (p = 2) obstacle problem
+first, then the p-problem from that solution and its active set.  Active
+nodes sit exactly on the obstacle with nonnegative multipliers; inactive
+nodes carry residuals at solver tolerance.
 """
 
 from __future__ import annotations
@@ -58,6 +66,10 @@ __all__ = [
 # Armijo sufficient-decrease constant and step-halving factor of the line search
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
+# a step that reuses the block's factor runs CG to the forcing term
+# min(_CG_FORCING, _CG_FORCING * res), in at most _CG_MAXITER iterations
+_CG_FORCING = 0.01
+_CG_MAXITER = 20
 # an active node is released when its multiplier is below -_RELEASE_TOL * node mass
 _RELEASE_TOL = 1e-8
 
@@ -163,6 +175,8 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
     trace: list[dict] = []
     # energy_trace is the running minimum over iterates that violate no bound
     energy_trace = [J]
+    # (nodes, SuperLU) of the last block factored, reused while the block stays the same
+    factor = None
     lam = 0.0
     iterations = 0
     for it in range(opts.max_iter + 1):
@@ -176,7 +190,8 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
             g = gradient(flux)
         inactive = ~active
         res = _scaled_residual(g[inactive], mass[inactive])
-        row = {"iteration": it, "energy": J, "residual": res, "lambda": lam}
+        row = {"iteration": it, "energy": J, "residual": res, "lambda": lam,
+               "factored": False, "cg_iterations": 0}
         if lower is not None:
             row.update(p=ctx.p, active=int(active.sum()), violated=int(violated.sum()),
                        released=int(released.sum()))
@@ -191,18 +206,34 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
         block[free] = inactive
         # the inactive block in the grid's dissection order; o indexes the free nodes
         nodes = _block_order(ctx.domain.node_shape, block)
-        H_oo = hessian_matrix(u, ctx, flux=flux)[nodes][:, nodes].tocsc()
+        H_oo = hessian_matrix(u, ctx, flux=flux)[nodes][:, nodes]
         o = free_index[nodes]
+        if factor is not None and not np.array_equal(factor[0], nodes):
+            factor = None
+        cg_steps: list[np.ndarray] = []  # one entry per CG iteration of this step
         step = None
         for _attempt in range(25):
-            shift = lam * sp.diags(np.maximum(H_oo.diagonal(), 1e-300)) if lam > 0 else None
-            A = H_oo + shift if shift is not None else H_oo
+            d_o = None
+            if factor is not None and lam == 0.0:
+                # the same block as the last factor: CG preconditioned with it
+                d_cg, info = spla.cg(
+                    H_oo, -g[o], rtol=min(_CG_FORCING, _CG_FORCING * res), maxiter=_CG_MAXITER,
+                    M=spla.LinearOperator(H_oo.shape, matvec=factor[1].solve),
+                    callback=cg_steps.append)
+                d_o = d_cg if info == 0 else None
+            if d_o is None:
+                factor = None
+                shift = lam * sp.diags(np.maximum(H_oo.diagonal(), 1e-300)) if lam > 0 else None
+                A = H_oo + shift if shift is not None else H_oo
+                row["factored"] = True
+                try:
+                    factor = (nodes, spla.splu(A.tocsc(), **_SPD_SPLU))
+                except RuntimeError:
+                    lam = max(lam * 10.0, 1e-10)
+                    continue
+                d_o = factor[1].solve(-g[o])
             d = np.zeros_like(x)
-            try:
-                d[o] = spla.splu(A.tocsc(), **_SPD_SPLU).solve(-g[o])
-            except RuntimeError:
-                lam = max(lam * 10.0, 1e-10)
-                continue
+            d[o] = d_o
             slope = float(g @ d)
             if not np.isfinite(slope) or slope >= 0:
                 lam = max(lam * 10.0, 1e-10)
@@ -231,6 +262,7 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
                 step = (x_try, u_try, flux_try, J_try, g_try, t)
                 break
             lam = max(lam * 10.0, 1e-10)
+        row["cg_iterations"] = len(cg_steps)
         if step is None:
             raise SolveError("line search failed at a stationary-looking point", trace)
         x, u, flux, J, g, t_used = step

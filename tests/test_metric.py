@@ -184,6 +184,9 @@ class TestCutoffs:
             rep = certify_gradient_bound(cut, s, cutoff_gamma_bound(2, nb))
             assert rep.passed, rep.lhs
             assert abs(rep.lhs / rep.rhs - 1.0) <= 1e-12  # the bound is attained
+            # so a bound only a little smaller fails
+            tight = certify_gradient_bound(cut, s, cutoff_gamma_bound(2, nb) * (1.0 - 1e-9))
+            assert tight.passed is False
 
     def test_duality_never_violated(self):
         # cutoff increments are dominated by the distance: exact on graphs
@@ -217,6 +220,16 @@ class TestTruncationFunction:
         assert np.all(phi.values[outside] == 0.0)
         bound = cutoff_gamma_bound(2, 16) / (0.3 - 0.15) ** 2
         assert certify_gradient_bound(phi, s, bound).passed
+
+    def test_steeper_truncation_fails_a_wider_bound(self):
+        # the 0.15-wide ramp checked against the bound of a 0.2-wide one:
+        # its slope exceeds that bound by (0.2 / 0.15)^2
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+        s = unit_structure(d)
+        phi = truncation_function((16, 16), 0.15, 0.3, s)
+        rep = certify_gradient_bound(phi, s, cutoff_gamma_bound(2, 16) / 0.2 ** 2)
+        assert rep.passed is False
+        assert rep.lhs / rep.rhs == pytest.approx((0.2 / 0.15) ** 2, rel=1e-12)
 
     def test_guards(self):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (17, 17))

@@ -270,6 +270,17 @@ class TestOneGradient:
         _assert_equal_to_reference(u, GridFunction(rng.standard_normal(shape)), ctx)
         assert np.any(gamma(u, ctx.structure) == 0.0)
 
+    @pytest.mark.parametrize("expo", [-1.0, -0.5, -0.25, -1.5])
+    def test_safe_power_matches_masked_formula(self, expo, rng):
+        base = rng.standard_normal((64, 48))
+        base[rng.random(base.shape) < 0.1] = 0.0
+        base[0, :3] = [-0.0, np.nan, np.inf]
+        assert np.any(base == 0.0) and np.any(base < 0.0)
+        masked = np.zeros_like(base)
+        pos = base > 0.0
+        masked[pos] = base[pos] ** expo
+        assert _safe_power(base, expo).tobytes() == masked.tobytes()
+
 
 class TestSector:
     def test_equality_at_diagonal(self, square, square_structure, rng):

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -241,6 +243,85 @@ class TestNewton:
         steps = [(a, b) for a, b in zip(r, r[1:]) if a < 1.0]
         assert steps
         assert all(b <= 0.1 * a ** 2 for a, b in steps), r
+
+    @staticmethod
+    def _ring_65():
+        d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (65, 65))
+        inner = node_set_from_shape({"type": "disk", "center": [0.0, 0.0], "radius": 0.25}, d)
+        outer = node_set_from_shape(
+            {"type": "outside_disk", "center": [0.0, 0.0], "radius": 0.75}, d)
+        return PFormContext(unit_structure(d), 3.0), GridFunction(np.where(inner, 1.0, 0.0),
+                                                                  inner | outer)
+
+    def test_one_factorization_per_inactive_set(self):
+        # the block never changes, so the first step factors it and every
+        # later step solves by CG preconditioned with that factor
+        ctx, bc = self._ring_65()
+        res = solve_dirichlet(ctx, bc)
+        rows = res.diagnostics["trace"]
+        assert [row["factored"] for row in rows] == [True] + [False] * (len(rows) - 1)
+        assert rows[0]["cg_iterations"] == 0
+        assert all(row["cg_iterations"] > 0 for row in rows[1:-1])
+        assert rows[-1]["cg_iterations"] == 0
+        assert res.iterations == len(rows) - 1 >= 3
+
+    def test_failed_cg_falls_back_to_a_fresh_factor(self, monkeypatch):
+        ctx, bc = self._ring_65()
+        opts = SolveOptions()
+        default = solve_dirichlet(ctx, bc, opts)
+
+        def failing_cg(A, b, **kwargs):
+            return np.zeros_like(b), kwargs["maxiter"]
+
+        monkeypatch.setattr(solve_module.spla, "cg", failing_cg)
+        res = solve_dirichlet(ctx, bc, opts)
+        rows = res.diagnostics["trace"]
+        assert all(row["factored"] for row in rows[:-1])
+        assert [row["cg_iterations"] for row in rows] == [0] * len(rows)
+        assert res.residual_norm <= opts.grad_tol
+        assert np.max(np.abs(res.solution.values - default.solution.values)) <= 1e-10
+
+    def test_levenberg_shift_factors_afresh(self, monkeypatch):
+        # a first Newton factorization that fails turns the shift on; it
+        # decays by a third per full step, and every step taken under it factors
+        spla = solve_module.spla
+        calls = []
+
+        def failing_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return spla.splu(*args, **kwargs)
+
+        monkeypatch.setattr(solve_module, "spla", types.SimpleNamespace(
+            splu=failing_once, cg=spla.cg, LinearOperator=spla.LinearOperator))
+        ctx, bc = self._ring_65()
+        res = solve_dirichlet(ctx, bc)
+        shifted = [row for row in res.diagnostics["trace"][:-1] if row["lambda"] > 0.0]
+        assert shifted
+        assert all(row["factored"] and row["cg_iterations"] == 0 for row in shifted)
+        assert res.residual_norm <= SolveOptions().grad_tol
+
+    def test_active_set_change_factors_afresh(self):
+        d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (9, 9))
+        c = d.node_coords() - np.array([0.05, -0.03])
+        lo = GridFunction(0.6 - 2.0 * np.sum(c ** 2, axis=-1))
+        bc = GridFunction(np.zeros(d.node_shape), boundary_mask(d))
+        opts = SolveOptions(grad_tol=1e-9)
+        res = solve_obstacle(PFormContext(unit_structure(d), 3.0), lo, bc, opts)
+        rounds = res.diagnostics["rounds"]
+        # a row's step follows a change when the row pinned or released nodes,
+        # or when it starts a run (the p = 2 run, then the p-run)
+        starts = [i for i, row in enumerate(rounds) if row["iteration"] == 0]
+        ends = [i - 1 for i in starts[1:]] + [len(rounds) - 1]
+        after_change = [row for i, row in enumerate(rounds) if i not in ends
+                        and (i in starts or row["violated"] or row["released"])]
+        assert any(row["released"] for row in after_change)
+        assert all(row["factored"] and row["cg_iterations"] == 0 for row in after_change)
+        # and the p-run reuses its factor once the set has settled
+        assert any(not row["factored"] and row["cg_iterations"] > 0 for row in rounds)
+        assert all(not rounds[i]["factored"] for i in ends)
+        assert res.residual_norm <= opts.grad_tol
 
 
 def _reference_obstacle(ctx, lo, boundary, opts, complementarity_tol=1e-8):
