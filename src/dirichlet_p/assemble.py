@@ -234,6 +234,10 @@ def solve_linear_dirichlet(structure: GridStructure, boundary_values: np.ndarray
     free = ~mask_flat
     if not free.any():
         return vals.reshape(structure.domain.node_shape)
+    if not vals[mask_flat].any():
+        # zero data: the solution is 0, with no block to assemble or factor
+        vals[free] = 0.0
+        return vals.reshape(structure.domain.node_shape)
     o = _block_order(structure.domain.node_shape, free)
     S_o = stiffness_matrix(structure)[o]
     rhs = -(S_o[:, mask_flat] @ vals[mask_flat])

@@ -55,6 +55,7 @@ from .config import (
 from .grid import GridFunction, boundary_mask
 from .mappings import analyze, verify_component_harmonicity
 from .metric import (
+    _distance_fields,
     certify_gradient_bound,
     check_caccioppoli,
     check_caccioppoli_ball,
@@ -251,16 +252,18 @@ def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
     cvalue = block.get("c")
     c = None if cvalue in (None, "mean") else _get_value(block, "c", float, "caccioppoli")
     neighborhood = _get_value(block, "neighborhood", _stencil, "caccioppoli", 16)
+    sources = [nearest_node(ctx.domain, center) for center, _, _ in balls]
+    # the intrinsic variants read every ball's distances off one stencil graph
+    fields = (_distance_fields(sources, ctx.structure, neighborhood)
+              if variant in ("ball", "cutoff") else [None] * len(balls))
     checks: list[dict] = []
-    for center, r, R in balls:
-        src = nearest_node(ctx.domain, center)
+    for (center, r, R), src, field in zip(balls, sources, fields):
         if variant == "ball":
             rep = check_caccioppoli_ball(u, src, r, R, c, ctx,
                                          residual_tol=residual_tol,
-                                         neighborhood=neighborhood)
+                                         neighborhood=neighborhood, field=field)
         elif variant == "cutoff":
-            phi = truncation_function(src, r, R, ctx.structure,
-                                      neighborhood=neighborhood)
+            phi = truncation_function(src, r, R, ctx.structure, field=field)
             rep = check_caccioppoli(u, phi, c, ctx, residual_tol=residual_tol)
         elif variant == "euclidean":
             coords = ctx.domain.node_coords()

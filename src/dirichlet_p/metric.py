@@ -5,10 +5,12 @@ u(x) - u(y) over functions with per-cell carre du champ at most 1.  For a
 cell field G that constraint reads 2 (G grad u, grad u) <= 1, so distance
 is the path length in the Riemannian metric (2G)^-1.  It is computed as a
 shortest path on an extended lattice stencil (axis, diagonal and knight
-moves) with edge lengths sqrt(e^T (2G)^-1 e); graph distances satisfy the
-metric axioms exactly, and overestimate the continuum length by at most
-the stencil's metrication constant (about 2.75 percent for the default
-16-neighborhood in 2-D, about 8.24 percent for the 8-neighborhood).
+moves) with edge lengths sqrt(e^T (2G)^-1 e), each edge computed once for
+both of its directions; graph distances satisfy the metric axioms exactly,
+and overestimate the continuum length by at most the stencil's metrication
+constant (about 2.75 percent for the default 16-neighborhood in 2-D, about
+8.24 percent for the 8-neighborhood).  Fields from several sources on one
+structure share a single graph (the caccioppoli command's balls do).
 
 Cutoff profiles (r - rho)+ and the two-radius truncation functions built
 from them inherit per-cell gradient bounds (see cutoff_gamma_bound; the
@@ -173,59 +175,82 @@ def _metric_tensor(G: np.ndarray) -> np.ndarray:
     return (adj / (2.0 * _det(G))[..., None]).reshape(G.shape)
 
 
+def _move_lengths(Minv: np.ndarray, off: tuple[int, ...], src_lo: list[int],
+                  view: tuple[int, ...], h: np.ndarray) -> np.ndarray:
+    """Lengths of the move `off` out of the source box `view` at `src_lo`.
+
+    The metric tensor (2G)^-1 is sampled as the mean over the cells whose
+    closed extent contains the segment midpoint, as the mean of the
+    per-cell quadratic forms e^T (2G)^-1 e (which is the form of the mean
+    tensor).
+    """
+    cells = Minv.shape[:-1]
+    # candidate cells containing the segment midpoint, relative to the
+    # source node: odd components pin one cell, even ones sit on a face
+    cand_axes = []
+    for o in off:
+        if o % 2 == 0:
+            cand_axes.append([o // 2 - 1, o // 2])
+        else:
+            cand_axes.append([(o - 1) // 2])
+    e = np.asarray(off, dtype=float) * h
+    quad = Minv @ np.outer(e, e).ravel()  # e^T M e per cell
+    acc = np.zeros(view)
+    count = np.zeros(view)
+    for combo in itertools.product(*cand_axes):
+        view_sl = []
+        cell_sl = []
+        ok = True
+        for a, (c, lo) in enumerate(zip(combo, src_lo)):
+            i0 = max(lo, -c)
+            i1 = min(lo + view[a] - 1, cells[a] - 1 - c)
+            if i0 > i1:
+                ok = False
+                break
+            view_sl.append(slice(i0 - lo, i1 - lo + 1))
+            cell_sl.append(slice(i0 + c, i1 + c + 1))
+        if not ok:
+            continue
+        acc[tuple(view_sl)] += quad[tuple(cell_sl)]
+        count[tuple(view_sl)] += 1.0
+    return np.sqrt(acc / count)
+
+
 def _edge_weight_arrays(structure: GridStructure, offsets: list[tuple[int, ...]]):
     """Edge lengths and targets of every stencil move, one column per offset.
 
     Returns (weights, targets), both of shape (num_nodes, len(offsets)):
-    row j holds the moves out of flat node j.  The metric tensor (2G)^-1
-    is sampled as the mean over the cells whose closed extent contains the
-    segment midpoint, as the mean of the per-cell quadratic forms
-    e^T (2G)^-1 e (which is the form of the mean tensor).  Moves leaving
-    the grid become self-loops of infinite length, so every row has the
-    same number of entries.
+    row j holds the moves out of flat node j, with the lengths of
+    `_move_lengths`.  Moves leaving the grid become self-loops of infinite
+    length, so every row has the same number of entries.
+
+    A move o out of node j and the move -o out of node j + o share their
+    midpoint, hence their candidate cells in the same summation order, and
+    (-e)(-e)^T = e e^T exactly: each +-o pair is computed once, so every
+    edge has the same length in both directions, bit for bit.
     """
     domain = structure.domain
     dim = domain.dim
     shape = domain.node_shape
-    cells = domain.cells_shape
-    Minv = _metric_tensor(structure.field.matrices).reshape(cells + (dim * dim,))
+    Minv = _metric_tensor(structure.field.matrices).reshape(domain.cells_shape + (dim * dim,))
     h = np.asarray(domain.spacing)
     n = domain.num_nodes
+    column = {off: k for k, off in enumerate(offsets)}
     weights = np.full((n, len(offsets)), np.inf)
     weights_nd = weights.reshape(shape + (len(offsets),))
     for k, off in enumerate(offsets):
+        back = column.get(tuple(-o for o in off))
+        if back is not None and back < k:
+            continue  # filled as the reverse of column `back`
         src_lo = [(-o if o < 0 else 0) for o in off]
         view = tuple(shape[a] - abs(off[a]) for a in range(dim))
-        # candidate cells containing the segment midpoint, relative to the
-        # source node: odd components pin one cell, even ones sit on a face
-        cand_axes = []
-        for o in off:
-            if o % 2 == 0:
-                cand_axes.append([o // 2 - 1, o // 2])
-            else:
-                cand_axes.append([(o - 1) // 2])
-        e = np.asarray(off, dtype=float) * h
-        quad = Minv @ np.outer(e, e).ravel()  # e^T M e per cell
-        acc = np.zeros(view)
-        count = np.zeros(view)
-        for combo in itertools.product(*cand_axes):
-            view_sl = []
-            cell_sl = []
-            ok = True
-            for a, (c, lo) in enumerate(zip(combo, src_lo)):
-                i0 = max(lo, -c)
-                i1 = min(lo + view[a] - 1, cells[a] - 1 - c)
-                if i0 > i1:
-                    ok = False
-                    break
-                view_sl.append(slice(i0 - lo, i1 - lo + 1))
-                cell_sl.append(slice(i0 + c, i1 + c + 1))
-            if not ok:
-                continue
-            acc[tuple(view_sl)] += quad[tuple(cell_sl)]
-            count[tuple(view_sl)] += 1.0
-        on_grid = tuple(slice(lo, lo + v) for lo, v in zip(src_lo, view)) + (k,)
-        weights_nd[on_grid] = np.sqrt(acc / count)
+        w = _move_lengths(Minv, off, src_lo, view, h)
+        weights_nd[tuple(slice(lo, lo + v) for lo, v in zip(src_lo, view)) + (k,)] = w
+        if back is not None:
+            # the same edges walked from their far ends: the box shifted by o
+            weights_nd[tuple(slice(lo + o, lo + o + v)
+                             for lo, o, v in zip(src_lo, off, view)) + (back,)] = w
+        del w  # freed before the next move's temporaries, which keeps peak memory flat
     # built after the loop so its temporaries and the targets never coexist
     strides = [int(np.prod(shape[a + 1:])) for a in range(dim)]
     step = np.array([np.dot(off, strides) for off in offsets], dtype=np.int32)
@@ -234,32 +259,43 @@ def _edge_weight_arrays(structure: GridStructure, offsets: list[tuple[int, ...]]
     return weights, targets
 
 
+def _distance_fields(sources: Sequence[Sequence[int]], structure: GridStructure,
+                     neighborhood: int = 16) -> list[MetricField]:
+    """One MetricField per source, all from a single stencil graph.
+
+    The graph is built once and scipy's Dijkstra runs from every source on
+    it; each field equals the one `intrinsic_distance` gives for its source.
+    """
+    domain = structure.domain
+    srcs = [tuple(int(i) for i in s) for s in sources]
+    for src in srcs:
+        if len(src) != domain.dim:
+            raise ValueError("source index has wrong dimension")
+        for i, s in zip(src, domain.node_shape):
+            if not 0 <= i < s:
+                raise ValueError(f"source node {src} outside the grid")
+    weights, targets = _edge_weight_arrays(structure, stencil_offsets(domain.dim, neighborhood))
+    n, k = weights.shape
+    indptr = np.arange(0, n * k + 1, k, dtype=np.int32)
+    graph = sp.csr_matrix((weights.reshape(-1), targets.reshape(-1), indptr), shape=(n, n))
+    starts = [int(np.ravel_multi_index(src, domain.node_shape)) for src in srcs]
+    dist = dijkstra(graph, directed=True, indices=starts)
+    metrication = metrication_constant(domain.dim, neighborhood)
+    return [MetricField(source=src, distances=d.reshape(domain.node_shape),
+                        neighborhood=neighborhood, metrication=metrication)
+            for src, d in zip(srcs, dist)]
+
+
 def intrinsic_distance(source: Sequence[int], structure: GridStructure,
                        neighborhood: int = 16) -> MetricField:
     """Shortest-path intrinsic distance from a source node.
 
     Dijkstra from scipy.sparse.csgraph on the stencil graph.  The grid
     must be connected (it is, being a full box).  Distances are a genuine
-    metric on the node set: symmetric, zero only at the source, triangle
-    inequality exact.
+    metric on the node set: symmetric (every edge has one length in both
+    directions), zero only at the source, triangle inequality exact.
     """
-    domain = structure.domain
-    src = tuple(int(i) for i in source)
-    if len(src) != domain.dim:
-        raise ValueError("source index has wrong dimension")
-    for i, s in zip(src, domain.node_shape):
-        if not 0 <= i < s:
-            raise ValueError(f"source node {src} outside the grid")
-    weights, targets = _edge_weight_arrays(structure, stencil_offsets(domain.dim, neighborhood))
-    n, k = weights.shape
-    indptr = np.arange(0, n * k + 1, k, dtype=np.int32)
-    graph = sp.csr_matrix((weights.reshape(-1), targets.reshape(-1), indptr), shape=(n, n))
-    start = int(np.ravel_multi_index(src, domain.node_shape))
-    dist = dijkstra(graph, directed=True, indices=start)
-    return MetricField(
-        source=src, distances=dist.reshape(domain.node_shape), neighborhood=neighborhood,
-        metrication=metrication_constant(domain.dim, neighborhood),
-    )
+    return _distance_fields([source], structure, neighborhood)[0]
 
 
 def distance_cutoff(source: Sequence[int], r: float, structure: GridStructure,
@@ -410,18 +446,24 @@ def check_caccioppoli(u, phi: GridFunction, c: float | None, ctx: PFormContext,
 def check_caccioppoli_ball(u, source: Sequence[int], r: float, R: float,
                            c: float | None, ctx: PFormContext,
                            residual_tol: float = 1e-3,
-                           neighborhood: int = 16) -> CheckReport:
+                           neighborhood: int = 16,
+                           field: MetricField | None = None) -> CheckReport:
     """Intrinsic-ball form with constant p / (R - r):
 
         ( int_{B_r} gamma(u)^(p/2) dm )^(1/p)
             <= p/(R-r) ( int_{B_R} |u - c|^p dm )^(1/p) + tol
 
     The cutoff is the indicator of the R-ball's nodes; c defaults to the
-    mean of u over the cells of the R-ball.
+    mean of u over the cells of the R-ball.  A precomputed distance field
+    from this source under this neighborhood may be passed as `field`.
     """
     if not 0 < r < R:
         raise ValueError("need 0 < r < R")
-    field = intrinsic_distance(source, ctx.structure, neighborhood)
+    if field is None:
+        field = intrinsic_distance(source, ctx.structure, neighborhood)
+    elif (field.source, field.neighborhood) != (tuple(int(i) for i in source), neighborhood):
+        raise ValueError(f"the field from source {field.source} under neighborhood "
+                         f"{field.neighborhood} does not match the call")
     domain = ctx.domain
     m = ctx.measure
     p = ctx.p

@@ -39,7 +39,6 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy import ndimage
 
 from .assemble import _SPD_SPLU, _block_order, assemble_form_matrix, solve_linear_dirichlet
 from .grid import GridFunction, ShapeMismatchError, _flux_gamma, _values, dp_norm
@@ -311,6 +310,8 @@ def solve_dirichlet(ctx: PFormContext, boundary: GridFunction,
 
 def _region_interior(region: np.ndarray, dim: int) -> np.ndarray:
     """Nodes of the region whose full stencil neighborhood stays inside it."""
+    from scipy import ndimage
+
     footprint = np.ones((3,) * dim, dtype=bool)
     return ndimage.binary_erosion(region, structure=footprint, border_value=0)
 

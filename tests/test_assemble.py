@@ -344,3 +344,24 @@ class TestBlockSolvesMatchSpsolve:
         pinned = mask.reshape(-1).copy()
         pinned[free] = active
         _assert_rel_close(u[~pinned], _spsolve_block(st, u, pinned))
+
+
+class TestZeroDataSolve:
+    @pytest.mark.parametrize("shape, radius", SOLVE_CASES)
+    def test_zero_data_returns_zeros_without_factoring(self, shape, radius, rng, monkeypatch):
+        import dirichlet_p.assemble as assemble_module
+
+        def no_factor(*args, **kwargs):
+            raise AssertionError("zero data must not be factored")
+
+        monkeypatch.setattr(assemble_module.spla, "splu", no_factor)
+        st = _structure(shape, rng)
+        mask = _box_boundary(shape) | _ball(shape, radius)
+        vals = np.where(mask, 0.0, rng.standard_normal(shape))
+        vals[mask & (np.indices(shape)[0] == 0)] = -0.0
+        u = solve_linear_dirichlet(st, vals, mask)
+        assert np.array_equal(np.signbit(u[mask]), np.signbit(vals[mask]))
+        assert np.all(u[~mask] == 0.0) and not np.signbit(u[~mask]).any()
+        vals[mask] = rng.standard_normal(shape)[mask]
+        with pytest.raises(AssertionError, match="factored"):
+            solve_linear_dirichlet(st, vals, mask)

@@ -314,6 +314,26 @@ class TestChoquet1D:
         assert not reports["decreasing_compacts"].passed
         assert not reports["increasing_sets"].passed
 
+    def test_monotonicity_row_detects_a_shrinking_capacity(self, line17, monkeypatch):
+        import dirichlet_p.capacity as capacity_module
+
+        ctx = PFormContext(unit_structure(line17), 2.0)
+        K = nodes_in_interval(line17, 0.25, 0.5)
+        L = nodes_in_interval(line17, 0.125, 0.75)
+        assert np.all(K <= L) and L.sum() > K.sum()
+        honest = [r for r in check_choquet([L, K], boundary_mask(line17), ctx)
+                  if r.check == "monotonicity"]
+        assert len(honest) == 1 and honest[0].passed
+        # capacities that shrink as the set grows: K's exceeds that of L
+        monkeypatch.setattr(capacity_module, "_cap_of_nodes",
+                            lambda inner, outer, ctx, opts: (1.0 / (1.0 + float(inner.sum())),
+                                                             None))
+        rows = [r for r in check_choquet([L, K], boundary_mask(line17), ctx)
+                if r.check == "monotonicity"]
+        assert len(rows) == 1
+        assert rows[0].passed is False
+        assert rows[0].details == {"subset": 1, "superset": 0}
+
     # Every memo miss goes through `_cap_of_nodes`: a set function patched in
     # there must reach the rows that read the shared memo.
     def test_supermodular_capacity_fails_subadditivity_rows(self, line17, monkeypatch):

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -601,3 +605,14 @@ def test_nonfinite_grad_tol_is_a_config_error(tmp_path, capsys, solver, flags):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "grad_tol" in err
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # every ndimage user imports it inside the function that needs it
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = "import sys, dirichlet_p.cli; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,4 +1,6 @@
 import heapq
+import itertools
+import json
 import math
 
 import numpy as np
@@ -16,6 +18,7 @@ from dirichlet_p.grid import (
 from dirichlet_p.metric import (
     HarmonicityError,
     _edge_weight_arrays,
+    _metric_tensor,
     certify_gradient_bound,
     check_caccioppoli,
     check_caccioppoli_ball,
@@ -33,12 +36,65 @@ from dirichlet_p.pform import PFormContext
 from conftest import random_elliptic_field
 
 
+def _reference_edge_weight_arrays(structure, offsets):
+    """Frozen oracle: every move computed on its own, one column per offset.
+
+    The move-by-move form of `_edge_weight_arrays`, kept as the reference
+    for the paired fill (which computes each +-o pair once).
+    """
+    domain = structure.domain
+    dim = domain.dim
+    shape = domain.node_shape
+    cells = domain.cells_shape
+    Minv = _metric_tensor(structure.field.matrices).reshape(cells + (dim * dim,))
+    h = np.asarray(domain.spacing)
+    n = domain.num_nodes
+    weights = np.full((n, len(offsets)), np.inf)
+    weights_nd = weights.reshape(shape + (len(offsets),))
+    for k, off in enumerate(offsets):
+        src_lo = [(-o if o < 0 else 0) for o in off]
+        view = tuple(shape[a] - abs(off[a]) for a in range(dim))
+        cand_axes = []
+        for o in off:
+            if o % 2 == 0:
+                cand_axes.append([o // 2 - 1, o // 2])
+            else:
+                cand_axes.append([(o - 1) // 2])
+        e = np.asarray(off, dtype=float) * h
+        quad = Minv @ np.outer(e, e).ravel()
+        acc = np.zeros(view)
+        count = np.zeros(view)
+        for combo in itertools.product(*cand_axes):
+            view_sl = []
+            cell_sl = []
+            ok = True
+            for a, (c, lo) in enumerate(zip(combo, src_lo)):
+                i0 = max(lo, -c)
+                i1 = min(lo + view[a] - 1, cells[a] - 1 - c)
+                if i0 > i1:
+                    ok = False
+                    break
+                view_sl.append(slice(i0 - lo, i1 - lo + 1))
+                cell_sl.append(slice(i0 + c, i1 + c + 1))
+            if not ok:
+                continue
+            acc[tuple(view_sl)] += quad[tuple(cell_sl)]
+            count[tuple(view_sl)] += 1.0
+        on_grid = tuple(slice(lo, lo + v) for lo, v in zip(src_lo, view)) + (k,)
+        weights_nd[on_grid] = np.sqrt(acc / count)
+    strides = [int(np.prod(shape[a + 1:])) for a in range(dim)]
+    step = np.array([np.dot(off, strides) for off in offsets], dtype=np.int32)
+    targets = np.where(np.isfinite(weights), step, np.int32(0))
+    targets += np.arange(n, dtype=np.int32)[:, None]
+    return weights, targets
+
+
 def heapq_distance(source, structure, neighborhood=16):
     """Reference Dijkstra: a heapq loop over single nodes and stencil moves."""
     domain = structure.domain
     shape = domain.node_shape
     offsets = stencil_offsets(domain.dim, neighborhood)
-    weights, _ = _edge_weight_arrays(structure, offsets)
+    weights, _ = _reference_edge_weight_arrays(structure, offsets)
     strides = np.array([int(np.prod(shape[a + 1:])) for a in range(domain.dim)], dtype=int)
     flat_offsets = [int(np.dot(off, strides)) for off in offsets]
     n = domain.num_nodes
@@ -163,6 +219,118 @@ class TestDistance:
         d = GridDomain(((0.0, 1.0),), (9,))
         with pytest.raises(ValueError):
             intrinsic_distance((9,), unit_structure(d))
+
+
+_GRAPH_CASES = [
+    (((0.0, 1.0),), (33,), 16, "identity"),
+    (((0.0, 1.0),) * 2, (17, 17), 8, "identity"),
+    (((0.0, 1.0),) * 2, (17, 17), 16, "identity"),
+    (((0.0, 1.0), (0.0, 3.0)), (9, 13), 16, "identity"),
+    (((0.0, 1.0), (0.0, 3.0)), (9, 13), 16, "random"),
+    (((0.0, 1.0),) * 2, (17, 17), 16, "random"),
+    (((0.0, 1.0),) * 3, (7, 7, 7), 8, "random"),
+    (((0.0, 1.0),) * 3, (7, 7, 7), 16, "random"),
+]
+
+
+def _graph_structure(extent, shape, kind, rng):
+    d = GridDomain(extent, shape)
+    if kind == "identity":
+        return unit_structure(d)
+    return GridStructure(d, random_elliptic_field(d, rng))
+
+
+class TestStencilGraph:
+    @pytest.mark.parametrize("extent, shape, neighborhood, kind", _GRAPH_CASES)
+    def test_paired_fill_matches_the_move_by_move_oracle(self, extent, shape, neighborhood,
+                                                          kind, rng):
+        s = _graph_structure(extent, shape, kind, rng)
+        offsets = stencil_offsets(len(shape), neighborhood)
+        weights, targets = _edge_weight_arrays(s, offsets)
+        ref_weights, ref_targets = _reference_edge_weight_arrays(s, offsets)
+        assert np.array_equal(weights, ref_weights)
+        assert np.array_equal(targets, ref_targets) and targets.dtype == ref_targets.dtype
+
+    @pytest.mark.parametrize("extent, shape, neighborhood, kind", _GRAPH_CASES)
+    def test_every_move_equals_its_reverse_bitwise(self, extent, shape, neighborhood, kind, rng):
+        s = _graph_structure(extent, shape, kind, rng)
+        offsets = stencil_offsets(len(shape), neighborhood)
+        weights, targets = _edge_weight_arrays(s, offsets)
+        back = [offsets.index(tuple(-o for o in off)) for off in offsets]
+        finite = np.isfinite(weights)
+        assert finite.any(axis=1).all()
+        rows, cols = np.nonzero(finite)
+        reverse = weights[targets[rows, cols], np.asarray(back)[cols]]
+        assert np.array_equal(reverse.view(np.int64), weights[rows, cols].view(np.int64))
+
+    def test_fields_of_many_sources_share_one_graph(self, rng, monkeypatch):
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (13, 13))
+        s = GridStructure(d, random_elliptic_field(d, rng))
+        builds = []
+
+        def spy(structure, offsets, _build=_edge_weight_arrays):
+            builds.append(len(offsets))
+            return _build(structure, offsets)
+
+        monkeypatch.setattr(metric_module, "_edge_weight_arrays", spy)
+        sources = [(2, 3), (9, 7), (2, 3)]
+        fields = metric_module._distance_fields(sources, s, 8)
+        assert builds == [8]
+        for src, fld in zip(sources, fields):
+            assert fld.source == src and fld.neighborhood == 8
+            assert np.array_equal(fld.distances, heapq_distance(src, s, 8))
+
+
+def _ball_config(balls, variant):
+    return {"domain": {"dim": 2, "extent": [[0.0, 1.0], [0.0, 1.0]], "shape": [33, 33]},
+            "p": 2.0, "caccioppoli": {"u": "re_z2", "balls": balls, "variant": variant}}
+
+
+class TestCaccioppoliBallField:
+    @pytest.mark.parametrize("variant", ["ball", "cutoff"])
+    def test_two_ball_run_builds_one_graph(self, tmp_path, monkeypatch, variant):
+        import dirichlet_p.cli as cli
+
+        balls = [{"center": [0.4, 0.5], "r": 0.1, "R": 0.2},
+                 {"center": [0.55, 0.45], "r": 0.1, "R": 0.25}]
+
+        def run(name, balls):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(_ball_config(balls, variant)))
+            out = tmp_path / f"{name}-out.json"
+            assert cli.main(["caccioppoli", "--config", str(cfg), "--out", str(out)]) == 0
+            return json.loads(out.read_text())["results"]["checks"]
+
+        per_ball = run("one", balls[:1]) + run("two", balls[1:])
+        builds = []
+
+        def spy(structure, offsets, _build=_edge_weight_arrays):
+            builds.append(structure.domain.shape)
+            return _build(structure, offsets)
+
+        monkeypatch.setattr(metric_module, "_edge_weight_arrays", spy)
+        both = run("both", balls)
+        assert builds == [(33, 33)]
+        assert both == per_ball
+
+    def test_given_field_gives_the_same_report(self):
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+        ctx = PFormContext(unit_structure(d), 2.0)
+        u = GridFunction.from_callable(d, lambda x, y: 2 * x - y + 0.3)
+        fld = intrinsic_distance((16, 16), ctx.structure, 8)
+        given = check_caccioppoli_ball(u, (16, 16), 0.2, 0.4, None, ctx, neighborhood=8,
+                                       field=fld)
+        own = check_caccioppoli_ball(u, (16, 16), 0.2, 0.4, None, ctx, neighborhood=8)
+        assert given.to_dict() == own.to_dict()
+
+    @pytest.mark.parametrize("source, neighborhood", [((15, 16), 16), ((16, 16), 8)])
+    def test_mismatched_field_is_rejected(self, source, neighborhood):
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+        ctx = PFormContext(unit_structure(d), 2.0)
+        u = GridFunction.from_callable(d, lambda x, y: 2 * x - y + 0.3)
+        fld = intrinsic_distance(source, ctx.structure, neighborhood)
+        with pytest.raises(ValueError, match="neighborhood"):
+            check_caccioppoli_ball(u, (16, 16), 0.2, 0.4, None, ctx, field=fld)
 
 
 class TestCutoffs:

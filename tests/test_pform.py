@@ -553,6 +553,20 @@ class TestContraction:
             r2 = check_contraction_operates(u, v, ctx, kind="negative_part")
             assert r1.passed and r2.passed
 
+    @pytest.mark.parametrize("kind", ["unit", "smooth"])
+    def test_negative_pairing_fails(self, square, square_structure, rng, monkeypatch, kind):
+        ctx = PFormContext(square_structure, 3.0)
+        u = GridFunction(rng.uniform(0.1, 0.9, square.node_shape))
+        v = random_function(square, rng)
+        T = np.tanh if kind == "smooth" else None
+        honest = check_contraction_operates(u, v, ctx, kind=kind, T=T)
+        assert honest.passed and honest.details["regime"] == "exact"
+        monkeypatch.setattr(pform_module, "_pairing_difference", lambda *args: -1.0)
+        rep = check_contraction_operates(u, v, ctx, kind=kind, T=T)
+        assert rep.check == f"contraction_{kind}"
+        assert rep.passed is False
+        assert rep.details["pairing"] == -1.0 and rep.tolerance == honest.tolerance
+
     def test_rejects_expanding_map(self, square, square_structure, rng):
         ctx = PFormContext(square_structure, 3.0)
         u = random_function(square, rng)
