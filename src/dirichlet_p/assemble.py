@@ -18,6 +18,12 @@ The symmetric positive definite blocks that the solvers factor (free or
 inactive nodes) are taken in a geometric nested-dissection order of the
 node grid, also built once per node shape: the subsequence of that order
 on a block's nodes is again a dissection order, at O(n) cost per block.
+A block's pattern is analysed once per node set (`_SpdBlock`): its
+dissection-ordered nodes, an int32 CSR pattern whose rows keep their
+entries in stencil-offset order, and the index of each entry's slot, so
+each later matrix on that block is one gather from the slot planes, equal
+to the full matrix sliced to the block.  The linear solve forms its right
+side from the same planes, so the full stiffness matrix is never built.
 """
 
 from __future__ import annotations
@@ -66,6 +72,13 @@ def cell_average_operator(domain: GridDomain) -> sp.csr_matrix:
     return op
 
 
+def _stencil_offsets(shape: tuple[int, ...]) -> np.ndarray:
+    """Flat node offsets of the 3^d stencil, in lexicographic order of {-1, 0, 1}^d (int32)."""
+    strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
+    return np.array([np.dot(o, strides) for o in itertools.product((-1, 0, 1), repeat=len(shape))],
+                    dtype=np.int32)
+
+
 @functools.lru_cache(maxsize=_SHAPE_CACHE)
 def _stencil_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the 3^d-point stencil on a node grid, and its slot mask.
@@ -85,10 +98,7 @@ def _stencil_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np
         keep &= ((along >= 0) & (along < n)).reshape(view)
     num_nodes = int(np.prod(shape))
     keep = keep.reshape(num_nodes, 3 ** dim)
-    strides = [int(np.prod(shape[j + 1:])) for j in range(dim)]
-    offsets = np.array([np.dot(o, strides) for o in itertools.product((-1, 0, 1), repeat=dim)],
-                       dtype=np.int32)
-    indices = (np.arange(num_nodes, dtype=np.int32)[:, None] + offsets)[keep]
+    indices = (np.arange(num_nodes, dtype=np.int32)[:, None] + _stencil_offsets(shape))[keep]
     indptr = np.zeros(num_nodes + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     keep = keep.reshape(-1)
@@ -156,8 +166,13 @@ def _block_order(shape: tuple[int, ...], keep: np.ndarray) -> np.ndarray:
     return order[keep[order]]
 
 
-def assemble_form_matrix(domain: GridDomain, cell_matrices: np.ndarray) -> sp.csr_matrix:
-    """Matrix of (u, v) -> sum_c (W(c) grad u(c), grad v(c)) for per-cell W."""
+def _form_slots(domain: GridDomain, cell_matrices: np.ndarray) -> np.ndarray:
+    """Slot planes of the form (u, v) -> sum_c (W(c) grad u(c), grad v(c)).
+
+    Plane o, one per stencil offset in lexicographic order, holds for every
+    node i its coupling with node i + o; slots whose neighbour lies outside
+    the grid stay zero.
+    """
     W = np.asarray(cell_matrices, dtype=float)
     expected = domain.cells_shape + (domain.dim, domain.dim)
     if W.shape != expected:
@@ -203,19 +218,96 @@ def assemble_form_matrix(domain: GridDomain, cell_matrices: np.ndarray) -> sp.cs
         for a in corners:
             for b, vb in zip(corners, VB):
                 add(a, b, signed(vb, a))
+    return slots
+
+
+class _SpdBlock:
+    """The block of a stencil form on the nodes where `keep` holds, as a gather pattern.
+
+    Built once per (node shape, keep).  `nodes` lists the block's nodes in
+    the grid's dissection order (`_block_order`), and (`indptr`, `indices`)
+    is the block's int32 CSR pattern in those positions, with each row's
+    entries in stencil-offset order: the stored order of the full matrix
+    sliced by `[nodes][:, nodes]`, in which a CSR product sums a row.
+    `src` indexes each entry's slot in the flat slot planes.  `factor`
+    holds a factorization of the block for a caller that reuses it.
+    """
+
+    def __init__(self, shape: tuple[int, ...], keep: np.ndarray):
+        self.keep = np.array(keep, dtype=bool).reshape(-1)
+        self.nodes = _block_order(shape, self.keep)
+        self.factor = None
+        n, m = self.keep.size, len(self.nodes)
+        # block positions on the grid padded by one node per side, where every
+        # stencil neighbour of a node has an index and the pad holds no block node
+        padded = tuple(k + 2 for k in shape)
+        position = np.full(padded, -1, dtype=np.int32)
+        in_block = np.full(n, -1, dtype=np.int32)
+        in_block[self.nodes] = np.arange(m, dtype=np.int32)
+        position[(slice(1, -1),) * len(shape)] = in_block.reshape(shape)
+        rows = np.ravel_multi_index(tuple(c + 1 for c in np.unravel_index(self.nodes, shape)),
+                                    padded)
+        # (offset, row) arrays; the transposes list the entries row by row, in offset order
+        columns = position.reshape(-1)[_stencil_offsets(padded)[:, None] + rows]
+        stored = columns >= 0
+        self.indices = columns.T[stored.T]
+        self.indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(stored.sum(axis=0), out=self.indptr[1:])
+        planes = np.arange(len(columns), dtype=np.int32)[:, None] * np.int32(n)
+        self.src = (planes + self.nodes.astype(np.int32)).T[stored.T]
+
+    def matrix(self, slots: np.ndarray) -> sp.csr_matrix:
+        """The block of the form with these slot planes, its zero entries dropped."""
+        m = len(self.nodes)
+        # copies: eliminate_zeros rewrites the index arrays in place
+        A = sp.csr_matrix((slots.reshape(-1)[self.src], self.indices.copy(), self.indptr.copy()),
+                          shape=(m, m))
+        A.eliminate_zeros()
+        return A
+
+
+def assemble_form_matrix(domain: GridDomain, cell_matrices: np.ndarray,
+                         block: _SpdBlock | None = None) -> sp.csr_matrix:
+    """Matrix of (u, v) -> sum_c (W(c) grad u(c), grad v(c)) for per-cell W.
+
+    With `block` given, only that block is gathered from the slot planes.
+    """
+    slots = _form_slots(domain, cell_matrices)
+    if block is not None:
+        return block.matrix(slots)
     indptr, indices, keep = _stencil_pattern(domain.shape)
     n = domain.num_nodes
-    data = slots.reshape(3 ** dim, n).T[keep.reshape(n, -1)]
+    data = slots.reshape(-1, n).T[keep.reshape(n, -1)]
     # copies: eliminate_zeros rewrites the index arrays in place
     A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
     A.eliminate_zeros()
     return A
 
 
+def _stiffness_cells(structure: GridStructure) -> np.ndarray:
+    """Per-cell matrices 2 m G of the stiffness form."""
+    return 2.0 * structure.measure[..., None, None] * structure.field.matrices
+
+
 def stiffness_matrix(structure: GridStructure) -> sp.csr_matrix:
     """Matrix S with u^T S v = int gamma(u, v) dm (the p = 2 operator)."""
-    m = structure.measure[..., None, None]
-    return assemble_form_matrix(structure.domain, 2.0 * m * structure.field.matrices)
+    return assemble_form_matrix(structure.domain, _stiffness_cells(structure))
+
+
+def _stencil_product(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The form matrix times the node values x, from its slot planes (flat).
+
+    Each node's terms are summed from +0.0 in offset order, the order in
+    which a CSR product sums a row of the assembled matrix, so the result
+    equals that product bitwise: a zero term, from a dropped entry or an
+    unpinned neighbour, leaves a sum begun at +0.0 unchanged.
+    """
+    y = np.zeros(x.shape)
+    for plane, offset in zip(slots, itertools.product((-1, 0, 1), repeat=x.ndim)):
+        rows = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, x.shape))
+        cols = tuple(slice(max(0, o), n + min(0, o)) for o, n in zip(offset, x.shape))
+        y[rows] += plane[rows] * x[cols]
+    return y.reshape(-1)
 
 
 def mass_matrix(domain: GridDomain) -> sp.csr_matrix:
@@ -225,21 +317,34 @@ def mass_matrix(domain: GridDomain) -> sp.csr_matrix:
 
 
 def solve_linear_dirichlet(structure: GridStructure, boundary_values: np.ndarray,
-                           mask: np.ndarray) -> np.ndarray:
-    """Solve the p = 2 problem: S u = 0 on free nodes, u pinned on the mask."""
+                           mask: np.ndarray, *, block: _SpdBlock | None = None) -> np.ndarray:
+    """Solve the p = 2 problem: S u = 0 on free nodes, u pinned on the mask.
+
+    `block`, when given, is the free nodes' `_SpdBlock`, to be shared with a
+    later solve on the same nodes; its `factor` is left alone.
+    """
     mask_flat = np.asarray(mask, dtype=bool).reshape(-1)
     if not mask_flat.any():
         raise ValueError("the Dirichlet mask is empty")
     vals = np.asarray(boundary_values, dtype=float).reshape(-1).copy()
     free = ~mask_flat
+    shape = structure.domain.node_shape
     if not free.any():
-        return vals.reshape(structure.domain.node_shape)
+        return vals.reshape(shape)
     if not vals[mask_flat].any():
         # zero data: the solution is 0, with no block to assemble or factor
         vals[free] = 0.0
-        return vals.reshape(structure.domain.node_shape)
-    o = _block_order(structure.domain.node_shape, free)
-    S_o = stiffness_matrix(structure)[o]
-    rhs = -(S_o[:, mask_flat] @ vals[mask_flat])
-    vals[o] = spla.splu(S_o[:, o].tocsc(), **_SPD_SPLU).solve(rhs)
-    return vals.reshape(structure.domain.node_shape)
+        return vals.reshape(shape)
+    if block is None:
+        block = _SpdBlock(shape, free)
+    elif not np.array_equal(block.keep, free):
+        raise ValueError("the block does not hold the free nodes")
+    slots = _form_slots(structure.domain, _stiffness_cells(structure))
+    pinned = np.where(mask_flat, vals, 0.0).reshape(shape)
+    # the right side -S[free, mask] vals[mask], without assembling S
+    rhs = -_stencil_product(slots, pinned)[block.nodes]
+    S_oo = block.matrix(slots).tocsc()
+    # freed before the factorization, which sets the peak memory of a solve
+    del slots, pinned
+    vals[block.nodes] = spla.splu(S_oo, **_SPD_SPLU).solve(rhs)
+    return vals.reshape(shape)

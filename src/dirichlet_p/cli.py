@@ -56,6 +56,7 @@ from .grid import GridFunction, boundary_mask
 from .mappings import analyze, verify_component_harmonicity
 from .metric import (
     _distance_fields,
+    _Harmonic,
     certify_gradient_bound,
     check_caccioppoli,
     check_caccioppoli_ball,
@@ -246,7 +247,8 @@ def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
         _check_keys(ball, _BALL_KEYS, _BALL_KEYS, "caccioppoli ball")
         balls.append((ball["center"], _get_value(ball, "r", float, "caccioppoli ball"),
                       _get_value(ball, "R", float, "caccioppoli ball")))
-    u = GridFunction(_parse_u(block["u"], ctx.domain))
+    # every ball reads u's residual density and gamma, evaluated once here
+    u = _Harmonic(GridFunction(_parse_u(block["u"], ctx.domain)), ctx)
     variant = block.get("variant", "ball")
     residual_tol = _get_value(block, "residual_tol", float, "caccioppoli", 1e-3)
     cvalue = block.get("c")

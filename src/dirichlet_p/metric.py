@@ -43,9 +43,9 @@ from .grid import (
     gradient,
     unit_structure,
 )
-from .pform import PFormContext, _safe_power
+from .pform import PFormContext, _safe_power, scaled_operator_field
 from .report import CheckReport
-from .solve import harmonicity_residual
+from .solve import _interior_max
 
 __all__ = [
     "MetricField",
@@ -170,9 +170,13 @@ def _metric_tensor(G: np.ndarray) -> np.ndarray:
     """Per-cell (2G)^-1: by adjugate for 2x2 blocks, LAPACK otherwise."""
     if G.shape[-1] != 2:
         return np.linalg.inv(2.0 * G)
-    a, b, c, d = G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1]
-    adj = np.stack([d, -b, -c, a], axis=-1)
-    return (adj / (2.0 * _det(G))[..., None]).reshape(G.shape)
+    two_det = 2.0 * _det(G)
+    M = np.empty(G.shape)
+    np.divide(G[..., 1, 1], two_det, out=M[..., 0, 0])
+    np.divide(-G[..., 0, 1], two_det, out=M[..., 0, 1])
+    np.divide(-G[..., 1, 0], two_det, out=M[..., 1, 0])
+    np.divide(G[..., 0, 0], two_det, out=M[..., 1, 1])
+    return M
 
 
 def _move_lengths(Minv: np.ndarray, off: tuple[int, ...], src_lo: list[int],
@@ -366,11 +370,49 @@ class HarmonicityError(ValueError):
     """The input function is not certified harmonic where required."""
 
 
-def _certify(u, support: np.ndarray, ctx: PFormContext, residual_tol: float) -> float:
+class _Harmonic:
+    """A function u with the fields that the Caccioppoli verifiers read off it.
+
+    The residual density |p_operator(u)| / node mass and gamma(u) are each
+    evaluated on first use and then kept, so the checks of one command (one
+    u, one context, several balls) pay for them once.  The verifiers accept
+    it in place of u.
+    """
+
+    def __init__(self, u, ctx: PFormContext):
+        self.u = u
+        self.ctx = ctx
+
+    @functools.cached_property
+    def density(self) -> np.ndarray:
+        return _read_only(scaled_operator_field(self.u, self.ctx))
+
+    @functools.cached_property
+    def gamma(self) -> np.ndarray:
+        return _read_only(gamma(self.u, self.ctx.structure))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _as_harmonic(u, ctx: PFormContext) -> _Harmonic:
+    """u itself when it already carries its fields under ctx, else u wrapped."""
+    if not isinstance(u, _Harmonic):
+        return _Harmonic(u, ctx)
+    if u.ctx is not ctx:
+        raise ValueError("the function's fields were evaluated under another context")
+    return u
+
+
+def _certify(h: _Harmonic, support: np.ndarray, ctx: PFormContext,
+             residual_tol: float) -> float:
     from scipy import ndimage
 
     region = ndimage.binary_dilation(support, np.ones((3,) * ctx.domain.dim, dtype=bool))
-    resid = harmonicity_residual(u, region | support, ctx)
+    # the harmonicity residual of u on the region
+    resid = _interior_max(h.density, region | support, ctx)
     if resid > residual_tol:
         raise HarmonicityError(
             f"harmonicity residual {resid:.3e} exceeds the certificate tolerance "
@@ -378,7 +420,7 @@ def _certify(u, support: np.ndarray, ctx: PFormContext, residual_tol: float) -> 
     return resid
 
 
-def _caccioppoli_report(check: str, u, phi_vals: np.ndarray, weight: np.ndarray,
+def _caccioppoli_report(check: str, h: _Harmonic, phi_vals: np.ndarray, weight: np.ndarray,
                         c: float | None, ctx: PFormContext, residual_tol: float,
                         sides: Callable[[np.ndarray, float], tuple[float, float]],
                         details: dict[str, Any]) -> CheckReport:
@@ -395,9 +437,9 @@ def _caccioppoli_report(check: str, u, phi_vals: np.ndarray, weight: np.ndarray,
     support = phi_vals > 0
     if not support.any():
         raise ValueError("the cutoff vanishes identically")
-    resid = _certify(u, support, ctx, residual_tol)
+    resid = _certify(h, support, ctx, residual_tol)
     m = ctx.measure
-    ubar = cell_mean(u, ctx.domain)
+    ubar = cell_mean(h.u, ctx.domain)
     if c is None:
         w = np.maximum(weight, 0.0) * m
         c = float(np.sum(ubar * w) / np.sum(w))
@@ -425,21 +467,21 @@ def check_caccioppoli(u, phi: GridFunction, c: float | None, ctx: PFormContext,
     most residual_tol); c defaults to the measure-weighted mean of u over
     the support, which minimizes the right side at p = 2.
     """
+    h = _as_harmonic(u, ctx)
     phi_vals = _values(phi)
     phibar = cell_mean(phi_vals, ctx.domain)
     p = ctx.p
     m = ctx.measure
 
     def sides(ubar: np.ndarray, c: float) -> tuple[float, float]:
-        gu = gamma(u, ctx.structure)
         gphi = gamma(phi_vals, ctx.structure)
-        lhs = float(np.sum(np.abs(phibar) ** p * _safe_power(gu, p / 2.0) * m)) ** (1.0 / p)
+        lhs = float(np.sum(np.abs(phibar) ** p * _safe_power(h.gamma, p / 2.0) * m)) ** (1.0 / p)
         rhs = p * float(
             np.sum(_safe_power(gphi, p / 2.0) * np.abs(ubar - c) ** p * m)) ** (1.0 / p)
         return lhs, rhs
 
     return _caccioppoli_report(
-        "caccioppoli", u, phi_vals, phibar, c, ctx, residual_tol, sides,
+        "caccioppoli", h, phi_vals, phibar, c, ctx, residual_tol, sides,
         {"constant": p, "region": {"support_nodes": int(np.sum(phi_vals > 0))}})
 
 
@@ -457,6 +499,7 @@ def check_caccioppoli_ball(u, source: Sequence[int], r: float, R: float,
     mean of u over the cells of the R-ball.  A precomputed distance field
     from this source under this neighborhood may be passed as `field`.
     """
+    h = _as_harmonic(u, ctx)
     if not 0 < r < R:
         raise ValueError("need 0 < r < R")
     if field is None:
@@ -471,14 +514,13 @@ def check_caccioppoli_ball(u, source: Sequence[int], r: float, R: float,
     cells_R = intrinsic_ball_cells(field, R, domain)
 
     def sides(ubar: np.ndarray, c: float) -> tuple[float, float]:
-        gu = gamma(u, ctx.structure)
-        lhs = float(np.sum(np.where(cells_r, _safe_power(gu, p / 2.0) * m, 0.0))) ** (1.0 / p)
+        lhs = float(np.sum(np.where(cells_r, _safe_power(h.gamma, p / 2.0) * m, 0.0))) ** (1.0 / p)
         rhs = (p / (R - r)) * float(
             np.sum(np.where(cells_R, np.abs(ubar - c) ** p * m, 0.0))) ** (1.0 / p)
         return lhs, rhs
 
     return _caccioppoli_report(
-        "caccioppoli_ball", u, intrinsic_ball_nodes(field, R).astype(float),
+        "caccioppoli_ball", h, intrinsic_ball_nodes(field, R).astype(float),
         cells_R.astype(float), c, ctx, residual_tol, sides,
         {"constant": p / (R - r), "metrication": field.metrication,
          "region": {"r": r, "R": R, "source": list(field.source),
@@ -497,6 +539,7 @@ def check_caccioppoli_euclidean(u, phi: GridFunction, c: float | None,
     """
     if not 0 < alpha <= beta:
         raise ValueError("need 0 < alpha <= beta")
+    h = _as_harmonic(u, ctx)
     phi_vals = _values(phi)
     domain = ctx.domain
     phibar = cell_mean(phi_vals, domain)
@@ -505,13 +548,13 @@ def check_caccioppoli_euclidean(u, phi: GridFunction, c: float | None,
     constant = p * math.sqrt(beta / alpha)
 
     def sides(ubar: np.ndarray, c: float) -> tuple[float, float]:
-        gu = np.linalg.norm(gradient(u, domain), axis=-1)
+        gu = np.linalg.norm(gradient(h.u, domain), axis=-1)
         gphi = np.linalg.norm(gradient(phi_vals, domain), axis=-1)
         lhs = float(np.sum(np.abs(phibar) ** p * gu ** p * m)) ** (1.0 / p)
         rhs = constant * float(np.sum(gphi ** p * np.abs(ubar - c) ** p * m)) ** (1.0 / p)
         return lhs, rhs
 
     return _caccioppoli_report(
-        "caccioppoli_euclidean", u, phi_vals, phibar, c, ctx, residual_tol, sides,
+        "caccioppoli_euclidean", h, phi_vals, phibar, c, ctx, residual_tol, sides,
         {"constant": constant, "alpha": alpha, "beta": beta,
          "region": {"support_nodes": int(np.sum(phi_vals > 0))}})

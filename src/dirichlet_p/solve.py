@@ -17,7 +17,11 @@ forcing term min(0.01, 0.01 res) (Eisenstat and Walker 1996), which
 keeps the quadratic local rate; a step factors afresh when CG misses
 that term within 20 iterations or the Levenberg shift is on (Shamanskii's
 reuse of one factor over several steps).  Each trace row records whether
-its step factored and how many CG iterations it took.
+its step factored and how many CG iterations it took.  The block's sparse
+pattern is analysed once per inactive set as well (`assemble._SpdBlock`,
+which also holds the factor): each step's Hessian is gathered straight
+into it, in dissection order with each row in stencil-offset order, and a
+Dirichlet solve shares the free block between its linear start and Newton.
 
 The obstacle solve runs the same Newton loop with a primal-dual
 active-set step (Hintermüller, Ito and Kunisch 2002): nodes below the
@@ -40,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import _SPD_SPLU, _block_order, assemble_form_matrix, solve_linear_dirichlet
+from .assemble import _SPD_SPLU, _SpdBlock, assemble_form_matrix, solve_linear_dirichlet
 from .grid import GridFunction, ShapeMismatchError, _flux_gamma, _values, dp_norm
 from .pform import (
     PFormContext,
@@ -103,12 +107,17 @@ class SolveResult:
 
 
 def hessian_matrix(u, ctx: PFormContext, *,
-                   flux: tuple[np.ndarray, np.ndarray] | None = None) -> sp.csr_matrix:
+                   flux: tuple[np.ndarray, np.ndarray] | None = None,
+                   block: _SpdBlock | None = None) -> sp.csr_matrix:
     """Exact sparse Hessian of p_energy at u (positive semidefinite for p >= 2).
 
     flux, when given, is the cell flux (G grad u, gamma(u)) of u, which is
     then not differentiated again.  Each cell block entry is
     2 m (w G_ij + c4 g_i g_j) with g = G grad u, formed entry by entry.
+    With `block` given, the result is only that block: gathered from the
+    slot planes into the block's pattern, rows and columns in its
+    dissection order and each row's entries in stencil-offset order, equal
+    to the full matrix sliced by `[block.nodes][:, block.nodes]`.
     """
     G = ctx.structure.field.matrices
     Gg, gam = _flux_gamma(u, ctx.structure) if flux is None else flux
@@ -118,7 +127,7 @@ def hessian_matrix(u, ctx: PFormContext, *,
     blocks = np.empty(G.shape)
     for i, j in itertools.product(range(ctx.domain.dim), repeat=2):
         blocks[..., i, j] = m2 * (w * G[..., i, j] + c4 * (Gg[..., i] * Gg[..., j]))
-    return assemble_form_matrix(ctx.domain, blocks)
+    return assemble_form_matrix(ctx.domain, blocks, block)
 
 
 def _scaled_residual(coeff: np.ndarray, mass: np.ndarray) -> float:
@@ -153,12 +162,15 @@ def _free_objective(base: np.ndarray, mask: np.ndarray, ctx: PFormContext):
 
 
 def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOptions,
-            lower: np.ndarray | None = None, active: np.ndarray | None = None
+            lower: np.ndarray | None = None, active: np.ndarray | None = None,
+            block: _SpdBlock | None = None
             ) -> tuple[np.ndarray, float, int, list[float], list[dict], np.ndarray, np.ndarray]:
     """Newton on the free nodes, with the active-set step when `lower` is given.
 
     `lower` holds node values (-inf where unconstrained); `active` is the
     starting active set over the free nodes, whose nodes sit on `lower`.
+    `block`, when given, is a `_SpdBlock` to use while the inactive nodes
+    are its nodes; a new one is built whenever the inactive set changes.
     The last item returned is the free nodes' operator coefficients at the solution.
     """
     free = ~mask.reshape(-1)
@@ -174,8 +186,6 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
     trace: list[dict] = []
     # energy_trace is the running minimum over iterates that violate no bound
     energy_trace = [J]
-    # (nodes, SuperLU) of the last block factored, reused while the block stays the same
-    factor = None
     lam = 0.0
     iterations = 0
     for it in range(opts.max_iter + 1):
@@ -201,36 +211,36 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
             break
         if not inactive.any():
             continue
-        block = free.copy()
-        block[free] = inactive
-        # the inactive block in the grid's dissection order; o indexes the free nodes
-        nodes = _block_order(ctx.domain.node_shape, block)
-        H_oo = hessian_matrix(u, ctx, flux=flux)[nodes][:, nodes]
-        o = free_index[nodes]
-        if factor is not None and not np.array_equal(factor[0], nodes):
-            factor = None
+        keep = free.copy()
+        keep[free] = inactive
+        # the inactive block, with its pattern and its factor, lives until the set changes
+        if block is None or not np.array_equal(block.keep, keep):
+            block = _SpdBlock(ctx.domain.node_shape, keep)
+        H_oo = hessian_matrix(u, ctx, flux=flux, block=block)
+        # o indexes the free nodes in the block's dissection order
+        o = free_index[block.nodes]
         cg_steps: list[np.ndarray] = []  # one entry per CG iteration of this step
         step = None
         for _attempt in range(25):
             d_o = None
-            if factor is not None and lam == 0.0:
-                # the same block as the last factor: CG preconditioned with it
+            if block.factor is not None and lam == 0.0:
+                # the block was factored at an earlier step: CG preconditioned with it
                 d_cg, info = spla.cg(
                     H_oo, -g[o], rtol=min(_CG_FORCING, _CG_FORCING * res), maxiter=_CG_MAXITER,
-                    M=spla.LinearOperator(H_oo.shape, matvec=factor[1].solve),
+                    M=spla.LinearOperator(H_oo.shape, matvec=block.factor.solve),
                     callback=cg_steps.append)
                 d_o = d_cg if info == 0 else None
             if d_o is None:
-                factor = None
+                block.factor = None
                 shift = lam * sp.diags(np.maximum(H_oo.diagonal(), 1e-300)) if lam > 0 else None
                 A = H_oo + shift if shift is not None else H_oo
                 row["factored"] = True
                 try:
-                    factor = (nodes, spla.splu(A.tocsc(), **_SPD_SPLU))
+                    block.factor = spla.splu(A.tocsc(), **_SPD_SPLU)
                 except RuntimeError:
                     lam = max(lam * 10.0, 1e-10)
                     continue
-                d_o = factor[1].solve(-g[o])
+                d_o = block.factor.solve(-g[o])
             d = np.zeros_like(x)
             d[o] = d_o
             slope = float(g @ d)
@@ -294,12 +304,14 @@ def solve_dirichlet(ctx: PFormContext, boundary: GridFunction,
     if boundary.values.shape != ctx.domain.node_shape:
         raise ShapeMismatchError("boundary data does not match the grid")
     mask = boundary.mask
+    # the free block: one pattern for the linear start and every Newton step
+    block = _SpdBlock(ctx.domain.node_shape, ~mask.reshape(-1))
     if initial is not None:
         vals = np.where(mask, boundary.values, initial.values)
     else:
         vals = np.where(mask, boundary.values, 0.0)
-        vals = solve_linear_dirichlet(ctx.structure, vals, mask)
-    u, res, iters, etrace, trace, _, _ = _newton(vals, mask, ctx, opts)
+        vals = solve_linear_dirichlet(ctx.structure, vals, mask, block=block)
+    u, res, iters, etrace, trace, _, _ = _newton(vals, mask, ctx, opts, block=block)
     sol = GridFunction(u.reshape(ctx.domain.node_shape), mask)
     return SolveResult(
         solution=sol, residual_norm=res, iterations=iters, energy_trace=etrace,
@@ -323,13 +335,18 @@ def harmonicity_residual(u, region: np.ndarray, ctx: PFormContext) -> float:
     region, so the value certifies harmonicity strictly inside it.  Zero
     (to rounding) for affine functions with a constant coefficient field.
     """
+    return _interior_max(scaled_operator_field(u, ctx), region, ctx)
+
+
+def _interior_max(density: np.ndarray, region: np.ndarray, ctx: PFormContext) -> float:
+    """Largest value of a node field over the region's interior nodes (see harmonicity_residual)."""
     region = np.asarray(region, dtype=bool)
     if region.shape != ctx.domain.node_shape:
         raise ShapeMismatchError("region mask does not match the grid")
     eligible = _region_interior(region, ctx.domain.dim)
     if not eligible.any():
         raise ValueError("region has empty interior")
-    return float(np.max(scaled_operator_field(u, ctx)[eligible]))
+    return float(np.max(density[eligible]))
 
 
 def vi_residual(coeff: np.ndarray, u: GridFunction, ctx: PFormContext,

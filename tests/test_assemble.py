@@ -1,6 +1,7 @@
 """The stencil-pattern assembly against a Kronecker-product oracle and against
-the node-major layout it replaced, its cache, and the nested-dissection order
-in which the solvers factor their blocks."""
+the node-major layout it replaced, its cache, the nested-dissection order
+in which the solvers factor their blocks, and the gathered blocks against
+slices of the full matrix."""
 
 import itertools
 
@@ -13,7 +14,10 @@ from dirichlet_p.assemble import (
     _SPD_SPLU,
     _block_order,
     _dissection_order,
+    _form_slots,
+    _SpdBlock,
     _stencil_pattern,
+    _stencil_product,
     assemble_form_matrix,
     solve_linear_dirichlet,
     stiffness_matrix,
@@ -365,3 +369,91 @@ class TestZeroDataSolve:
         vals[mask] = rng.standard_normal(shape)[mask]
         with pytest.raises(AssertionError, match="factored"):
             solve_linear_dirichlet(st, vals, mask)
+
+
+BLOCK_SHAPES = [(17,), (9, 9), (16, 13), (6, 5, 7)]
+
+
+def _block_fields(d, rng):
+    """The identity field (whose 2-D axis couplings cancel and are dropped) and a random one."""
+    eye = 2.0 * d.measure[..., None, None] * np.eye(d.dim)
+    return {"identity": eye,
+            "random": 2.0 * d.measure[..., None, None] * random_elliptic_field(d, rng).matrices}
+
+
+def _unit_spacing(shape):
+    # equal spacings, so the identity field's couplings cancel exactly
+    return GridDomain(tuple((0.0, n - 1.0) for n in shape), shape)
+
+
+def _block_masks(shape, rng):
+    """A full free block (box boundary pinned) and a holed inactive block."""
+    boundary = _box_boundary(shape)
+    holed = boundary | _ball(shape, max(1, min(shape) // 4)) | (rng.random(shape) < 0.1)
+    return {"free": ~boundary.reshape(-1), "holed": ~holed.reshape(-1)}
+
+
+class TestGatheredBlock:
+    """`_SpdBlock.matrix` against the full matrix sliced by `[nodes][:, nodes]`,
+    the way the solvers took their blocks before; the slicing stays here only
+    as the oracle."""
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    @pytest.mark.parametrize("field", ["identity", "random"])
+    @pytest.mark.parametrize("holes", ["free", "holed"])
+    def test_equals_the_sliced_full_matrix_in_stored_order(self, shape, field, holes, rng):
+        d = _unit_spacing(shape)
+        W = _block_fields(d, rng)[field]
+        keep = _block_masks(shape, rng)[holes]
+        block = _SpdBlock(shape, keep)
+        assert np.array_equal(block.nodes, _block_order(shape, keep))
+        sliced = assemble_form_matrix(d, W)[block.nodes][:, block.nodes]
+        for gathered in (block.matrix(_form_slots(d, W)), assemble_form_matrix(d, W, block)):
+            _assert_same_csr(gathered, sliced)
+            assert gathered.indices.dtype == np.int32
+            _assert_same_csr(gathered.tocsc(), sliced.tocsc())
+        if field == "identity" and d.dim == 2:
+            assert sliced.nnz < len(block.src)
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    @pytest.mark.parametrize("holes", ["free", "holed"])
+    def test_hessian_block(self, shape, holes, rng):
+        d = _unit_spacing(shape)
+        ctx = PFormContext(GridStructure(d, random_elliptic_field(d, rng)), 3.0)
+        u = GridFunction(rng.standard_normal(shape))
+        block = _SpdBlock(shape, _block_masks(shape, rng)[holes])
+        _assert_same_csr(hessian_matrix(u, ctx, block=block),
+                         hessian_matrix(u, ctx)[block.nodes][:, block.nodes])
+
+    def test_pattern_survives_eliminate_zeros(self, rng):
+        shape = (9, 9)
+        d = _unit_spacing(shape)
+        block = _SpdBlock(shape, _block_masks(shape, rng)["holed"])
+        pattern = (block.indptr.copy(), block.indices.copy(), block.src.copy())
+        for W in _block_fields(d, rng).values():
+            block.matrix(_form_slots(d, W)).indices[:] = 0
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(pattern, (block.indptr, block.indices, block.src)))
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    @pytest.mark.parametrize("field", ["identity", "random"])
+    @pytest.mark.parametrize("holes", ["free", "holed"])
+    def test_stencil_right_side_equals_the_sliced_product(self, shape, field, holes, rng):
+        d = _unit_spacing(shape)
+        W = _block_fields(d, rng)[field]
+        free = _block_masks(shape, rng)[holes]
+        mask = ~free
+        vals = rng.standard_normal(d.num_nodes)
+        nodes = _block_order(shape, free)
+        S_o = assemble_form_matrix(d, W)[nodes]
+        pinned = np.where(mask, vals, 0.0).reshape(shape)
+        rhs = -_stencil_product(_form_slots(d, W), pinned)[nodes]
+        assert rhs.tobytes() == (-(S_o[:, mask] @ vals[mask])).tobytes()
+
+    def test_linear_solve_rejects_a_block_on_other_nodes(self, rng):
+        shape = (9, 8)
+        st = _structure(shape, rng)
+        mask = _box_boundary(shape)
+        with pytest.raises(ValueError, match="free nodes"):
+            solve_linear_dirichlet(st, np.where(mask, 1.0, 0.0), mask,
+                                   block=_SpdBlock(shape, ~(mask | _ball(shape, 2)).reshape(-1)))

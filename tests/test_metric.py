@@ -11,6 +11,7 @@ from dirichlet_p.grid import (
     GridDomain,
     GridFunction,
     GridStructure,
+    _det,
     cell_mean,
     gamma,
     unit_structure,
@@ -118,6 +119,18 @@ def heapq_distance(source, structure, neighborhood=16):
                 dist[t] = nd
                 heapq.heappush(heap, (nd, t))
     return dist.reshape(shape)
+
+
+class TestMetricTensor:
+    @pytest.mark.parametrize("field", ["identity", "anisotropic"])
+    def test_adjugate_equals_the_stacked_form_bytewise(self, field, rng):
+        d = GridDomain(((0.0, 1.0), (0.0, 2.0)), (33, 17))
+        G = (unit_structure(d) if field == "identity" else
+             GridStructure(d, random_elliptic_field(d, rng, 0.1, 10.0))).field.matrices
+        # the former adjugate: stacked, then one broadcast division
+        a, b, c, e = G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1]
+        stacked = (np.stack([e, -b, -c, a], axis=-1) / (2.0 * _det(G))[..., None]).reshape(G.shape)
+        assert _metric_tensor(G).tobytes() == stacked.tobytes()
 
 
 class TestStencils:
@@ -312,6 +325,37 @@ class TestCaccioppoliBallField:
         both = run("both", balls)
         assert builds == [(33, 33)]
         assert both == per_ball
+
+    @pytest.mark.parametrize("variant, fluxes", [("ball", 2), ("cutoff", 4), ("euclidean", 1)])
+    def test_two_ball_run_evaluates_u_once(self, tmp_path, monkeypatch, variant, fluxes):
+        # one operator field and one gamma(u) for the whole command (the
+        # euclidean sides read grad u instead); the cutoff variant adds
+        # gamma(phi) per ball
+        import dirichlet_p.cli as cli
+        from dirichlet_p import grid as grid_module
+        from dirichlet_p import pform as pform_module
+
+        points = []
+
+        def spy(u, structure, _flux_gamma=grid_module._flux_gamma):
+            points.append(None)
+            return _flux_gamma(u, structure)
+
+        for module in (grid_module, pform_module):
+            monkeypatch.setattr(module, "_flux_gamma", spy)
+        balls = [{"center": [0.4, 0.5], "r": 0.1, "R": 0.2},
+                 {"center": [0.55, 0.45], "r": 0.1, "R": 0.25}]
+        cfg = tmp_path / "both.json"
+        cfg.write_text(json.dumps(_ball_config(balls, variant)))
+        assert cli.main(["caccioppoli", "--config", str(cfg)]) == 0
+        assert len(points) == fluxes
+
+    def test_fields_of_another_context_are_rejected(self):
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+        ctx = PFormContext(unit_structure(d), 2.0)
+        u = metric_module._Harmonic(GridFunction.from_callable(d, lambda x, y: x - y), ctx)
+        with pytest.raises(ValueError, match="another context"):
+            check_caccioppoli_ball(u, (16, 16), 0.2, 0.4, None, PFormContext(ctx.structure, 3.0))
 
     def test_given_field_gives_the_same_report(self):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))

@@ -324,6 +324,64 @@ class TestNewton:
         assert res.residual_norm <= opts.grad_tol
 
 
+def _spy_blocks(monkeypatch):
+    """Record every `_SpdBlock` built, the block of every Hessian call and
+    of every linear solve."""
+    import dirichlet_p.assemble as assemble_module
+
+    built, hessians, linear = [], [], []
+
+    class Counted(assemble_module._SpdBlock):
+        def __init__(self, shape, keep):
+            super().__init__(shape, keep)
+            built.append(self)
+
+    def hessian_spy(u, ctx, *, _hessian=solve_module.hessian_matrix, **kwargs):
+        hessians.append(kwargs["block"])
+        return _hessian(u, ctx, **kwargs)
+
+    def linear_spy(*args, _linear=solve_module.solve_linear_dirichlet, **kwargs):
+        linear.append(kwargs.get("block"))
+        return _linear(*args, **kwargs)
+
+    for module in (assemble_module, solve_module):
+        monkeypatch.setattr(module, "_SpdBlock", Counted)
+    monkeypatch.setattr(solve_module, "hessian_matrix", hessian_spy)
+    monkeypatch.setattr(solve_module, "solve_linear_dirichlet", linear_spy)
+    return built, hessians, linear
+
+
+class TestOnePatternPerInactiveSet:
+    def test_dirichlet_solve_builds_one_block(self, monkeypatch):
+        built, hessians, linear = _spy_blocks(monkeypatch)
+        ctx, bc = TestNewton._ring_65()
+        res = solve_dirichlet(ctx, bc)
+        assert len(built) == 1
+        assert linear == built and hessians == built * len(hessians) and len(hessians) == 4
+        assert [(row["factored"], row["cg_iterations"]) for row in res.diagnostics["trace"]] \
+            == [(True, 0), (False, 3), (False, 3), (False, 6), (False, 0)]
+
+    def test_curved_obstacle_builds_one_block_per_inactive_set(self, monkeypatch):
+        built, hessians, linear = _spy_blocks(monkeypatch)
+        d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (33, 33))
+        c = d.node_coords() - np.array([0.05, -0.03])
+        lo = GridFunction(0.6 - 2.0 * np.sum(c ** 2, axis=-1))
+        bc = GridFunction(np.zeros(d.node_shape), boundary_mask(d))
+        res = solve_obstacle(PFormContext(unit_structure(d), 3.0), lo, bc,
+                             SolveOptions(grad_tol=1e-9))
+        rounds = res.diagnostics["rounds"]
+        # the zero boundary data needs no linear block; the p = 2 run changes
+        # its set at each of its 5 steps, the p-run at its first 3 of 5
+        assert linear == [None]
+        assert len(built) == 8
+        runs = [b for i, b in enumerate(hessians) if i == 0 or b is not hessians[i - 1]]
+        assert runs == built
+        assert not any(np.array_equal(a.keep, b.keep) for a, b in zip(built, built[1:]))
+        assert [(row["factored"], row["cg_iterations"]) for row in rounds] == \
+            [(True, 0)] * 5 + [(False, 0)] + [(True, 0)] * 3 + [(False, 2), (False, 4), (False, 0)]
+        assert [row["released"] for row in rounds] == [45, 60, 34, 20, 4, 0, 4, 16, 2, 0, 0, 0]
+
+
 def _reference_obstacle(ctx, lo, boundary, opts, complementarity_tol=1e-8):
     """The former solve_obstacle: a bounded L-BFGS-B warm start, then
     active-set rounds that each re-solve the Dirichlet problem with the
