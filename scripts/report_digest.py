@@ -3,8 +3,8 @@
 
 Writes the `solvers` and `geometry` job configs of perfbench/workloads.py
 for one seed, plus jobs on paths the benchmark never runs (a plain
-`solve`, a regularized p = 1.5 solve, a curved obstacle, and `check` with
-`--tol`), runs each job through `dirichlet_p.cli.main`
+`solve`, a regularized p = 1.5 solve, a curved obstacle, `check` with
+`--tol`, and a 3-D p = 3 `solve`), runs each job through `dirichlet_p.cli.main`
 with `--csv`, and prints `name exit json-sha256 csv-sha256` per job ("-"
 for a file the job did not write).  Run it on two checkouts and diff the
 outputs.
@@ -55,6 +55,19 @@ def _sha256(path: pathlib.Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
 
 
+def _field_file_3d(path: str, n: int, rng: np.random.Generator) -> None:
+    """Seeded anisotropic 3-D field: Q diag(l) Q^T per cell, Q a random rotation,
+    eigenvalues in [0.5, 2.5]."""
+    cells = (n - 1) ** 3
+    q, _ = np.linalg.qr(rng.standard_normal((cells, 3, 3)))
+    lam = np.stack([rng.uniform(0.5, 1.0, cells), rng.uniform(1.0, 1.5, cells),
+                    rng.uniform(1.5, 2.5, cells)], axis=-1)
+    mats = (q * lam[:, None, :]) @ np.swapaxes(q, -1, -2)
+    mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    with open(path, "w") as fh:
+        json.dump({"matrices": mats.reshape(-1).tolist(), "alpha": 0.5, "beta": 2.5}, fh)
+
+
 def _extra_jobs(seed: int, workdir: str, smoke: bool) -> list[workloads.Job]:
     """Jobs outside the benchmark, on a seeded anisotropic field; their reports go ungated."""
     n = 9 if smoke else 17
@@ -78,6 +91,16 @@ def _extra_jobs(seed: int, workdir: str, smoke: bool) -> list[workloads.Job]:
         **base, "p": 3.0, "check": {"suites": ["sector", "monotone", "contraction", "d1d2",
                                                "choquet", "union_diff"], "trials": 4}},
         ["--tol", "1e-7"]))
+    # the only 3-D report: it pins the cell products and corner sums off the 2-D path
+    n3 = 7 if smoke else 9
+    field3 = os.path.join(workdir, "extra-field-3d.json")
+    _field_file_3d(field3, n3, np.random.default_rng([seed, 3]))
+    configs.append((f"solve-{n3}-3d", "solve", {
+        "domain": {"dim": 3, "extent": [[-1.0, 1.0]] * 3, "shape": [n3] * 3},
+        "field": f"file:{field3}", "seed": seed, "p": 3.0,
+        "solver": {"grad_tol": workloads.GRAD_TOL},
+        "solve": {"boundary": {"values": {"affine": {"linear": [1.0, 0.5, -0.25],
+                                                      "constant": 0.25}}}}}, []))
     jobs = []
     for name, command, cfg, flags in configs:
         config = os.path.join(workdir, f"{name}.config.json")

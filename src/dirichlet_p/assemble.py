@@ -6,24 +6,24 @@ Assembles quadratic forms
 
 from per-cell coefficient matrices w.  With w = 2 m G this is the matrix of
 the bilinear map (u, v) -> int gamma(u, v) dm, i.e. the linear operator at
-p = 2.  Each cell adds its 2^d x 2^d corner matrix into a fixed CSR
-pattern of the 3^d-point node stencil, which is built once per node shape.
-The slots are kept offset-major, one node-shaped plane per stencil offset,
-so each corner pair adds into one contiguous plane; in 2-D the corner
-entries are four signed sums written out in closed form.  This route
-shares no code with the algebraic gradient/adjoint pipeline, so the two
-can cross-check each other.
+p = 2.  Each cell adds its 2^d x 2^d corner matrix into slot planes of
+the 3^d-point node stencil, kept offset-major, one node-shaped plane per
+stencil offset, so each corner pair adds into one contiguous plane.  The
+corner entries come from one table of signed sums in every dimension.
+This route shares no code with the algebraic gradient/adjoint pipeline,
+so the two can cross-check each other.
 
-The symmetric positive definite blocks that the solvers factor (free or
-inactive nodes) are taken in a geometric nested-dissection order of the
-node grid, also built once per node shape: the subsequence of that order
-on a block's nodes is again a dissection order, at O(n) cost per block.
-A block's pattern is analysed once per node set (`_SpdBlock`): its
-dissection-ordered nodes, an int32 CSR pattern whose rows keep their
-entries in stencil-offset order, and the index of each entry's slot, so
-each later matrix on that block is one gather from the slot planes, equal
-to the full matrix sliced to the block.  The linear solve forms its right
-side from the same planes, so the full stiffness matrix is never built.
+A matrix is gathered from the slot planes into the pattern of a node list
+(`_SpdBlock`): an int32 CSR pattern in the list's positions whose rows
+keep their entries in stencil-offset order, and the index of each entry's
+slot, so each later matrix on those nodes is one gather, equal to the full
+matrix sliced to them.  The full matrix is the list of all nodes in
+natural order.  The symmetric positive definite blocks that the solvers
+factor (free or inactive nodes) list their nodes in a geometric
+nested-dissection order of the node grid, built once per node shape: the
+subsequence of that order on a block's nodes is again a dissection order,
+at O(n) cost per block.  The linear solve forms its right side from the
+same planes, so the full stiffness matrix is never built there.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ __all__ = [
 _SPD_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
              "options": {"SymmetricMode": True}}
 
-# bound of the per-node-shape caches; one `solvers` benchmark pass meets five shapes
+# bound of the dissection-order cache; one `solvers` benchmark pass meets five node shapes
 _SHAPE_CACHE = 16
 
 
@@ -77,34 +77,6 @@ def _stencil_offsets(shape: tuple[int, ...]) -> np.ndarray:
     strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
     return np.array([np.dot(o, strides) for o in itertools.product((-1, 0, 1), repeat=len(shape))],
                     dtype=np.int32)
-
-
-@functools.lru_cache(maxsize=_SHAPE_CACHE)
-def _stencil_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) of the 3^d-point stencil on a node grid, and its slot mask.
-
-    Slot (i, o) couples node i with node i + o for the offset o in
-    {-1, 0, 1}^d (lexicographic order, so each row's columns ascend);
-    `keep`, flat in node-major (i, o) order, marks the slots whose
-    neighbour lies in the grid.  The arrays are int32 (and bool) and
-    read-only.
-    """
-    dim = len(shape)
-    keep = np.ones(shape + (3,) * dim, dtype=bool)
-    for axis, n in enumerate(shape):
-        along = np.arange(n)[:, None] + np.arange(-1, 2)
-        view = [1] * (2 * dim)
-        view[axis], view[dim + axis] = n, 3
-        keep &= ((along >= 0) & (along < n)).reshape(view)
-    num_nodes = int(np.prod(shape))
-    keep = keep.reshape(num_nodes, 3 ** dim)
-    indices = (np.arange(num_nodes, dtype=np.int32)[:, None] + _stencil_offsets(shape))[keep]
-    indptr = np.zeros(num_nodes + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    keep = keep.reshape(-1)
-    for arr in (indptr, indices, keep):
-        arr.setflags(write=False)
-    return indptr, indices, keep
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)
@@ -166,6 +138,14 @@ def _block_order(shape: tuple[int, ...], keep: np.ndarray) -> np.ndarray:
     return order[keep[order]]
 
 
+def _signed_sum(terms: list[np.ndarray], signs: tuple[int, ...]) -> np.ndarray:
+    """sum_k signs[k] terms[k]: the first term signed, the others added or subtracted in order."""
+    total = terms[0] if signs[0] > 0 else -terms[0]
+    for term, sign in zip(terms[1:], signs[1:]):
+        total = total + term if sign > 0 else total - term
+    return total
+
+
 def _form_slots(domain: GridDomain, cell_matrices: np.ndarray) -> np.ndarray:
     """Slot planes of the form (u, v) -> sum_c (W(c) grad u(c), grad v(c)).
 
@@ -178,72 +158,62 @@ def _form_slots(domain: GridDomain, cell_matrices: np.ndarray) -> np.ndarray:
     if W.shape != expected:
         raise ValueError(f"expected per-cell matrices of shape {expected}, got {W.shape}")
     dim = domain.dim
-    # gradient component k weighs corner a of a cell by +-scale_k, plus on the
-    # far end of axis k; the signed sums are exact where terms cancel, so the
-    # couplings that vanish (the identity field's axis neighbours) stay zero
+    # gradient component k weighs corner a of a cell by sigma(a)_k scale_k,
+    # sigma(a)_k = +1 on the far end of axis k and -1 on the near end, so the
+    # entry of corners (a, b) is sigma(a)^T V sigma(b).  Negating sigma negates
+    # a signed sum exactly, so the planes of the sigma with last entry +1 serve
+    # every pair.  The sums are exact where terms cancel, so the couplings that
+    # vanish (the identity field's axis neighbours) stay zero.
     scale = 0.5 ** (dim - 1) / np.asarray(domain.spacing)
     V = W * np.outer(scale, scale)
+    sigmas = [s + (1,) for s in itertools.product((-1, 1), repeat=dim - 1)]
+    VB = {sb: [_signed_sum([V[..., k, l] for l in range(dim)], sb) for k in range(dim)]
+          for sb in sigmas}
+    planes = {(sa, sb): _signed_sum(VB[sb], sa) for sa in sigmas for sb in sigmas}
     corners = list(itertools.product((0, 1), repeat=dim))
+    # sigma(a), or -sigma(a) where its last entry is -1
+    sigma = {a: tuple(2 * c - 1 if a[-1] else 1 - 2 * c for c in a) for a in corners}
     # slot plane o holds, for every node i, its coupling with node i + o
     slots = np.zeros((3 ** dim,) + domain.shape)
-
-    def add(a, b, entry, sign=1):
-        """Add sign * entry to the slots that couple corner a with corner b of each cell."""
-        offset = 0
-        for a_j, b_j in zip(a, b):
-            offset = 3 * offset + b_j - a_j + 1
+    for a in corners:
         rows = tuple(slice(a_j, a_j + n - 1) for a_j, n in zip(a, domain.shape))
-        if sign > 0:
-            slots[(offset,) + rows] += entry
-        else:
-            slots[(offset,) + rows] -= entry
-
-    if dim == 2:
-        # the signed sums written out: with S_k = V_k0 + V_k1 and
-        # D_k = V_k1 - V_k0, the entry of corners (a, b) is +-Q[a0 != a1][b0 != b1],
-        # + exactly when a1 == b1; these are the IEEE values of the sums below
-        S0, S1 = V[..., 0, 0] + V[..., 0, 1], V[..., 1, 0] + V[..., 1, 1]
-        D0, D1 = V[..., 0, 1] - V[..., 0, 0], V[..., 1, 1] - V[..., 1, 0]
-        Q = ((S0 + S1, D0 + D1), (S1 - S0, D1 - D0))
-        for a in corners:
-            for b in corners:
-                add(a, b, Q[a[0] != a[1]][b[0] != b[1]], 1 if a[1] == b[1] else -1)
-    else:
-        def signed(terms, corner):
-            first, *rest = (t if c else -t for t, c in zip(terms, corner))
-            return sum(rest, first)
-
-        VB = [[signed([V[..., k, l] for l in range(dim)], b) for k in range(dim)]
-              for b in corners]
-        for a in corners:
-            for b, vb in zip(corners, VB):
-                add(a, b, signed(vb, a))
+        for b in corners:
+            offset = 0
+            for a_j, b_j in zip(a, b):
+                offset = 3 * offset + b_j - a_j + 1
+            plane = planes[sigma[a], sigma[b]]
+            if a[-1] == b[-1]:
+                slots[(offset,) + rows] += plane
+            else:
+                slots[(offset,) + rows] -= plane
     return slots
 
 
 class _SpdBlock:
-    """The block of a stencil form on the nodes where `keep` holds, as a gather pattern.
+    """The block of a stencil form on the given nodes, in their order, as a gather pattern.
 
-    Built once per (node shape, keep).  `nodes` lists the block's nodes in
-    the grid's dissection order (`_block_order`), and (`indptr`, `indices`)
-    is the block's int32 CSR pattern in those positions, with each row's
+    Built once per (node shape, nodes).  The solvers pass a block's nodes in
+    the grid's dissection order (`_block_order`); the full matrix is the
+    block of all nodes in natural order.  (`indptr`, `indices`) is the
+    block's int32 CSR pattern in the positions of `nodes`, with each row's
     entries in stencil-offset order: the stored order of the full matrix
     sliced by `[nodes][:, nodes]`, in which a CSR product sums a row.
-    `src` indexes each entry's slot in the flat slot planes.  `factor`
-    holds a factorization of the block for a caller that reuses it.
+    `keep` marks the block's nodes on the flat grid, and `src` indexes each
+    entry's slot in the flat slot planes.  `factor` holds a factorization
+    of the block for a caller that reuses it.
     """
 
-    def __init__(self, shape: tuple[int, ...], keep: np.ndarray):
-        self.keep = np.array(keep, dtype=bool).reshape(-1)
-        self.nodes = _block_order(shape, self.keep)
+    def __init__(self, shape: tuple[int, ...], nodes: np.ndarray):
+        self.nodes = np.asarray(nodes)
         self.factor = None
-        n, m = self.keep.size, len(self.nodes)
+        n, m = int(np.prod(shape)), len(self.nodes)
         # block positions on the grid padded by one node per side, where every
         # stencil neighbour of a node has an index and the pad holds no block node
         padded = tuple(k + 2 for k in shape)
         position = np.full(padded, -1, dtype=np.int32)
         in_block = np.full(n, -1, dtype=np.int32)
         in_block[self.nodes] = np.arange(m, dtype=np.int32)
+        self.keep = in_block >= 0
         position[(slice(1, -1),) * len(shape)] = in_block.reshape(shape)
         rows = np.ravel_multi_index(tuple(c + 1 for c in np.unravel_index(self.nodes, shape)),
                                     padded)
@@ -272,16 +242,9 @@ def assemble_form_matrix(domain: GridDomain, cell_matrices: np.ndarray,
 
     With `block` given, only that block is gathered from the slot planes.
     """
-    slots = _form_slots(domain, cell_matrices)
-    if block is not None:
-        return block.matrix(slots)
-    indptr, indices, keep = _stencil_pattern(domain.shape)
-    n = domain.num_nodes
-    data = slots.reshape(-1, n).T[keep.reshape(n, -1)]
-    # copies: eliminate_zeros rewrites the index arrays in place
-    A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
-    A.eliminate_zeros()
-    return A
+    if block is None:
+        block = _SpdBlock(domain.shape, np.arange(domain.num_nodes))
+    return block.matrix(_form_slots(domain, cell_matrices))
 
 
 def _stiffness_cells(structure: GridStructure) -> np.ndarray:
@@ -336,7 +299,7 @@ def solve_linear_dirichlet(structure: GridStructure, boundary_values: np.ndarray
         vals[free] = 0.0
         return vals.reshape(shape)
     if block is None:
-        block = _SpdBlock(shape, free)
+        block = _SpdBlock(shape, _block_order(shape, free))
     elif not np.array_equal(block.keep, free):
         raise ValueError("the block does not hold the free nodes")
     slots = _form_slots(structure.domain, _stiffness_cells(structure))

@@ -11,9 +11,10 @@ check_choquet and check_union_difference turn the defining properties of
 a Choquet capacity (strong subadditivity, monotonicity, continuity along
 monotone set sequences, countable subadditivity, positivity) into
 executable verdicts.  In one dimension the join/meet exchange underlying
-strong subadditivity is submodular edge by edge, so those checks run at
-solver accuracy; in higher dimensions the exchange defect of straddling
-cells is measured and folded into the reported tolerance.
+strong subadditivity is submodular edge by edge, so its defect is <= 0 up
+to rounding; in higher dimensions straddling cells leave a positive
+defect.  Either way the measured defect is folded into the reported
+tolerance.
 """
 
 from __future__ import annotations
@@ -204,8 +205,8 @@ def _solver_value_tol(ctx: PFormContext, opts: SolveOptions) -> float:
 def _exchange_defect(eK: GridFunction, eL: GridFunction, ctx: PFormContext) -> float:
     """Positive part of the join/meet defect of the capacity integrand.
 
-    Exactly <= 0 in one dimension (edge-separable energies are submodular);
-    O(h) on straddling cells otherwise.
+    <= 0 up to rounding in one dimension (edge-separable energies are
+    submodular); O(h) on straddling cells otherwise.
     """
     q = ctx.p / 2.0
     gm = _safe_power(gamma(meet(eK, eL), ctx.structure), q)
@@ -226,7 +227,7 @@ def check_choquet(sets: Sequence[np.ndarray], outer: np.ndarray, ctx: PFormConte
     chain of prefix intersections and the increasing chain of prefix
     unions, finite subadditivity of the full union, and strict positivity
     of every nonempty set.  Tolerances combine the solver tolerance with
-    the measured join/meet exchange defect (zero in 1-D).  Each distinct
+    the measured join/meet exchange defect (rounding only in 1-D).  Each distinct
     set is solved once, in `memo` if given (one per ctx and opts).
     """
     opts = opts or SolveOptions()

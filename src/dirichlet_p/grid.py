@@ -11,11 +11,6 @@ the lattice identities then hold cell by cell exactly (up to rounding),
 not merely in integrated form.  Cells are also the integration atoms: the
 measure of a cell is density * cell volume, and integrals of node
 functions use the cell average of the corner values.
-
-In 2-D the per-cell products G grad u and (G grad u, grad v) are written
-out per component; every sum has two terms, so they equal the einsum used
-in 1-D and 3-D up to the sign of zero (einsum accumulates onto +0.0 and
-never returns -0.0; a two-term sum does when both terms are -0.0).
 """
 
 from __future__ import annotations
@@ -376,24 +371,24 @@ def boundary_mask(domain: GridDomain) -> np.ndarray:
 
 # -- cell calculus -----------------------------------------------------------
 
+def _halves(axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Indices of an array without its last and without its first entry along `axis`."""
+    head = (slice(None),) * axis
+    return head + (slice(None, -1),), head + (slice(1, None),)
+
+
 def _avg(arr: np.ndarray, axis: int) -> np.ndarray:
-    sl0 = [slice(None)] * arr.ndim
-    sl1 = [slice(None)] * arr.ndim
-    sl0[axis] = slice(None, -1)
-    sl1[axis] = slice(1, None)
-    return 0.5 * (arr[tuple(sl0)] + arr[tuple(sl1)])
+    lower, upper = _halves(axis)
+    return 0.5 * (arr[lower] + arr[upper])
 
 
 def _avg_adjoint(arr: np.ndarray, axis: int, weight: float = 0.5) -> np.ndarray:
     shp = list(arr.shape)
     shp[axis] += 1
     out = np.zeros(shp)
-    sl0 = [slice(None)] * arr.ndim
-    sl1 = [slice(None)] * arr.ndim
-    sl0[axis] = slice(None, -1)
-    sl1[axis] = slice(1, None)
-    out[tuple(sl0)] += weight * arr
-    out[tuple(sl1)] += weight * arr
+    lower, upper = _halves(axis)
+    out[lower] += weight * arr
+    out[upper] += weight * arr
     return out
 
 
@@ -443,34 +438,31 @@ def gradient_adjoint(q: np.ndarray, domain: GridDomain) -> np.ndarray:
         for other in range(domain.dim):
             if other != axis:
                 w = _avg_adjoint(w, other)
-        sl0 = [slice(None)] * domain.dim
-        sl1 = [slice(None)] * domain.dim
-        sl0[axis] = slice(None, -1)
-        sl1[axis] = slice(1, None)
-        out[tuple(sl1)] += w / h[axis]
-        out[tuple(sl0)] -= w / h[axis]
+        lower, upper = _halves(axis)
+        out[upper] += w / h[axis]
+        out[lower] -= w / h[axis]
+    return out
+
+
+def _dot(xs, ys) -> np.ndarray:
+    """sum_i xs[i] * ys[i] per cell, summed left to right from the first product."""
+    out = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        out += x * y
     return out
 
 
 def _flux_gamma(u, structure: GridStructure) -> tuple[np.ndarray, np.ndarray]:
     """(G grad u, gamma(u)) per cell from a single gradient evaluation."""
-    if structure.dim != 2:
-        gu = gradient(u, structure.domain)
-        Ggu = np.einsum("...ij,...j->...i", structure.field.matrices, gu)
-        return Ggu, 2.0 * np.einsum("...i,...i->...", Ggu, gu)
-    gx, gy = _gradient_components(u, structure.domain)
+    g = _gradient_components(u, structure.domain)
     G = structure.field.matrices
-    a = G[..., 0, 0] * gx + G[..., 0, 1] * gy
-    b = G[..., 1, 0] * gx + G[..., 1, 1] * gy
-    return np.stack([a, b], axis=-1), 2.0 * (a * gx + b * gy)
+    Gg = [_dot([G[..., i, j] for j in range(len(g))], g) for i in range(len(g))]
+    return np.stack(Gg, axis=-1), 2.0 * _dot(Gg, g)
 
 
 def _pair(Ggu: np.ndarray, v, domain: GridDomain) -> np.ndarray:
     """gamma(u, v) = 2 (G grad u, grad v) per cell, from G grad u."""
-    if domain.dim != 2:
-        return 2.0 * np.einsum("...i,...i->...", Ggu, gradient(v, domain))
-    vx, vy = _gradient_components(v, domain)
-    return 2.0 * (Ggu[..., 0] * vx + Ggu[..., 1] * vy)
+    return 2.0 * _dot([Ggu[..., i] for i in range(domain.dim)], _gradient_components(v, domain))
 
 
 def carre_du_champ(u, v, structure: GridStructure) -> np.ndarray:

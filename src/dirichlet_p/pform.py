@@ -41,6 +41,7 @@ from .grid import (
     GridStructure,
     ShapeMismatchError,
     _flux_gamma,
+    _halves,
     _pair,
     _values,
     dp_norm,
@@ -382,12 +383,9 @@ def _alignment(vals: np.ndarray, cuts: tuple[float, ...], domain) -> np.ndarray:
     lo = vals
     hi = vals
     for axis in range(domain.dim):
-        sl0 = [slice(None)] * domain.dim
-        sl1 = [slice(None)] * domain.dim
-        sl0[axis] = slice(None, -1)
-        sl1[axis] = slice(1, None)
-        lo = np.minimum(lo[tuple(sl0)], lo[tuple(sl1)])
-        hi = np.maximum(hi[tuple(sl0)], hi[tuple(sl1)])
+        lower, upper = _halves(axis)
+        lo = np.minimum(lo[lower], lo[upper])
+        hi = np.maximum(hi[lower], hi[upper])
     levels = (-math.inf,) + cuts + (math.inf,)
     aligned = np.zeros(domain.cells_shape, dtype=bool)
     for a, b in zip(levels[:-1], levels[1:]):

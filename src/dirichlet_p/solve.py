@@ -44,7 +44,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import _SPD_SPLU, _SpdBlock, assemble_form_matrix, solve_linear_dirichlet
+from .assemble import (_SPD_SPLU, _block_order, _SpdBlock, assemble_form_matrix,
+                       solve_linear_dirichlet)
 from .grid import GridFunction, ShapeMismatchError, _flux_gamma, _values, dp_norm
 from .pform import (
     PFormContext,
@@ -173,6 +174,7 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
     are its nodes; a new one is built whenever the inactive set changes.
     The last item returned is the free nodes' operator coefficients at the solution.
     """
+    shape = ctx.domain.node_shape
     free = ~mask.reshape(-1)
     free_index = np.cumsum(free) - 1
     mass = ctx.domain.node_mass().reshape(-1)[free]
@@ -215,7 +217,7 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
         keep[free] = inactive
         # the inactive block, with its pattern and its factor, lives until the set changes
         if block is None or not np.array_equal(block.keep, keep):
-            block = _SpdBlock(ctx.domain.node_shape, keep)
+            block = _SpdBlock(shape, _block_order(shape, keep))
         H_oo = hessian_matrix(u, ctx, flux=flux, block=block)
         # o indexes the free nodes in the block's dissection order
         o = free_index[block.nodes]
@@ -305,7 +307,8 @@ def solve_dirichlet(ctx: PFormContext, boundary: GridFunction,
         raise ShapeMismatchError("boundary data does not match the grid")
     mask = boundary.mask
     # the free block: one pattern for the linear start and every Newton step
-    block = _SpdBlock(ctx.domain.node_shape, ~mask.reshape(-1))
+    shape = ctx.domain.node_shape
+    block = _SpdBlock(shape, _block_order(shape, ~mask.reshape(-1)))
     if initial is not None:
         vals = np.where(mask, boundary.values, initial.values)
     else:

@@ -1,6 +1,6 @@
 """The stencil-pattern assembly against a Kronecker-product oracle and against
-the node-major layout it replaced, its cache, the nested-dissection order
-in which the solvers factor their blocks, and the gathered blocks against
+the node-major layout it replaced, the nested-dissection order in which the
+solvers factor their blocks and its cache, and the gathered blocks against
 slices of the full matrix."""
 
 import itertools
@@ -16,7 +16,6 @@ from dirichlet_p.assemble import (
     _dissection_order,
     _form_slots,
     _SpdBlock,
-    _stencil_pattern,
     _stencil_product,
     assemble_form_matrix,
     solve_linear_dirichlet,
@@ -117,31 +116,11 @@ class TestAgainstKroneckerOracle:
         assert (A != K).nnz == 0
 
 
-class TestPatternCache:
-    def test_cached_arrays_are_read_only(self):
-        for arr in _stencil_pattern((5, 6)):
-            assert not arr.flags.writeable
-
-    def test_writes_into_an_assembled_matrix_leave_the_cache_intact(self, rng):
-        d = _domain((7, 6))
-        W = random_elliptic_field(d, rng).matrices
-        A = assemble_form_matrix(d, W)
-        A.eliminate_zeros()
-        A.indices[:] = 0
-        A.indptr[:] = 0
-        again = assemble_form_matrix(d, W)
-        _stencil_pattern.cache_clear()
-        fresh = assemble_form_matrix(d, W)
-        assert np.array_equal(again.indptr, fresh.indptr)
-        assert np.array_equal(again.indices, fresh.indices)
-        assert np.array_equal(again.data, fresh.data)
-
-
 class TestShapeCaches:
     # the node shapes of one `solvers` benchmark pass
     SHAPES = [(257, 257), (129, 129), (17, 17), (65, 65), (97, 97)]
 
-    @pytest.mark.parametrize("cached", [_stencil_pattern, _dissection_order])
+    @pytest.mark.parametrize("cached", [_dissection_order])
     def test_second_sweep_over_five_shapes_adds_no_misses(self, cached):
         for shape in self.SHAPES:
             cached(shape)
@@ -170,9 +149,15 @@ def _node_major_assembly(domain, W):
         for b, vb in zip(corners, VB):
             offset = np.ravel_multi_index(tuple(np.subtract(b, a) + 1), (3,) * dim)
             slots[rows + (offset,)] += signed(vb, a)
-    indptr, indices, keep = _stencil_pattern(domain.shape)
+    # the CSR comes from (row, column) pairs through scipy, sharing no pattern code
     n = domain.num_nodes
-    A = sp.csr_matrix((slots.reshape(-1)[keep], indices.copy(), indptr.copy()), shape=(n, n))
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
+    nodes = np.indices(domain.shape).reshape(dim, n).T
+    neighbours = nodes[:, None, :] + offsets
+    inside = np.all((neighbours >= 0) & (neighbours < domain.shape), axis=-1)
+    rows = np.repeat(np.arange(n), inside.sum(axis=1))
+    cols = np.ravel_multi_index(tuple(neighbours[inside].T), domain.shape)
+    A = sp.coo_matrix((slots.reshape(n, -1)[inside], (rows, cols)), shape=(n, n)).tocsr()
     A.eliminate_zeros()
     return A
 
@@ -206,7 +191,8 @@ class TestOffsetMajorAssembly:
         _assert_same_csr(A, _node_major_assembly(d, W))
         assert np.all(A.data != 0.0)
         if d.dim == 2:
-            assert A.nnz < len(_stencil_pattern(d.shape)[1])
+            # fewer entries than the node pairs of the stencil
+            assert A.nnz < np.prod([3 * n - 2 for n in d.shape])
 
 
 def _box_boundary(shape):
@@ -245,9 +231,9 @@ class TestDissectionOrder:
         assert np.all(side[order[n_lower:-n_sep]] > 0)
         assert np.all(side[order[-n_sep:]] == 0)
         # no 3^d-stencil pair couples the two halves
-        indptr, indices, _ = _stencil_pattern(shape)
-        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-        assert not np.any(side[rows] * side[indices] < 0)
+        full = _SpdBlock(shape, np.arange(np.prod(shape)))
+        rows = np.repeat(full.nodes, np.diff(full.indptr))
+        assert not np.any(side[rows] * side[full.nodes[full.indices]] < 0)
 
     @pytest.mark.parametrize("shape", [(9,), (8, 13), (5, 6, 7)])
     def test_filtered_order_holds_exactly_the_kept_nodes(self, shape, rng):
@@ -405,8 +391,8 @@ class TestGatheredBlock:
         d = _unit_spacing(shape)
         W = _block_fields(d, rng)[field]
         keep = _block_masks(shape, rng)[holes]
-        block = _SpdBlock(shape, keep)
-        assert np.array_equal(block.nodes, _block_order(shape, keep))
+        block = _SpdBlock(shape, _block_order(shape, keep))
+        assert np.array_equal(block.keep, keep)
         sliced = assemble_form_matrix(d, W)[block.nodes][:, block.nodes]
         for gathered in (block.matrix(_form_slots(d, W)), assemble_form_matrix(d, W, block)):
             _assert_same_csr(gathered, sliced)
@@ -421,14 +407,14 @@ class TestGatheredBlock:
         d = _unit_spacing(shape)
         ctx = PFormContext(GridStructure(d, random_elliptic_field(d, rng)), 3.0)
         u = GridFunction(rng.standard_normal(shape))
-        block = _SpdBlock(shape, _block_masks(shape, rng)[holes])
+        block = _SpdBlock(shape, _block_order(shape, _block_masks(shape, rng)[holes]))
         _assert_same_csr(hessian_matrix(u, ctx, block=block),
                          hessian_matrix(u, ctx)[block.nodes][:, block.nodes])
 
     def test_pattern_survives_eliminate_zeros(self, rng):
         shape = (9, 9)
         d = _unit_spacing(shape)
-        block = _SpdBlock(shape, _block_masks(shape, rng)["holed"])
+        block = _SpdBlock(shape, _block_order(shape, _block_masks(shape, rng)["holed"]))
         pattern = (block.indptr.copy(), block.indices.copy(), block.src.copy())
         for W in _block_fields(d, rng).values():
             block.matrix(_form_slots(d, W)).indices[:] = 0
@@ -456,4 +442,4 @@ class TestGatheredBlock:
         mask = _box_boundary(shape)
         with pytest.raises(ValueError, match="free nodes"):
             solve_linear_dirichlet(st, np.where(mask, 1.0, 0.0), mask,
-                                   block=_SpdBlock(shape, ~(mask | _ball(shape, 2)).reshape(-1)))
+                                   block=_SpdBlock(shape, np.flatnonzero(~(mask | _ball(shape, 2)))))

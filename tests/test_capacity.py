@@ -21,6 +21,7 @@ from dirichlet_p.grid import (
     GridFunction,
     GridStructure,
     boundary_mask,
+    gamma,
     unit_structure,
 )
 from dirichlet_p.pform import (
@@ -375,6 +376,47 @@ class TestChoquet2D:
         ssa = [r for r in reports if r.check == "strong_subadditivity"][0]
         assert "exchange_defect" in ssa.details
         assert ssa.tolerance >= ssa.details["exchange_defect"]
+
+
+def _defect_over_scale(u, v, ctx):
+    """The exchange defect relative to sum(gamma(u)^q + gamma(v)^q) m, q = p/2."""
+    q = ctx.p / 2.0
+    s = ctx.structure
+    scale = float(np.sum((pform_module._safe_power(gamma(u, s), q)
+                          + pform_module._safe_power(gamma(v, s), q)) * ctx.measure))
+    return capacity_module._exchange_defect(u, v, ctx) / scale
+
+
+class TestExchangeDefect:
+    """The 1-D exchange defect is <= 0 up to rounding: its positive part stays
+    within 1e-15 of the integrand's scale, a bound a 2-D pair exceeds."""
+
+    BOUND = 1e-15
+
+    def test_one_dimension_is_rounding_only(self):
+        rng = np.random.default_rng(2024)
+        worst, positive = 0.0, 0
+        for _ in range(300):
+            n = int(rng.integers(3, 40))
+            p = float(rng.choice([1.5, 2.0, 2.5, 3.0, 4.0]))
+            d = GridDomain(((0.0, 1.0),), (n,))
+            field = CoefficientField(rng.uniform(0.5, 2.0, (n - 1, 1, 1)), 0.5, 2.0)
+            ctx = PFormContext(GridStructure(d, field), p, 1e-6 if p < 2.0 else 0.0)
+            ratio = _defect_over_scale(GridFunction(rng.standard_normal(n)),
+                                       GridFunction(rng.standard_normal(n)), ctx)
+            worst = max(worst, ratio)
+            positive += ratio > 0.0
+        assert worst <= self.BOUND
+        # rounding does leave a positive part: the defect is not exactly <= 0
+        assert positive > 0
+
+    def test_straddling_2d_pair_exceeds_the_bound(self):
+        # hats on two axis-neighbour nodes share two cells
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (5, 5))
+        ctx = PFormContext(unit_structure(d), 3.0)
+        u, v = np.zeros((5, 5)), np.zeros((5, 5))
+        u[2, 2] = v[2, 3] = 1.0
+        assert _defect_over_scale(GridFunction(u), GridFunction(v), ctx) > self.BOUND
 
 
 class TestUnionDifference:

@@ -168,12 +168,23 @@ class TestOperator:
 
 
 # Two-gradient forms of the operator code, as written before each operator
-# call took the cell gradient once; the current code must match them bitwise.
+# call took the cell gradient once; the current code must match them value
+# for value.  Each sum runs over the components left to right.
+def _apply(G, g):
+    """G g per cell, summed over the components left to right."""
+    d = g.shape[-1]
+    return np.stack([sum(G[..., i, j] * g[..., j] for j in range(d)) for i in range(d)], axis=-1)
+
+
+def _inner(a, b):
+    """(a, b) per cell, summed over the components left to right."""
+    return sum(a[..., i] * b[..., i] for i in range(a.shape[-1]))
+
+
 def _reference_gamma_pair(u, v, s):
     gu = gradient(u, s.domain)
     gv = gradient(v, s.domain)
-    Ggu = np.einsum("...ij,...j->...i", s.field.matrices, gu)
-    return 2.0 * np.einsum("...i,...i->...", Ggu, gv)
+    return 2.0 * _inner(_apply(s.field.matrices, gu), gv)
 
 
 def _reference_weights(u, ctx):
@@ -187,8 +198,7 @@ def _reference_p_form(u, v, ctx):
 
 
 def _reference_p_operator(u, ctx):
-    gu = gradient(u, ctx.domain)
-    Ggu = np.einsum("...ij,...j->...i", ctx.structure.field.matrices, gu)
+    Ggu = _apply(ctx.structure.field.matrices, gradient(u, ctx.domain))
     w = _reference_weights(u, ctx)
     q = 2.0 * (ctx.measure * w)[..., None] * Ggu
     return gradient_adjoint(q, ctx.domain)
@@ -197,8 +207,8 @@ def _reference_p_operator(u, ctx):
 def _reference_hessian(u, ctx):
     g = gradient(u, ctx.domain)
     G = ctx.structure.field.matrices
-    Gg = np.einsum("...ij,...j->...i", G, g)
-    base = 2.0 * np.einsum("...i,...i->...", Gg, g) + ctx.eps
+    Gg = _apply(G, g)
+    base = 2.0 * _inner(Gg, g) + ctx.eps
     w = _safe_power(base, (ctx.p - 2.0) / 2.0)
     w4 = _safe_power(base, (ctx.p - 4.0) / 2.0)
     rank1 = 2.0 * (ctx.p - 2.0) * w4[..., None, None] * (Gg[..., :, None] * Gg[..., None, :])
@@ -247,8 +257,9 @@ P_EPS = [(1.5, 1e-3), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)]
 class TestOneGradient:
     """The operators against the two-gradient references, equal value for value.
 
-    In 2-D the cell products are written out per component, so these also
-    pin the closed forms; equality here is up to the sign of zero."""
+    Both sum the cell products over the components left to right, in every
+    dimension; the references start their sums at 0, so equality here is up
+    to the sign of zero."""
 
     @pytest.mark.parametrize("shape", [(9,), (7, 6), (4, 5, 4)])
     @pytest.mark.parametrize("p, eps", P_EPS)
@@ -269,6 +280,18 @@ class TestOneGradient:
         u = _with_flat_patch(shape, rng)
         _assert_equal_to_reference(u, GridFunction(rng.standard_normal(shape)), ctx)
         assert np.any(gamma(u, ctx.structure) == 0.0)
+
+    def test_3d_flux_matches_the_einsum_formula(self, rng):
+        # the loop sums in another order than einsum; both are accurate
+        d = GridDomain(((0.0, 1.0), (0.0, 1.5), (0.0, 2.0)), (17, 17, 17))
+        s = GridStructure(d, random_elliptic_field(d, rng))
+        u = GridFunction(rng.standard_normal(d.shape))
+        g = gradient(u, d)
+        Gg = np.einsum("...ij,...j->...i", s.field.matrices, g)
+        gam = 2.0 * np.einsum("...i,...i->...", Gg, g)
+        flux, gam_loop = _flux_gamma(u, s)
+        assert np.max(np.abs(gam_loop - gam) / gam) <= 1e-14
+        assert np.max(np.abs(flux - Gg)) <= 1e-14 * np.max(np.abs(Gg))
 
     @pytest.mark.parametrize("expo", [-1.0, -0.5, -0.25, -1.5])
     def test_safe_power_matches_masked_formula(self, expo, rng):

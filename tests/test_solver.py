@@ -332,8 +332,8 @@ def _spy_blocks(monkeypatch):
     built, hessians, linear = [], [], []
 
     class Counted(assemble_module._SpdBlock):
-        def __init__(self, shape, keep):
-            super().__init__(shape, keep)
+        def __init__(self, shape, nodes):
+            super().__init__(shape, nodes)
             built.append(self)
 
     def hessian_spy(u, ctx, *, _hessian=solve_module.hessian_matrix, **kwargs):
