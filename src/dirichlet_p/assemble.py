@@ -199,13 +199,19 @@ class _SpdBlock:
     entries in stencil-offset order: the stored order of the full matrix
     sliced by `[nodes][:, nodes]`, in which a CSR product sums a row.
     `keep` marks the block's nodes on the flat grid, and `src` indexes each
-    entry's slot in the flat slot planes.  `factor` holds a factorization
-    of the block for a caller that reuses it.
+    entry's slot in the flat slot planes.
+
+    The block owns the one factorization its solvers make (`factor`): the
+    linear start factors the stiffness block, and each later Newton step
+    on the same nodes solves by CG preconditioned with that factor,
+    rescaled to its own Hessian's diagonal (`preconditioner`).
     """
 
     def __init__(self, shape: tuple[int, ...], nodes: np.ndarray):
         self.nodes = np.asarray(nodes)
-        self.factor = None
+        # the kept factorization and the diagonal of the matrix it factors
+        self.lu = None
+        self.lu_diagonal = None
         n, m = int(np.prod(shape)), len(self.nodes)
         # block positions on the grid padded by one node per side, where every
         # stencil neighbour of a node has an index and the pad holds no block node
@@ -225,6 +231,37 @@ class _SpdBlock:
         np.cumsum(stored.sum(axis=0), out=self.indptr[1:])
         planes = np.arange(len(columns), dtype=np.int32)[:, None] * np.int32(n)
         self.src = (planes + self.nodes.astype(np.int32)).T[stored.T]
+
+    def factor(self, A: sp.spmatrix) -> spla.SuperLU:
+        """Factor A, a matrix on this block, and keep the factor and A's diagonal.
+
+        A failed factorization raises `splu`'s RuntimeError and leaves no factor.
+        """
+        self.lu = self.lu_diagonal = None
+        self.lu = spla.splu(A.tocsc(), **_SPD_SPLU)
+        self.lu_diagonal = A.diagonal()
+        return self.lu
+
+    def preconditioner(self, H: sp.spmatrix) -> spla.LinearOperator | None:
+        """The kept factor F of A_F, rescaled to H's diagonal, as an operator for CG.
+
+        M^-1 r = s * F^-1 (s * r) with s = sqrt(diag(A_F) / diag(H)), so
+        M = S^-1 A_F S^-1 (S = diag(s)) is symmetric positive definite with
+        exactly H's diagonal.  None when nothing is factored, when any
+        diagonal entry of H is not positive, or when s is not finite.
+        """
+        if self.lu is None:
+            return None
+        h = H.diagonal()
+        if not np.all(h > 0.0):
+            return None
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            s = np.sqrt(self.lu_diagonal / h)
+        if not np.all(np.isfinite(s)):
+            return None
+        solve = self.lu.solve
+        return spla.LinearOperator(H.shape, matvec=lambda r: s * solve(s * r.ravel()),
+                                   dtype=float)
 
     def matrix(self, slots: np.ndarray) -> sp.csr_matrix:
         """The block of the form with these slot planes, its zero entries dropped."""
@@ -284,7 +321,8 @@ def solve_linear_dirichlet(structure: GridStructure, boundary_values: np.ndarray
     """Solve the p = 2 problem: S u = 0 on free nodes, u pinned on the mask.
 
     `block`, when given, is the free nodes' `_SpdBlock`, to be shared with a
-    later solve on the same nodes; its `factor` is left alone.
+    later solve on the same nodes: it keeps the stiffness block's factor,
+    which preconditions that solve's Newton steps.
     """
     mask_flat = np.asarray(mask, dtype=bool).reshape(-1)
     if not mask_flat.any():
@@ -309,5 +347,5 @@ def solve_linear_dirichlet(structure: GridStructure, boundary_values: np.ndarray
     S_oo = block.matrix(slots).tocsc()
     # freed before the factorization, which sets the peak memory of a solve
     del slots, pinned
-    vals[block.nodes] = spla.splu(S_oo, **_SPD_SPLU).solve(rhs)
+    vals[block.nodes] = block.factor(S_oo).solve(rhs)
     return vals.reshape(shape)

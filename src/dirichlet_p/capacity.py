@@ -155,8 +155,10 @@ def capacity(cond: Condenser, ctx: PFormContext, opts: SolveOptions | None = Non
     """Capacity and equilibrium potential of a condenser.
 
     The returned value is int gamma(e)^(p/2) dm for the computed potential
-    e, which agrees with the operator pairing <op(e), e> identically when
-    eps = 0.  vi_residual is the worst normalized violation of
+    e.  When eps = 0 it is algebraically the operator pairing <op(e), e>
+    (and `diagnostics["pairing"]`, the p-form of e with itself); the sums
+    are formed in different orders, so they agree to rounding, not
+    bitwise.  vi_residual is the worst normalized violation of
     <op(e), w - e> >= 0 over sampled admissible competitors w (w >= 1 on
     the inner set, w = 0 on the outer set), certifying the inequality-
     constrained formulation that the equality solve replaces.  The

@@ -11,17 +11,24 @@ loop evaluates (the start and every line-search trial) costs one cell
 flux (G grad u, gamma(u)), from which its energy, its operator
 coefficients and, at an iterate, its Hessian are all formed, bitwise
 equal to `p_energy`, `p_operator` and `hessian_matrix` at that point.
-Newton factors the Hessian block once per inactive set: later steps on
-the same block solve by CG preconditioned with that factor, to the
-forcing term min(0.01, 0.01 res) (Eisenstat and Walker 1996), which
-keeps the quadratic local rate; a step factors afresh when CG misses
-that term within 20 iterations or the Levenberg shift is on (Shamanskii's
-reuse of one factor over several steps).  Each trace row records whether
-its step factored and how many CG iterations it took.  The block's sparse
-pattern is analysed once per inactive set as well (`assemble._SpdBlock`,
-which also holds the factor): each step's Hessian is gathered straight
-into it, in dissection order with each row in stencil-offset order, and a
-Dirichlet solve shares the free block between its linear start and Newton.
+
+Each block of free or inactive nodes (`assemble._SpdBlock`) is factored
+once: a Dirichlet solve shares its free block between the linear start,
+which factors the stiffness block, and Newton.  Every Newton step on a
+block that holds a factor F of some A_F solves by CG preconditioned with
+M^-1 r = s * F^-1 (s * r), s = sqrt(diag(A_F) / diag(H)), so that M has
+exactly the step's Hessian diagonal, to the forcing term
+min(0.01, 0.01 res) (Eisenstat and Walker 1996), which keeps the
+quadratic local rate.  A step factors its Hessian afresh when the block
+holds no factor, when the rescaling does not exist (a Hessian diagonal
+entry that is not positive), when CG misses the forcing term within 20
+iterations, or when the Levenberg shift is on: reuse of a lagged factor
+across Newton-Krylov steps (Knoll and Keyes 2004).  Each trace row records
+whether its step factored and how many CG iterations it took, and each
+run's totals are kept in a `_NewtonRun`.  The block's sparse pattern is
+analysed once per inactive set as well: each step's Hessian is gathered
+straight into it, in dissection order with each row in stencil-offset
+order.
 
 The obstacle solve runs the same Newton loop with a primal-dual
 active-set step (Hintermüller, Ito and Kunisch 2002): nodes below the
@@ -29,9 +36,10 @@ obstacle are pinned to it, pinned nodes with a negative multiplier are
 released, and each step solves on the inactive block only, under the same
 Armijo search; a change of the active set changes the block, so the step
 after it factors afresh.  It solves the linear (p = 2) obstacle problem
-first, then the p-problem from that solution and its active set.  Active
-nodes sit exactly on the obstacle with nonnegative multipliers; inactive
-nodes carry residuals at solver tolerance.
+first, then the p-problem from that solution, its active set and its
+last block, whose factor preconditions the p-run's steps while the set
+holds.  Active nodes sit exactly on the obstacle with nonnegative
+multipliers; inactive nodes carry residuals at solver tolerance.
 """
 
 from __future__ import annotations
@@ -44,8 +52,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import (_SPD_SPLU, _block_order, _SpdBlock, assemble_form_matrix,
-                       solve_linear_dirichlet)
+from .assemble import _block_order, _SpdBlock, assemble_form_matrix, solve_linear_dirichlet
 from .grid import GridFunction, ShapeMismatchError, _flux_gamma, _values, dp_norm
 from .pform import (
     PFormContext,
@@ -79,11 +86,14 @@ _RELEASE_TOL = 1e-8
 
 
 class SolveError(RuntimeError):
-    """Non-convergence; carries the energy/residual trace for diagnosis."""
+    """Non-convergence; carries the energy/residual trace, and the Newton
+    run (`_NewtonRun`) as far as it got, for diagnosis."""
 
-    def __init__(self, message: str, trace: list[dict[str, float]] | None = None):
+    def __init__(self, message: str, trace: list[dict[str, float]] | None = None,
+                 run: _NewtonRun | None = None):
         super().__init__(message)
         self.trace = trace or []
+        self.run = run
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,36 @@ class SolveResult:
     iterations: int
     energy_trace: list[float]
     diagnostics: dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass(eq=False)
+class _NewtonRun:
+    """One run of the Newton loop: where it stopped, and the work it took.
+
+    `u` holds the flat node values, `coeff` the free nodes' operator
+    coefficients at u, `active` the active set over the free nodes, and
+    `block` the last inactive block with its factor.  The counts are the
+    Newton steps taken (`iterations`), the factorizations, the CG
+    iterations, the CG solves that missed the forcing term, the step
+    halvings of the line search (`backtracks`) and the raises of the
+    Levenberg shift (`shifts`).  `stop` is "converged", "max_iter" or
+    "line_search".
+    """
+
+    u: np.ndarray | None = None
+    residual: float = np.inf
+    coeff: np.ndarray | None = None
+    active: np.ndarray | None = None
+    block: _SpdBlock | None = None
+    energy_trace: list[float] = field(default_factory=list)
+    trace: list[dict] = field(default_factory=list)
+    iterations: int = 0
+    factorizations: int = 0
+    cg_iterations: int = 0
+    cg_failures: int = 0
+    backtracks: int = 0
+    shifts: int = 0
+    stop: str = ""
 
 
 def hessian_matrix(u, ctx: PFormContext, *,
@@ -164,15 +204,14 @@ def _free_objective(base: np.ndarray, mask: np.ndarray, ctx: PFormContext):
 
 def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOptions,
             lower: np.ndarray | None = None, active: np.ndarray | None = None,
-            block: _SpdBlock | None = None
-            ) -> tuple[np.ndarray, float, int, list[float], list[dict], np.ndarray, np.ndarray]:
+            block: _SpdBlock | None = None) -> _NewtonRun:
     """Newton on the free nodes, with the active-set step when `lower` is given.
 
     `lower` holds node values (-inf where unconstrained); `active` is the
     starting active set over the free nodes, whose nodes sit on `lower`.
     `block`, when given, is a `_SpdBlock` to use while the inactive nodes
-    are its nodes; a new one is built whenever the inactive set changes.
-    The last item returned is the free nodes' operator coefficients at the solution.
+    are its nodes, with the factor it holds; a new one is built whenever
+    the inactive set changes.  Raises SolveError, carrying the run so far.
     """
     shape = ctx.domain.node_shape
     free = ~mask.reshape(-1)
@@ -185,11 +224,15 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
     # each point is evaluated once: its values, cell flux, energy and gradient
     u, flux, J = evaluate(x)
     g = gradient(flux)
-    trace: list[dict] = []
     # energy_trace is the running minimum over iterates that violate no bound
-    energy_trace = [J]
+    run = _NewtonRun(energy_trace=[J])
+
+    def stopped(reason: str) -> _NewtonRun:
+        run.u, run.residual, run.coeff, run.active, run.block = u.reshape(-1), res, g, active, block
+        run.stop = reason
+        return run
+
     lam = 0.0
-    iterations = 0
     for it in range(opts.max_iter + 1):
         violated = ~active & (x < lo)
         released = active & (g < -_RELEASE_TOL * mass)
@@ -206,9 +249,9 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
         if lower is not None:
             row.update(p=ctx.p, active=int(active.sum()), violated=int(violated.sum()),
                        released=int(released.sum()))
-        trace.append(row)
+        run.trace.append(row)
         if res <= opts.grad_tol and not changed:
-            return u.reshape(-1), res, iterations, energy_trace, trace, active, g
+            return stopped("converged")
         if it == opts.max_iter:
             break
         if not inactive.any():
@@ -225,29 +268,30 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
         step = None
         for _attempt in range(25):
             d_o = None
-            if block.factor is not None and lam == 0.0:
-                # the block was factored at an earlier step: CG preconditioned with it
+            M = block.preconditioner(H_oo) if lam == 0.0 else None
+            if M is not None:
+                # the block was factored before: CG preconditioned with that factor
                 d_cg, info = spla.cg(
                     H_oo, -g[o], rtol=min(_CG_FORCING, _CG_FORCING * res), maxiter=_CG_MAXITER,
-                    M=spla.LinearOperator(H_oo.shape, matvec=block.factor.solve),
-                    callback=cg_steps.append)
+                    M=M, callback=cg_steps.append)
                 d_o = d_cg if info == 0 else None
+                run.cg_failures += info != 0
             if d_o is None:
-                block.factor = None
-                shift = lam * sp.diags(np.maximum(H_oo.diagonal(), 1e-300)) if lam > 0 else None
-                A = H_oo + shift if shift is not None else H_oo
+                A = H_oo + lam * sp.diags(np.maximum(H_oo.diagonal(), 1e-300)) if lam > 0 else H_oo
                 row["factored"] = True
+                run.factorizations += 1
                 try:
-                    block.factor = spla.splu(A.tocsc(), **_SPD_SPLU)
+                    d_o = block.factor(A).solve(-g[o])
                 except RuntimeError:
                     lam = max(lam * 10.0, 1e-10)
+                    run.shifts += 1
                     continue
-                d_o = block.factor.solve(-g[o])
             d = np.zeros_like(x)
             d[o] = d_o
             slope = float(g @ d)
             if not np.isfinite(slope) or slope >= 0:
                 lam = max(lam * 10.0, 1e-10)
+                run.shifts += 1
                 continue
             # energy differences below float resolution cannot drive an
             # Armijo test; accept on residual decrease instead
@@ -269,23 +313,28 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
                     ok = True
                     break
                 t *= _BACKTRACK
+                run.backtracks += 1
             if ok:
                 step = (x_try, u_try, flux_try, J_try, g_try, t)
                 break
             lam = max(lam * 10.0, 1e-10)
+            run.shifts += 1
         row["cg_iterations"] = len(cg_steps)
+        run.cg_iterations += len(cg_steps)
         if step is None:
-            raise SolveError("line search failed at a stationary-looking point", trace)
+            raise SolveError("line search failed at a stationary-looking point", run.trace,
+                             stopped("line_search"))
         x, u, flux, J, g, t_used = step
         if not np.any(x < lo):
-            energy_trace.append(min(energy_trace[-1], J))
-        iterations += 1
+            run.energy_trace.append(min(run.energy_trace[-1], J))
+        run.iterations += 1
         lam = lam / 3.0 if t_used == 1.0 else min(lam * 2.0 + 1e-12, 1e6)
         if lam < 1e-14:
             lam = 0.0
     raise SolveError(
         f"Newton did not reach grad_tol={opts.grad_tol:g} in {opts.max_iter} iterations "
-        f"(residual {res:.3e}{', active set still changing' if changed else ''})", trace)
+        f"(residual {res:.3e}{', active set still changing' if changed else ''})", run.trace,
+        stopped("max_iter"))
 
 
 def solve_dirichlet(ctx: PFormContext, boundary: GridFunction,
@@ -314,12 +363,13 @@ def solve_dirichlet(ctx: PFormContext, boundary: GridFunction,
     else:
         vals = np.where(mask, boundary.values, 0.0)
         vals = solve_linear_dirichlet(ctx.structure, vals, mask, block=block)
-    u, res, iters, etrace, trace, _, _ = _newton(vals, mask, ctx, opts, block=block)
-    sol = GridFunction(u.reshape(ctx.domain.node_shape), mask)
+    run = _newton(vals, mask, ctx, opts, block=block)
+    sol = GridFunction(run.u.reshape(shape), mask)
     return SolveResult(
-        solution=sol, residual_norm=res, iterations=iters, energy_trace=etrace,
+        solution=sol, residual_norm=run.residual, iterations=run.iterations,
+        energy_trace=run.energy_trace,
         diagnostics={"method": "newton_regularized", "grad_tol": opts.grad_tol,
-                     "initial_energy": etrace[0], "trace": trace},
+                     "initial_energy": run.energy_trace[0], "trace": run.trace},
     )
 
 
@@ -405,15 +455,15 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
     # the linear obstacle problem first: its solution meets the obstacle
     # smoothly, so the p-loop starts inside Newton's quadratic basin, which
     # the kinked projection does not
-    vals, _, linear_iters, _, linear_trace, active, _ = _newton(
-        vals, mask, PFormContext(ctx.structure, 2.0), opts, lo,
-        vals[free] <= lo_flat[free])
-    vals, residual, iterations, energy_trace, trace, active, g = _newton(
-        vals, mask, ctx, opts, lo, active)
+    linear = _newton(vals, mask, PFormContext(ctx.structure, 2.0), opts, lo,
+                     vals[free] <= lo_flat[free])
+    # the p-run starts on the p = 2 run's last block, and preconditions with its factor
+    run = _newton(linear.u, mask, ctx, opts, lo, linear.active, linear.block)
 
+    vals = run.u
     u = GridFunction(vals.reshape(domain.node_shape), mask)
     coeff = np.zeros_like(vals)
-    coeff[free] = g
+    coeff[free] = run.coeff
     scaled = np.abs(coeff) / np.maximum(node_mass, 1e-300)
     slack = np.where(np.isfinite(lo_flat), vals - lo_flat, np.inf)
     comp = float(np.max(np.abs(np.minimum(slack[free], 0.0)))) if free.any() else 0.0
@@ -431,14 +481,14 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
                      [f.reshape(domain.node_shape) for f in feasible])
 
     return SolveResult(
-        solution=u, residual_norm=residual, iterations=linear_iters + iterations,
-        energy_trace=energy_trace,
+        solution=u, residual_norm=run.residual, iterations=linear.iterations + run.iterations,
+        energy_trace=run.energy_trace,
         diagnostics={
             "method": "active_set_newton",
-            "active_nodes": int(active.sum()),
+            "active_nodes": int(run.active.sum()),
             "complementarity_violation": comp,
             "complementarity_product": prod,
             "vi_residual": vi,
-            "rounds": linear_trace + trace,
+            "rounds": linear.trace + run.trace,
         },
     )

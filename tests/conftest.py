@@ -24,6 +24,30 @@ def random_elliptic_field(domain: GridDomain, rng: np.random.Generator,
     return CoefficientField(mats, alpha, beta)
 
 
+class _CountingSpla:
+    """scipy.sparse.linalg, with every `splu` call's matrix order recorded."""
+
+    def __init__(self, spla, orders: list[int]):
+        self._spla, self._orders = spla, orders
+
+    def __getattr__(self, name):
+        return getattr(self._spla, name)
+
+    def splu(self, A, *args, **kwargs):
+        self._orders.append(A.shape[0])
+        return self._spla.splu(A, *args, **kwargs)
+
+
+def count_factorizations(monkeypatch) -> list[int]:
+    """The order of every matrix that `assemble` or `solve` factors, in call order."""
+    from dirichlet_p import assemble, solve
+
+    orders: list[int] = []
+    for module in (assemble, solve):
+        monkeypatch.setattr(module, "spla", _CountingSpla(module.spla, orders))
+    return orders
+
+
 def random_2x2_blocks(seed: int = 2024) -> dict[str, np.ndarray]:
     """Seeded 2x2 blocks for testing the closed-form cell kernels.
 

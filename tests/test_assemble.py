@@ -327,13 +327,58 @@ class TestBlockSolvesMatchSpsolve:
         lower = np.where(ball, 2.0, -np.inf)
         vals = np.where(mask, np.indices(shape)[0] / (shape[0] - 1), np.where(ball, 2.0, 0.0))
         free = ~mask.reshape(-1)
-        u, _res, iterations, _, _, active, _ = _newton(
-            vals, mask, PFormContext(st, 2.0), SolveOptions(), lower=lower,
-            active=ball.reshape(-1)[free])
-        assert iterations >= 1 and active.any()
+        run = _newton(vals, mask, PFormContext(st, 2.0), SolveOptions(), lower=lower,
+                      active=ball.reshape(-1)[free])
+        assert run.iterations >= 1 and run.active.any()
         pinned = mask.reshape(-1).copy()
-        pinned[free] = active
-        _assert_rel_close(u[~pinned], _spsolve_block(st, u, pinned))
+        pinned[free] = run.active
+        _assert_rel_close(run.u[~pinned], _spsolve_block(st, run.u, pinned))
+
+
+class TestRescaledFactor:
+    """`_SpdBlock.preconditioner`: the kept factor of A_F, rescaled so that the
+    operator it inverts, S^-1 A_F S^-1, has exactly H's diagonal."""
+
+    @staticmethod
+    def _blocks(rng):
+        shape = (9, 8)
+        st = _structure(shape, rng)
+        mask = _box_boundary(shape)
+        block = _SpdBlock(shape, _block_order(shape, ~mask.reshape(-1)))
+        A = stiffness_matrix(st)[block.nodes][:, block.nodes]
+        u = GridFunction(rng.standard_normal(shape))
+        return block, A, hessian_matrix(u, PFormContext(st, 3.0), block=block)
+
+    def test_operator_has_the_hessian_diagonal(self, rng):
+        block, A, H = self._blocks(rng)
+        assert block.preconditioner(H) is None
+        block.factor(A)
+        inverse = block.preconditioner(H) @ np.eye(H.shape[0])
+        M = np.linalg.inv(inverse)
+        s = np.sqrt(A.diagonal() / H.diagonal())
+        _assert_rel_close(M, A.toarray() / np.outer(s, s))
+        _assert_rel_close(np.diag(M), H.diagonal(), rtol=1e-10)
+        _assert_rel_close(inverse, inverse.T)
+        assert np.all(np.linalg.eigvalsh(0.5 * (M + M.T)) > 0.0)
+
+    def test_none_without_a_positive_finite_rescaling(self, rng):
+        block, A, H = self._blocks(rng)
+        block.factor(A)
+        for entry in (0.0, -1.0, 1e-320):
+            bad = H.tolil()
+            bad[3, 3] = entry
+            assert block.preconditioner(bad.tocsr()) is None
+        assert block.preconditioner(H) is not None
+
+    def test_failed_factorization_keeps_no_factor(self, rng):
+        block, A, H = self._blocks(rng)
+        block.factor(A)
+        singular = A.tolil()
+        singular[2, :] = 0.0
+        singular[:, 2] = 0.0
+        with pytest.raises(RuntimeError):
+            block.factor(singular.tocsr())
+        assert block.lu is None and block.preconditioner(H) is None
 
 
 class TestZeroDataSolve:

@@ -32,7 +32,7 @@ from dirichlet_p.pform import (
     p_operator,
 )
 from dirichlet_p.solve import SolveOptions
-from conftest import lbfgs_reference
+from conftest import lbfgs_reference, random_elliptic_field
 
 
 def interval_capacity(a: float, b: float, p: float) -> float:
@@ -169,6 +169,30 @@ class TestCapacityValues:
         assert len(calls) == 1
         worst = float(np.min(p_operator(r.potential, ctx, mask=cond.outer)))
         assert r.diagnostics["min_multiplier"] == worst
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_value_equals_the_operator_pairing_to_rounding(self, p):
+        # int gamma(e)^(p/2) dm and <op(e), e> are the same sum when eps = 0,
+        # formed in different orders: they agree to a few units in the last place
+        d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (33, 33))
+        st = GridStructure(d, random_elliptic_field(d, np.random.default_rng(3)))
+        cond = Condenser(nodes_in_ball(d, (0.0, 0.0), 0.25),
+                         nodes_outside_ball(d, (0.0, 0.0), 0.75))
+
+        def pairings(eps):
+            ctx = PFormContext(st, p, eps)
+            r = capacity(cond, ctx)
+            e = r.potential
+            op = p_operator(e, ctx, mask=np.zeros(d.node_shape, dtype=bool))
+            return r.value, [r.diagnostics["pairing"], float(np.sum(op * e.values))]
+
+        value, pairs = pairings(0.0)
+        assert all(abs(pair - value) <= 1e-13 * value for pair in pairs)
+        # the claim needs eps = 0 (or p = 2, where the weight is 1): a
+        # regularized potential's pairings differ
+        if p != 2.0:
+            value, pairs = pairings(1e-3)
+            assert all(abs(pair - value) > 1e-6 * value for pair in pairs)
 
     def test_2d_annulus_converges_to_closed_form(self):
         # ring condenser r=0.25, R=0.75 with the half-spacing membership rule

@@ -1,5 +1,3 @@
-import types
-
 import numpy as np
 import pytest
 import scipy.optimize
@@ -27,7 +25,12 @@ from dirichlet_p.solve import (
     solve_dirichlet,
     solve_obstacle,
 )
-from conftest import lbfgs_reference, random_elliptic_field, reference_objective
+from conftest import (
+    count_factorizations,
+    lbfgs_reference,
+    random_elliptic_field,
+    reference_objective,
+)
 
 
 def _affine_boundary(domain, lin, const=0.0):
@@ -253,15 +256,17 @@ class TestNewton:
         return PFormContext(unit_structure(d), 3.0), GridFunction(np.where(inner, 1.0, 0.0),
                                                                   inner | outer)
 
-    def test_one_factorization_per_inactive_set(self):
-        # the block never changes, so the first step factors it and every
-        # later step solves by CG preconditioned with that factor
+    def test_one_factorization_per_inactive_set(self, monkeypatch):
+        # the block never changes, so the linear start's factor of it is the
+        # only one: every Newton step solves by CG preconditioned with that
+        # factor, rescaled to the step's Hessian
+        factored = count_factorizations(monkeypatch)
         ctx, bc = self._ring_65()
         res = solve_dirichlet(ctx, bc)
         rows = res.diagnostics["trace"]
-        assert [row["factored"] for row in rows] == [True] + [False] * (len(rows) - 1)
-        assert rows[0]["cg_iterations"] == 0
-        assert all(row["cg_iterations"] > 0 for row in rows[1:-1])
+        assert factored == [int((~bc.mask).sum())]
+        assert not any(row["factored"] for row in rows)
+        assert all(row["cg_iterations"] > 0 for row in rows[:-1])
         assert rows[-1]["cg_iterations"] == 0
         assert res.iterations == len(rows) - 1 >= 3
 
@@ -282,23 +287,33 @@ class TestNewton:
         assert np.max(np.abs(res.solution.values - default.solution.values)) <= 1e-10
 
     def test_levenberg_shift_factors_afresh(self, monkeypatch):
-        # a first Newton factorization that fails turns the shift on; it
-        # decays by a third per full step, and every step taken under it factors
+        # CG misses at the first step, so that step factors, and that first
+        # Newton factorization fails: the shift turns on, decays by a third
+        # per full step, and every step taken under it factors
         spla = solve_module.spla
-        calls = []
+        splu, cg = spla.splu, spla.cg
+        factorizations, cg_calls = [], []
 
-        def failing_once(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 1:
+        def failing_second(*args, **kwargs):
+            factorizations.append(None)
+            if len(factorizations) == 2:  # the first is the linear start's
                 raise RuntimeError("Factor is exactly singular")
-            return spla.splu(*args, **kwargs)
+            return splu(*args, **kwargs)
 
-        monkeypatch.setattr(solve_module, "spla", types.SimpleNamespace(
-            splu=failing_once, cg=spla.cg, LinearOperator=spla.LinearOperator))
+        def missing_once(A, b, **kwargs):
+            cg_calls.append(None)
+            if len(cg_calls) == 1:
+                return np.zeros_like(b), kwargs["maxiter"]
+            return cg(A, b, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", failing_second)
+        monkeypatch.setattr(spla, "cg", missing_once)
         ctx, bc = self._ring_65()
         res = solve_dirichlet(ctx, bc)
-        shifted = [row for row in res.diagnostics["trace"][:-1] if row["lambda"] > 0.0]
-        assert shifted
+        rows = res.diagnostics["trace"]
+        assert rows[0]["factored"] and rows[0]["lambda"] == 0.0
+        shifted = [row for row in rows[:-1] if row["lambda"] > 0.0]
+        assert shifted and rows[1] in shifted
         assert all(row["factored"] and row["cg_iterations"] == 0 for row in shifted)
         assert res.residual_norm <= SolveOptions().grad_tol
 
@@ -311,15 +326,21 @@ class TestNewton:
         res = solve_obstacle(PFormContext(unit_structure(d), 3.0), lo, bc, opts)
         rounds = res.diagnostics["rounds"]
         # a row's step follows a change when the row pinned or released nodes,
-        # or when it starts a run (the p = 2 run, then the p-run)
+        # or when it starts the p = 2 run, which has no factored block yet
         starts = [i for i, row in enumerate(rounds) if row["iteration"] == 0]
         ends = [i - 1 for i in starts[1:]] + [len(rounds) - 1]
         after_change = [row for i, row in enumerate(rounds) if i not in ends
-                        and (i in starts or row["violated"] or row["released"])]
+                        and (i == 0 or row["violated"] or row["released"])]
         assert any(row["released"] for row in after_change)
         assert all(row["factored"] and row["cg_iterations"] == 0 for row in after_change)
-        # and the p-run reuses its factor once the set has settled
-        assert any(not row["factored"] and row["cg_iterations"] > 0 for row in rounds)
+        # the p-run starts on the p = 2 run's last block, which its set keeps,
+        # and preconditions with that block's factor
+        first = rounds[starts[1]]
+        assert not (first["violated"] or first["released"])
+        assert not first["factored"] and first["cg_iterations"] > 0
+        # and the p-run reuses its own factor once the set has settled again
+        assert any(not row["factored"] and row["cg_iterations"] > 0
+                   for row in rounds[starts[1] + 1:])
         assert all(not rounds[i]["factored"] for i in ends)
         assert res.residual_norm <= opts.grad_tol
 
@@ -358,8 +379,9 @@ class TestOnePatternPerInactiveSet:
         res = solve_dirichlet(ctx, bc)
         assert len(built) == 1
         assert linear == built and hessians == built * len(hessians) and len(hessians) == 4
+        # the linear start's factor preconditions every Newton step
         assert [(row["factored"], row["cg_iterations"]) for row in res.diagnostics["trace"]] \
-            == [(True, 0), (False, 3), (False, 3), (False, 6), (False, 0)]
+            == [(False, 3), (False, 3), (False, 3), (False, 7), (False, 0)]
 
     def test_curved_obstacle_builds_one_block_per_inactive_set(self, monkeypatch):
         built, hessians, linear = _spy_blocks(monkeypatch)
@@ -371,7 +393,9 @@ class TestOnePatternPerInactiveSet:
                              SolveOptions(grad_tol=1e-9))
         rounds = res.diagnostics["rounds"]
         # the zero boundary data needs no linear block; the p = 2 run changes
-        # its set at each of its 5 steps, the p-run at its first 3 of 5
+        # its set at each of its 5 steps, the p-run at its first 3 of 5: it
+        # is handed the p = 2 run's last block, but its first row releases
+        # nodes, so it builds its own and factors it
         assert linear == [None]
         assert len(built) == 8
         runs = [b for i, b in enumerate(hessians) if i == 0 or b is not hessians[i - 1]]
@@ -467,11 +491,11 @@ class TestObstacle:
         ctx = PFormContext(unit_structure(d), 3.0)
         mask = boundary_mask(d)
         lo = 1.0 - 4.0 * (d.node_coords()[..., 0] - 0.5) ** 2
-        u, res, iters, _, trace, active, _ = _newton(
-            np.where(mask, lo, 0.0), mask, ctx, SolveOptions(), lower=lo)
-        assert active.all() and iters == 0 and res == 0.0
-        assert np.array_equal(u, lo)
-        assert [r["violated"] for r in trace] == [15, 0]
+        run = _newton(np.where(mask, lo, 0.0), mask, ctx, SolveOptions(), lower=lo)
+        assert run.active.all() and run.iterations == 0 and run.residual == 0.0
+        assert np.array_equal(run.u, lo)
+        assert [r["violated"] for r in run.trace] == [15, 0]
+        assert run.stop == "converged" and run.block is None
 
     def test_inactive_obstacle_reduces_to_dirichlet(self, rng):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (13, 13))
