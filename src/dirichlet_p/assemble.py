@@ -14,16 +14,10 @@ This route shares no code with the algebraic gradient/adjoint pipeline,
 so the two can cross-check each other.
 
 A matrix is gathered from the slot planes into the pattern of a node list
-(`_SpdBlock`): an int32 CSR pattern in the list's positions whose rows
-keep their entries in stencil-offset order, and the index of each entry's
-slot, so each later matrix on those nodes is one gather, equal to the full
-matrix sliced to them.  The full matrix is the list of all nodes in
-natural order.  The symmetric positive definite blocks that the solvers
-factor (free or inactive nodes) list their nodes in a geometric
-nested-dissection order of the node grid, built once per node shape: the
-subsequence of that order on a block's nodes is again a dissection order,
-at O(n) cost per block.  The linear solve forms its right side from the
-same planes, so the full stiffness matrix is never built there.
+(`_SpdBlock`), one gather per matrix.  The blocks that the solvers factor
+list their nodes in a geometric nested-dissection order of the node grid,
+built once per node shape.  This module assembles and factors; `solve`
+decides what is solved with which factor.
 """
 
 from __future__ import annotations
@@ -38,11 +32,9 @@ import scipy.sparse.linalg as spla
 from .grid import GridDomain, GridStructure
 
 __all__ = [
-    "cell_average_operator",
     "assemble_form_matrix",
     "stiffness_matrix",
     "mass_matrix",
-    "solve_linear_dirichlet",
 ]
 
 # `splu` options for the symmetric positive definite blocks, which arrive in
@@ -53,23 +45,6 @@ _SPD_SPLU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
 
 # bound of the dissection-order cache; one `solvers` benchmark pass meets five node shapes
 _SHAPE_CACHE = 16
-
-
-def _two_point_1d(n: int, left: float, right: float) -> sp.csr_matrix:
-    """(n-1) x n matrix whose row i is left * e_i + right * e_(i+1)."""
-    rows = np.repeat(np.arange(n - 1), 2)
-    cols = rows + np.tile([0, 1], n - 1)
-    data = np.tile([left, right], n - 1)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n - 1, n))
-
-
-def cell_average_operator(domain: GridDomain) -> sp.csr_matrix:
-    """Sparse map from flat node values to flat cell corner-averages."""
-    op = None
-    for n in domain.shape:
-        f = _two_point_1d(n, 0.5, 0.5)
-        op = f if op is None else sp.kron(op, f, format="csr")
-    return op
 
 
 def _stencil_offsets(shape: tuple[int, ...]) -> np.ndarray:
@@ -192,19 +167,14 @@ def _form_slots(domain: GridDomain, cell_matrices: np.ndarray) -> np.ndarray:
 class _SpdBlock:
     """The block of a stencil form on the given nodes, in their order, as a gather pattern.
 
-    Built once per (node shape, nodes).  The solvers pass a block's nodes in
-    the grid's dissection order (`_block_order`); the full matrix is the
-    block of all nodes in natural order.  (`indptr`, `indices`) is the
-    block's int32 CSR pattern in the positions of `nodes`, with each row's
-    entries in stencil-offset order: the stored order of the full matrix
-    sliced by `[nodes][:, nodes]`, in which a CSR product sums a row.
-    `keep` marks the block's nodes on the flat grid, and `src` indexes each
-    entry's slot in the flat slot planes.
-
-    The block owns the one factorization its solvers make (`factor`): the
-    linear start factors the stiffness block, and each later Newton step
-    on the same nodes solves by CG preconditioned with that factor,
-    rescaled to its own Hessian's diagonal (`preconditioner`).
+    The solvers pass a block's nodes in the grid's dissection order
+    (`_block_order`); the full matrix is the block of all nodes in natural
+    order.  (`indptr`, `indices`) is the int32 CSR pattern in the positions
+    of `nodes`, each row in stencil-offset order as in the full matrix
+    sliced by `[nodes][:, nodes]`; `keep` marks the nodes on the flat grid,
+    and `src` indexes each entry's slot in the flat slot planes.  The block
+    keeps the last factorization made on it (`factor`), which
+    `preconditioner` rescales to a later matrix's diagonal.
     """
 
     def __init__(self, shape: tuple[int, ...], nodes: np.ndarray):
@@ -294,58 +264,12 @@ def stiffness_matrix(structure: GridStructure) -> sp.csr_matrix:
     return assemble_form_matrix(structure.domain, _stiffness_cells(structure))
 
 
-def _stencil_product(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The form matrix times the node values x, from its slot planes (flat).
-
-    Each node's terms are summed from +0.0 in offset order, the order in
-    which a CSR product sums a row of the assembled matrix, so the result
-    equals that product bitwise: a zero term, from a dropped entry or an
-    unpinned neighbour, leaves a sum begun at +0.0 unchanged.
-    """
-    y = np.zeros(x.shape)
-    for plane, offset in zip(slots, itertools.product((-1, 0, 1), repeat=x.ndim)):
-        rows = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, x.shape))
-        cols = tuple(slice(max(0, o), n + min(0, o)) for o, n in zip(offset, x.shape))
-        y[rows] += plane[rows] * x[cols]
-    return y.reshape(-1)
-
-
 def mass_matrix(domain: GridDomain) -> sp.csr_matrix:
     """Matrix M with u^T M v = sum_c ubar(c) vbar(c) m(c)."""
-    C = cell_average_operator(domain)
+    # C maps flat node values to flat cell corner-averages: a Kronecker
+    # product of one (n-1) x n two-point average per axis
+    C = None
+    for n in domain.shape:
+        f = sp.diags([0.5, 0.5], [0, 1], shape=(n - 1, n), format="csr")
+        C = f if C is None else sp.kron(C, f, format="csr")
     return (C.T @ sp.diags(domain.measure.reshape(-1)) @ C).tocsr()
-
-
-def solve_linear_dirichlet(structure: GridStructure, boundary_values: np.ndarray,
-                           mask: np.ndarray, *, block: _SpdBlock | None = None) -> np.ndarray:
-    """Solve the p = 2 problem: S u = 0 on free nodes, u pinned on the mask.
-
-    `block`, when given, is the free nodes' `_SpdBlock`, to be shared with a
-    later solve on the same nodes: it keeps the stiffness block's factor,
-    which preconditions that solve's Newton steps.
-    """
-    mask_flat = np.asarray(mask, dtype=bool).reshape(-1)
-    if not mask_flat.any():
-        raise ValueError("the Dirichlet mask is empty")
-    vals = np.asarray(boundary_values, dtype=float).reshape(-1).copy()
-    free = ~mask_flat
-    shape = structure.domain.node_shape
-    if not free.any():
-        return vals.reshape(shape)
-    if not vals[mask_flat].any():
-        # zero data: the solution is 0, with no block to assemble or factor
-        vals[free] = 0.0
-        return vals.reshape(shape)
-    if block is None:
-        block = _SpdBlock(shape, _block_order(shape, free))
-    elif not np.array_equal(block.keep, free):
-        raise ValueError("the block does not hold the free nodes")
-    slots = _form_slots(structure.domain, _stiffness_cells(structure))
-    pinned = np.where(mask_flat, vals, 0.0).reshape(shape)
-    # the right side -S[free, mask] vals[mask], without assembling S
-    rhs = -_stencil_product(slots, pinned)[block.nodes]
-    S_oo = block.matrix(slots).tocsc()
-    # freed before the factorization, which sets the peak memory of a solve
-    del slots, pinned
-    vals[block.nodes] = block.factor(S_oo).solve(rhs)
-    return vals.reshape(shape)

@@ -34,11 +34,12 @@ from . import __version__
 from .capacity import _memo_cap, capacity, check_choquet, check_union_difference
 from .config import (
     ConfigError,
-    _as_list,
     _at_least,
     _check_keys,
     _get_value,
+    _list_of,
     _nonempty_list,
+    _point,
     load_config,
     nearest_node,
     node_set_from_shape,
@@ -245,7 +246,8 @@ def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
     balls = []
     for ball in _get_value(block, "balls", _nonempty_list, "caccioppoli"):
         _check_keys(ball, _BALL_KEYS, _BALL_KEYS, "caccioppoli ball")
-        balls.append((ball["center"], _get_value(ball, "r", float, "caccioppoli ball"),
+        balls.append((_get_value(ball, "center", _point(ctx.domain.dim), "caccioppoli ball"),
+                      _get_value(ball, "r", float, "caccioppoli ball"),
                       _get_value(ball, "R", float, "caccioppoli ball")))
     # every ball reads u's residual density and gamma, evaluated once here
     u = _Harmonic(GridFunction(_parse_u(block["u"], ctx.domain)), ctx)
@@ -310,7 +312,8 @@ def _cmd_metric(cfg: dict, seed: int, tol: float | None) -> dict:
     for name, keys in (("cutoff", {"r"}), ("truncation", {"r", "R"})):
         if name in block:
             _check_keys(block[name], keys, keys, f"metric.{name}")
-    src = nearest_node(structure.domain, block["source"])
+    point = _point(structure.domain.dim)
+    src = nearest_node(structure.domain, _get_value(block, "source", point, "metric"))
     neighborhood = _get_value(block, "neighborhood", _stencil, "metric", 16)
     field = intrinsic_distance(src, structure, neighborhood)
     out: dict[str, Any] = {
@@ -321,7 +324,7 @@ def _cmd_metric(cfg: dict, seed: int, tol: float | None) -> dict:
     }
     if "targets" in block:
         nodes = [nearest_node(structure.domain, t)
-                 for t in _get_value(block, "targets", _as_list, "metric")]
+                 for t in _get_value(block, "targets", _list_of(point), "metric")]
         out["distances"] = [{"target": list(n), "distance": field.at(n)} for n in nodes]
     bound = cutoff_gamma_bound(structure.domain.dim, neighborhood)
     if "cutoff" in block:

@@ -110,6 +110,21 @@ def _nonempty_list(value: Any) -> list:
     return value
 
 
+def _list_of(kind: Callable[[Any], Any]) -> Callable[[Any], list]:
+    """Converter to a list with each entry converted by kind."""
+    return lambda value: [kind(v) for v in _as_list(value)]
+
+
+def _point(dim: int) -> Callable[[Any], np.ndarray]:
+    """Converter to the float coordinates of a point in dim dimensions."""
+    def convert(value: Any) -> np.ndarray:
+        point = np.asarray(value, dtype=float)
+        if point.shape != (dim,):
+            raise ValueError(f"expected {dim} coordinates")
+        return point
+    return convert
+
+
 def _at_least(low: int) -> Callable[[Any], int]:
     """Converter to an int no smaller than low: a count that would make a run vacuous fails."""
     def convert(value: Any) -> int:
@@ -124,8 +139,8 @@ def parse_domain(cfg: dict[str, Any]) -> GridDomain:
     _check_keys(cfg, {"dim", "extent", "shape", "density"}, {"dim", "extent", "shape"},
                 "domain")
     dim = cfg["dim"]
-    extent = cfg["extent"]
-    shape = cfg["shape"]
+    extent = _get_value(cfg, "extent", _as_list, "domain")
+    shape = _get_value(cfg, "shape", _as_list, "domain")
     if not isinstance(dim, int) or not 1 <= dim <= 3:
         raise ConfigError("domain.dim must be an integer in {1, 2, 3}")
     if len(extent) != dim or len(shape) != dim:
@@ -155,8 +170,8 @@ def _parse_field(spec: Any, domain: GridDomain) -> CoefficientField:
             raise ConfigError(f"cannot read field file '{path}': {exc}")
         _check_keys(data, {"matrices", "alpha", "beta"}, {"matrices"}, "field file")
         n = domain.dim
-        mats = np.asarray(data["matrices"], dtype=float).reshape(
-            domain.cells_shape + (n, n))
+        mats = _get_value(data, "matrices", lambda v: np.asarray(v, dtype=float).reshape(
+            domain.cells_shape + (n, n)), "field file")
         try:
             return CoefficientField.from_cells(domain, mats,
                                                data.get("alpha"), data.get("beta"))
@@ -196,21 +211,18 @@ def parse_solve_options(cfg: dict[str, Any], tol_override: float | None = None) 
 
 def parse_grid_function(spec: dict[str, Any], domain: GridDomain) -> np.ndarray:
     _check_keys(spec, {"shape", "values"}, {"shape", "values"}, "grid function")
-    shape = tuple(spec["shape"])
+    shape = tuple(_get_value(spec, "shape", _as_list, "grid function"))
     if shape != domain.node_shape:
         raise ConfigError(
             f"grid function shape {list(shape)} does not match the domain nodes "
             f"{list(domain.node_shape)}")
-    values = np.asarray(spec["values"], dtype=float).reshape(shape)
-    return values
+    return _get_value(spec, "values", lambda v: np.asarray(v, dtype=float).reshape(shape),
+                      "grid function")
 
 
 def nearest_node(domain: GridDomain, point: Sequence[float]) -> tuple[int, ...]:
-    point = np.asarray(point, dtype=float)
-    if point.shape != (domain.dim,):
-        raise ConfigError(f"point {point.tolist()} has wrong dimension")
     idx = []
-    for (a, b), s, x in zip(domain.extent, domain.shape, point):
+    for (a, b), s, x in zip(domain.extent, domain.shape, _point(domain.dim)(point)):
         h = (b - a) / (s - 1)
         idx.append(int(np.clip(round((x - a) / h), 0, s - 1)))
     return tuple(idx)
@@ -247,21 +259,27 @@ def node_set_from_shape(spec: Any, domain: GridDomain) -> np.ndarray:
     if kind == "interval":
         a = _get_value(spec, "a", float, where)
         return nodes_in_interval(domain, a - grow, _get_value(spec, "b", float, where) + grow)
+    point = _point(domain.dim)
     if kind == "disk":
-        return nodes_in_ball(domain, spec["center"],
+        return nodes_in_ball(domain, _get_value(spec, "center", point, where),
                              _get_value(spec, "radius", float, where) + grow)
     if kind == "outside_disk":
-        return nodes_outside_ball(domain, spec["center"],
+        return nodes_outside_ball(domain, _get_value(spec, "center", point, where),
                                   _get_value(spec, "radius", float, where) - grow)
     if kind == "rect":
-        lo = np.asarray(spec["min"], dtype=float) - grow
-        hi = np.asarray(spec["max"], dtype=float) + grow
-        return nodes_in_box(domain, lo, hi)
-    mask = np.zeros(domain.node_shape, dtype=bool)
-    for idx in spec["indices"]:
-        idx = tuple(int(i) for i in (idx if isinstance(idx, (list, tuple)) else [idx]))
+        lo = _get_value(spec, "min", point, where) - grow
+        return nodes_in_box(domain, lo, _get_value(spec, "max", point, where) + grow)
+
+    def node_index(value: Any) -> tuple[int, ...]:
+        idx = tuple(int(i) for i in (value if isinstance(value, (list, tuple)) else [value]))
         if len(idx) != domain.dim:
-            raise ConfigError(f"node index {list(idx)} has wrong dimension")
+            raise ValueError(f"node index {list(idx)} has wrong dimension")
+        if not all(-n <= i < n for i, n in zip(idx, domain.node_shape)):
+            raise ValueError(f"node index {list(idx)} lies outside the grid")
+        return idx
+
+    mask = np.zeros(domain.node_shape, dtype=bool)
+    for idx in _get_value(spec, "indices", _list_of(node_index), where):
         mask[idx] = True
     return mask
 
@@ -320,14 +338,15 @@ def parse_mapping(spec: dict[str, Any], domain: GridDomain) -> Mapping:
         raise ConfigError(f"a mapping is an object with 'kind' in {sorted(_MAPPING_KEYS)}, "
                           f"got {spec!r:.80}")
     allowed, required = _MAPPING_KEYS[kind]
-    _check_keys(spec, allowed | {"kind"}, required | {"kind"}, f"{kind} mapping")
+    where = f"{kind} mapping"
+    _check_keys(spec, allowed | {"kind"}, required | {"kind"}, where)
     try:
         if kind == "power":
-            return PowerMapping(domain, int(spec["k"]),
-                                float(spec.get("puncture", 0.15)))
+            return PowerMapping(domain, _get_value(spec, "k", int, where),
+                                _get_value(spec, "puncture", float, where, 0.15))
         if kind == "radial":
-            return RadialStretch(domain, float(spec["a"]),
-                                 float(spec.get("puncture", 0.1)))
+            return RadialStretch(domain, _get_value(spec, "a", float, where),
+                                 _get_value(spec, "puncture", float, where, 0.1))
         if kind == "linear":
             return LinearMapping(domain, np.asarray(spec["A"], dtype=float))
         with open(spec["file"]) as fh:
@@ -336,5 +355,7 @@ def parse_mapping(spec: dict[str, Any], domain: GridDomain) -> Mapping:
         vals = np.asarray(data["values"], dtype=float).reshape(
             tuple(data["shape"]) + (domain.dim,))
         return SampledMapping(domain, vals)
-    except (ValueError, OSError) as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"invalid mapping: {exc}")

@@ -5,41 +5,40 @@ free nodes with pinned boundary values; convergence is declared on the
 mass-scaled infinity norm of the operator coefficients (the same quantity
 `harmonicity_residual` reports), not on energy decrements.  The method
 is Newton with the exact sparse Hessian and a Levenberg shift that
-covers cells with degenerate gradient; the initial guess is the linear
-(p = 2) solution, which already lies in the convex basin.  Each point the
-loop evaluates (the start and every line-search trial) costs one cell
-flux (G grad u, gamma(u)), from which its energy, its operator
-coefficients and, at an iterate, its Hessian are all formed, bitwise
-equal to `p_energy`, `p_operator` and `hessian_matrix` at that point.
+covers cells with degenerate gradient, from the linear (p = 2) solution,
+which already lies in the convex basin.  Each point the loop evaluates
+(the start and every line-search trial) costs one cell flux
+(G grad u, gamma(u)), from which its energy, its operator coefficients
+and, at an iterate, its Hessian are all formed, bitwise equal to
+`p_energy`, `p_operator` and `hessian_matrix` at that point.
 
-Each block of free or inactive nodes (`assemble._SpdBlock`) is factored
-once: a Dirichlet solve shares its free block between the linear start,
-which factors the stiffness block, and Newton.  Every Newton step on a
-block that holds a factor F of some A_F solves by CG preconditioned with
-M^-1 r = s * F^-1 (s * r), s = sqrt(diag(A_F) / diag(H)), so that M has
-exactly the step's Hessian diagonal, to the forcing term
-min(0.01, 0.01 res) (Eisenstat and Walker 1996), which keeps the
-quadratic local rate.  A step factors its Hessian afresh when the block
-holds no factor, when the rescaling does not exist (a Hessian diagonal
-entry that is not positive), when CG misses the forcing term within 20
-iterations, or when the Levenberg shift is on: reuse of a lagged factor
-across Newton-Krylov steps (Knoll and Keyes 2004).  Each trace row records
-whether its step factored and how many CG iterations it took, and each
-run's totals are kept in a `_NewtonRun`.  The block's sparse pattern is
-analysed once per inactive set as well: each step's Hessian is gathered
-straight into it, in dissection order with each row in stencil-offset
-order.
+Both solvers start with `_linear_start`: its right side is minus the
+p = 2 operator at the pinned data, and its matrix the stiffness block of
+the free nodes (`assemble._SpdBlock`), whose factor the block keeps for
+Newton.  Every Newton step on a block that holds a factor F of some A_F
+solves by CG preconditioned with M^-1 r = s * F^-1 (s * r),
+s = sqrt(diag(A_F) / diag(H)), so that M has exactly the step's Hessian
+diagonal, to the forcing term min(0.01, 0.01 res) (Eisenstat and Walker
+1996), which keeps the quadratic local rate.  A step factors its Hessian
+afresh when the block holds no factor, when the rescaling does not exist
+(a Hessian diagonal entry that is not positive), when CG misses the
+forcing term within 20 iterations, or when the Levenberg shift is on:
+reuse of a lagged factor across Newton-Krylov steps (Knoll and Keyes
+2004).  Each trace row records whether its step factored and how many CG
+iterations it took, and each run's totals are kept in a `_NewtonRun`.
+Each step's Hessian is gathered straight into its block's pattern, built
+once per inactive set.
 
 The obstacle solve runs the same Newton loop with a primal-dual
 active-set step (Hintermüller, Ito and Kunisch 2002): nodes below the
 obstacle are pinned to it, pinned nodes with a negative multiplier are
 released, and each step solves on the inactive block only, under the same
 Armijo search; a change of the active set changes the block, so the step
-after it factors afresh.  It solves the linear (p = 2) obstacle problem
-first, then the p-problem from that solution, its active set and its
-last block, whose factor preconditions the p-run's steps while the set
-holds.  Active nodes sit exactly on the obstacle with nonnegative
-multipliers; inactive nodes carry residuals at solver tolerance.
+after it factors afresh.  It projects the linear start onto the obstacle,
+solves the p = 2 obstacle problem from there, and then the p-problem from
+that solution, its active set and its last block.  Active nodes sit
+exactly on the obstacle with nonnegative multipliers; inactive nodes
+carry residuals at solver tolerance.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import _block_order, _SpdBlock, assemble_form_matrix, solve_linear_dirichlet
+from .assemble import _block_order, _SpdBlock, _stiffness_cells, assemble_form_matrix
 from .grid import GridFunction, ShapeMismatchError, _flux_gamma, _values, dp_norm
 from .pform import (
     PFormContext,
@@ -202,6 +201,30 @@ def _free_objective(base: np.ndarray, mask: np.ndarray, ctx: PFormContext):
     return evaluate, gradient
 
 
+def _linear_start(ctx: PFormContext, vals: np.ndarray,
+                  mask: np.ndarray) -> tuple[np.ndarray, _SpdBlock | None]:
+    """The linear (p = 2) solution with the values of `vals` pinned on the mask.
+
+    Returns its flat node values and the free nodes' block, which keeps the
+    stiffness block's factor for Newton.  Zero data give zeros and no
+    block, with nothing assembled or factored.
+    """
+    u = np.where(mask, vals, 0.0).reshape(-1)
+    free = ~mask.reshape(-1)
+    if not (u.any() and free.any()):
+        return u, None
+    shape = ctx.domain.node_shape
+    block = _SpdBlock(shape, _block_order(shape, free))
+    # the right side -S[free, mask] vals[mask]: minus the p = 2 operator at the pinned data
+    flux = _flux_gamma(u.reshape(shape), ctx.structure)
+    rhs = -_operator(flux, PFormContext(ctx.structure, 2.0)).reshape(-1)[block.nodes]
+    # freed before the factorization, which sets the peak memory of a solve
+    del flux
+    S_oo = assemble_form_matrix(ctx.domain, _stiffness_cells(ctx.structure), block).tocsc()
+    u[block.nodes] = block.factor(S_oo).solve(rhs)
+    return u, block
+
+
 def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOptions,
             lower: np.ndarray | None = None, active: np.ndarray | None = None,
             block: _SpdBlock | None = None) -> _NewtonRun:
@@ -338,16 +361,13 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
 
 
 def solve_dirichlet(ctx: PFormContext, boundary: GridFunction,
-                    opts: SolveOptions | None = None,
-                    initial: GridFunction | None = None) -> SolveResult:
+                    opts: SolveOptions | None = None) -> SolveResult:
     """Minimize the p-energy subject to the boundary mask of `boundary`.
 
     Returns the minimizer with the prescribed values on masked nodes and
-    mass-scaled interior operator coefficients below grad_tol.  The
-    default initial guess is the linear (p = 2) solution; the minimizer is
-    unique, so different initial guesses agree to solver tolerance.
-    Raises SolveError (with the iteration trace attached) on
-    non-convergence.
+    mass-scaled interior operator coefficients below grad_tol, found by
+    Newton from the linear (p = 2) solution.  Raises SolveError (with the
+    iteration trace attached) on non-convergence.
     """
     opts = opts or SolveOptions()
     if boundary.mask is None or not boundary.mask.any():
@@ -355,16 +375,9 @@ def solve_dirichlet(ctx: PFormContext, boundary: GridFunction,
     if boundary.values.shape != ctx.domain.node_shape:
         raise ShapeMismatchError("boundary data does not match the grid")
     mask = boundary.mask
-    # the free block: one pattern for the linear start and every Newton step
-    shape = ctx.domain.node_shape
-    block = _SpdBlock(shape, _block_order(shape, ~mask.reshape(-1)))
-    if initial is not None:
-        vals = np.where(mask, boundary.values, initial.values)
-    else:
-        vals = np.where(mask, boundary.values, 0.0)
-        vals = solve_linear_dirichlet(ctx.structure, vals, mask, block=block)
+    vals, block = _linear_start(ctx, boundary.values, mask)
     run = _newton(vals, mask, ctx, opts, block=block)
-    sol = GridFunction(run.u.reshape(shape), mask)
+    sol = GridFunction(run.u.reshape(ctx.domain.node_shape), mask)
     return SolveResult(
         solution=sol, residual_norm=run.residual, iterations=run.iterations,
         energy_trace=run.energy_trace,
@@ -442,7 +455,6 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
     lo = _values(lower)
     if lo.shape != domain.node_shape:
         raise ShapeMismatchError("obstacle does not match the grid")
-    pinned = np.where(mask, boundary.values, 0.0)
     if np.any(boundary.values[mask] < lo[mask] - 1e-14):
         raise ValueError("infeasible: boundary data lies below the obstacle")
 
@@ -450,13 +462,13 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
     lo_flat = lo.reshape(-1)
     node_mass = domain.node_mass().reshape(-1)
 
-    vals = solve_linear_dirichlet(ctx.structure, pinned, mask).reshape(-1)
+    vals, block = _linear_start(ctx, boundary.values, mask)
     vals[free] = np.maximum(vals[free], lo_flat[free])
     # the linear obstacle problem first: its solution meets the obstacle
     # smoothly, so the p-loop starts inside Newton's quadratic basin, which
     # the kinked projection does not
     linear = _newton(vals, mask, PFormContext(ctx.structure, 2.0), opts, lo,
-                     vals[free] <= lo_flat[free])
+                     vals[free] <= lo_flat[free], block)
     # the p-run starts on the p = 2 run's last block, and preconditions with its factor
     run = _newton(linear.u, mask, ctx, opts, lo, linear.active, linear.block)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse.linalg as spla
 
-from dirichlet_p.assemble import solve_linear_dirichlet
+from dirichlet_p.assemble import stiffness_matrix
 from dirichlet_p.grid import (
     CoefficientField,
     GridDomain,
@@ -98,11 +99,25 @@ def reference_objective(base: np.ndarray, mask: np.ndarray, ctx: PFormContext):
     return embed, fun, jac
 
 
+def linear_reference(structure, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The p = 2 solution with `values` pinned on the mask, by `spsolve`.
+
+    Built on the assembled `stiffness_matrix` alone, S[free][:, free] u_free
+    = -S[free][:, mask] values[mask], so it shares no code with the
+    solvers' linear start, whose right side comes from the gradient route.
+    """
+    S = stiffness_matrix(structure).tocsc()
+    pinned = np.asarray(mask, dtype=bool).reshape(-1)
+    u = np.where(pinned, np.asarray(values, dtype=float).reshape(-1), 0.0)
+    u[~pinned] = spla.spsolve(S[~pinned][:, ~pinned], -S[~pinned][:, pinned] @ u[pinned])
+    return u.reshape(structure.domain.node_shape)
+
+
 def lbfgs_reference(ctx: PFormContext, boundary: GridFunction, grad_tol: float,
                     max_iter: int) -> np.ndarray:
     """Minimizer of p_energy with the masked values of `boundary` pinned.
 
-    scipy's L-BFGS-B on `reference_objective`, from the linear solve,
+    scipy's L-BFGS-B on `reference_objective`, from `linear_reference`,
     restarted until the mass-scaled residual is at most grad_tol: a
     reference for the Newton loop that shares only p_energy and p_operator
     with it.
@@ -110,7 +125,7 @@ def lbfgs_reference(ctx: PFormContext, boundary: GridFunction, grad_tol: float,
     mask = boundary.mask
     free = ~mask.reshape(-1)
     mass = ctx.domain.node_mass().reshape(-1)[free]
-    start = solve_linear_dirichlet(ctx.structure, np.where(mask, boundary.values, 0.0), mask)
+    start = linear_reference(ctx.structure, boundary.values, mask)
     embed, fun, jac = reference_objective(start.reshape(-1), mask, ctx)
     x = start.reshape(-1)[free]
     for _ in range(6):

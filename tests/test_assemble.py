@@ -1,7 +1,8 @@
 """The stencil-pattern assembly against a Kronecker-product oracle and against
 the node-major layout it replaced, the nested-dissection order in which the
-solvers factor their blocks and its cache, and the gathered blocks against
-slices of the full matrix."""
+solvers factor their blocks and its cache, the gathered blocks against
+slices of the full matrix, and the solvers' linear start, built on the
+gradient route, against `spsolve` on the assembled stiffness matrix."""
 
 import itertools
 
@@ -16,16 +17,14 @@ from dirichlet_p.assemble import (
     _dissection_order,
     _form_slots,
     _SpdBlock,
-    _stencil_product,
     assemble_form_matrix,
-    solve_linear_dirichlet,
     stiffness_matrix,
 )
-from dirichlet_p.grid import GridDomain, GridFunction, GridStructure
+from dirichlet_p.grid import GridDomain, GridFunction, GridStructure, unit_structure
 from dirichlet_p.pform import PFormContext
-from dirichlet_p.solve import SolveOptions, _newton, hessian_matrix
+from dirichlet_p.solve import SolveOptions, _linear_start, _newton, hessian_matrix
 
-from conftest import random_elliptic_field
+from conftest import linear_reference, random_elliptic_field
 
 
 def _two_point_1d(n: int, left: float, right: float) -> sp.csr_matrix:
@@ -213,6 +212,11 @@ def _structure(shape, rng):
     return GridStructure(d, random_elliptic_field(d, rng))
 
 
+def _linear(st, vals, mask):
+    """The values of the solvers' linear start, on the node grid."""
+    return _linear_start(PFormContext(st, 2.0), vals, mask)[0].reshape(st.domain.node_shape)
+
+
 class TestDissectionOrder:
     @pytest.mark.parametrize("shape", [(2,), (9,), (2, 2), (8, 13), (17, 17), (5, 6, 7),
                                        (17, 17, 17)])
@@ -252,7 +256,7 @@ class TestDissectionOrder:
         o[:] = 0
         st = _structure(shape, rng)
         mask = _box_boundary(shape)
-        solve_linear_dirichlet(st, np.where(mask, 1.0, 0.0), mask)
+        _linear(st, np.where(mask, 1.0, 0.0), mask)
         kept = np.array(cached)
         _dissection_order.cache_clear()
         assert np.array_equal(_dissection_order(shape), kept)
@@ -278,7 +282,7 @@ class TestDissectionFill:
         st = _structure(shape, rng)
         mask = _box_boundary(shape)
         x = np.indices(shape)[0] / (shape[0] - 1)
-        u = solve_linear_dirichlet(st, np.where(mask, x, 0.0), mask)
+        u = _linear(st, np.where(mask, x, 0.0), mask)
         H = hessian_matrix(GridFunction(u), PFormContext(st, 3.0))
         self._assert_fill_at_most_mmd(H, shape, ~mask.reshape(-1))
 
@@ -287,15 +291,6 @@ class TestDissectionFill:
         mask = _box_boundary(shape)
         self._assert_fill_at_most_mmd(stiffness_matrix(_structure(shape, rng)), shape,
                                       ~mask.reshape(-1))
-
-
-def _spsolve_block(st, vals, pinned):
-    """Reference: spsolve on the unpinned block with the pinned values moved right."""
-    S = stiffness_matrix(st).tocsc()
-    pinned = pinned.reshape(-1)
-    vals = vals.reshape(-1)
-    rhs = -S[~pinned][:, pinned] @ vals[pinned]
-    return spla.spsolve(S[~pinned][:, ~pinned], rhs)
 
 
 def _assert_rel_close(actual, expected, rtol=1e-12):
@@ -308,13 +303,23 @@ SOLVE_CASES = [((33,), 4), ((17, 13), 3), ((9, 8, 7), 2)]
 
 class TestBlockSolvesMatchSpsolve:
     @pytest.mark.parametrize("shape, radius", SOLVE_CASES)
-    def test_solve_linear_dirichlet(self, shape, radius, rng):
+    def test_linear_start(self, shape, radius, rng):
+        # the start keeps the pinned values, ignores the free ones, and hands
+        # on the free block in dissection order with the stiffness block's factor
         st = _structure(shape, rng)
         mask = _box_boundary(shape) | _ball(shape, radius)
-        vals = np.where(mask, rng.standard_normal(shape), 0.0)
-        u = solve_linear_dirichlet(st, vals, mask)
+        vals = np.where(mask, rng.standard_normal(shape), rng.standard_normal(shape))
+        u, block = _linear_start(PFormContext(st, 3.0), vals, mask)
+        u = u.reshape(shape)
         assert np.array_equal(u[mask], vals[mask])
-        _assert_rel_close(u[~mask], _spsolve_block(st, vals, mask))
+        _assert_rel_close(u[~mask], linear_reference(st, vals, mask)[~mask])
+        free = ~mask.reshape(-1)
+        assert np.array_equal(block.keep, free)
+        assert np.array_equal(block.nodes, _block_order(shape, free))
+        S_oo = stiffness_matrix(st)[block.nodes][:, block.nodes]
+        assert np.array_equal(block.lu_diagonal, S_oo.diagonal())
+        _assert_rel_close(block.lu.solve(S_oo @ u.reshape(-1)[block.nodes]),
+                          u.reshape(-1)[block.nodes])
 
     @pytest.mark.parametrize("shape, radius", SOLVE_CASES)
     def test_newton_step_on_an_inactive_block(self, shape, radius, rng):
@@ -332,7 +337,7 @@ class TestBlockSolvesMatchSpsolve:
         assert run.iterations >= 1 and run.active.any()
         pinned = mask.reshape(-1).copy()
         pinned[free] = run.active
-        _assert_rel_close(run.u[~pinned], _spsolve_block(st, run.u, pinned))
+        _assert_rel_close(run.u[~pinned], linear_reference(st, run.u, pinned).reshape(-1)[~pinned])
 
 
 class TestRescaledFactor:
@@ -390,16 +395,18 @@ class TestZeroDataSolve:
             raise AssertionError("zero data must not be factored")
 
         monkeypatch.setattr(assemble_module.spla, "splu", no_factor)
-        st = _structure(shape, rng)
+        ctx = PFormContext(_structure(shape, rng), 2.0)
         mask = _box_boundary(shape) | _ball(shape, radius)
         vals = np.where(mask, 0.0, rng.standard_normal(shape))
         vals[mask & (np.indices(shape)[0] == 0)] = -0.0
-        u = solve_linear_dirichlet(st, vals, mask)
+        u, block = _linear_start(ctx, vals, mask)
+        u = u.reshape(shape)
+        assert block is None
         assert np.array_equal(np.signbit(u[mask]), np.signbit(vals[mask]))
         assert np.all(u[~mask] == 0.0) and not np.signbit(u[~mask]).any()
         vals[mask] = rng.standard_normal(shape)[mask]
         with pytest.raises(AssertionError, match="factored"):
-            solve_linear_dirichlet(st, vals, mask)
+            _linear_start(ctx, vals, mask)
 
 
 BLOCK_SHAPES = [(17,), (9, 9), (16, 13), (6, 5, 7)]
@@ -469,22 +476,14 @@ class TestGatheredBlock:
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     @pytest.mark.parametrize("field", ["identity", "random"])
     @pytest.mark.parametrize("holes", ["free", "holed"])
-    def test_stencil_right_side_equals_the_sliced_product(self, shape, field, holes, rng):
+    def test_linear_start_matches_the_assembled_route(self, shape, field, holes, rng):
+        # the start takes its right side from the gradient route (the p = 2
+        # operator) and its matrix from the slot planes; the reference takes
+        # both from the assembled matrix, S[free][:, free] and S[free][:, mask]
         d = _unit_spacing(shape)
-        W = _block_fields(d, rng)[field]
-        free = _block_masks(shape, rng)[holes]
-        mask = ~free
-        vals = rng.standard_normal(d.num_nodes)
-        nodes = _block_order(shape, free)
-        S_o = assemble_form_matrix(d, W)[nodes]
-        pinned = np.where(mask, vals, 0.0).reshape(shape)
-        rhs = -_stencil_product(_form_slots(d, W), pinned)[nodes]
-        assert rhs.tobytes() == (-(S_o[:, mask] @ vals[mask])).tobytes()
-
-    def test_linear_solve_rejects_a_block_on_other_nodes(self, rng):
-        shape = (9, 8)
-        st = _structure(shape, rng)
-        mask = _box_boundary(shape)
-        with pytest.raises(ValueError, match="free nodes"):
-            solve_linear_dirichlet(st, np.where(mask, 1.0, 0.0), mask,
-                                   block=_SpdBlock(shape, np.flatnonzero(~(mask | _ball(shape, 2)))))
+        st = unit_structure(d) if field == "identity" else GridStructure(
+            d, random_elliptic_field(d, rng))
+        mask = ~_block_masks(shape, rng)[holes].reshape(shape)
+        vals = rng.standard_normal(shape)
+        u = _linear(st, vals, mask)
+        _assert_rel_close(u[~mask], linear_reference(st, vals, mask)[~mask])

@@ -500,11 +500,31 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
     ("capacity", {"domain": base_domain_1d(), "p": 2.0, "capacity": {
         "condenser": {"inner": {"type": "interval", "a": "x", "b": 0.5},
                       "outer": "domain_boundary"}}}, "'a'"),
+    ("solve", {"domain": {"dim": 2, "extent": 3, "shape": [9, 9]}, "p": 2.0,
+               "solve": {"boundary": {"values": 0.0}}}, "'extent'"),
+    ("qr", {"domain": base_domain_2d(9), "qr": {"mapping": {"kind": "power", "k": None}}},
+     "'k'"),
+    ("qr", {"domain": base_domain_2d(9),
+            "qr": {"mapping": {"kind": "power", "k": 2, "puncture": [0.1]}}}, "'puncture'"),
+    ("qr", {"domain": base_domain_2d(9),
+            "qr": {"mapping": {"kind": "radial", "a": 2.0, "puncture": {}}}}, "'puncture'"),
+    ("metric", {"domain": base_domain_2d(9), "metric": {"source": "xy"}}, "'source'"),
+    ("capacity", {"domain": base_domain_2d(9), "p": 2.0, "capacity": {
+        "condenser": {"inner": {"type": "disk", "center": "x", "radius": 0.2},
+                      "outer": "domain_boundary"}}}, "'center'"),
+    ("capacity", {"domain": base_domain_2d(9), "p": 2.0, "capacity": {
+        "condenser": {"inner": {"type": "rect", "min": "a", "max": [0.6, 0.6]},
+                      "outer": "domain_boundary"}}}, "'min'"),
+    ("capacity", {"domain": base_domain_2d(9), "p": 2.0, "capacity": {
+        "condenser": {"inner": {"type": "nodes", "indices": [["a", 4]]},
+                      "outer": "domain_boundary"}}}, "'indices'"),
 ], ids=["balls-not-a-list", "balls-empty", "targets-not-a-list", "suites-not-a-list",
         "trials-not-int", "trials-zero", "trials-negative", "suites-empty",
         "vi-samples-not-int", "vi-samples-two", "vi-samples-negative", "seed-not-int",
         "ball-r-not-float", "neighborhood-not-8-or-16", "affine-linear-not-numbers", "grad-tol-not-float", "max-iter-not-int",
-        "interval-a-not-float"])
+        "interval-a-not-float", "extent-not-a-list", "power-k-null",
+        "puncture-a-list", "puncture-an-object", "metric-source-a-string",
+        "disk-center-a-string", "rect-min-a-string", "node-index-a-string"])
 def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, command, config, key):
     path = write_config(tmp_path, "c.json", config)
     assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG

@@ -5,7 +5,7 @@ import scipy.optimize
 from dirichlet_p import grid as grid_module
 from dirichlet_p import pform as pform_module
 from dirichlet_p import solve as solve_module
-from dirichlet_p.assemble import solve_linear_dirichlet, stiffness_matrix
+from dirichlet_p.assemble import stiffness_matrix
 from dirichlet_p.capacity import Condenser, capacity
 from dirichlet_p.config import node_set_from_shape
 from dirichlet_p.grid import (
@@ -28,6 +28,7 @@ from dirichlet_p.solve import (
 from conftest import (
     count_factorizations,
     lbfgs_reference,
+    linear_reference,
     random_elliptic_field,
     reference_objective,
 )
@@ -54,10 +55,11 @@ class TestDirichlet:
         ctx = PFormContext(unit_structure(d), 3.0)
         bc, _ = _affine_boundary(d, [1.0, 0.5])
         bc.values[bc.mask] += np.sin(7.0 * np.arange(bc.mask.sum()))
-        start = solve_linear_dirichlet(ctx.structure, bc.values, bc.mask)
+        start, _ = solve_module._linear_start(ctx, bc.values, bc.mask)
         res = solve_dirichlet(ctx, bc, SolveOptions(grad_tol=1e-6, max_iter=5000))
         assert res.iterations > 0
-        assert res.diagnostics["initial_energy"] == p_energy(GridFunction(start), ctx)
+        assert res.diagnostics["initial_energy"] == p_energy(
+            GridFunction(start.reshape(d.node_shape)), ctx)
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     def test_1d_identity_profile(self, p):
@@ -93,6 +95,40 @@ class TestDirichlet:
         order = np.log2(errs[17] / errs[33])
         assert order >= 1.9
 
+    @staticmethod
+    def _radial_errors(p, eps, shift=0.0):
+        """Max errors against u* = |x - x0|^((p-2)/(p-1)) (log at p = 2), the
+        p-harmonic radial function with pole x0 off [-1, 1]^2, on 33^2, 65^2
+        and 129^2 grids with data u* on the boundary, or u*(x + shift h e_1)."""
+        x0 = np.array([-1.6, -1.3])
+
+        def exact(x):
+            r = np.linalg.norm(x - x0, axis=-1)
+            return np.log(r) if p == 2.0 else r ** ((p - 2.0) / (p - 1.0))
+
+        errors = []
+        for n in (33, 65, 129):
+            d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (n, n))
+            mask = boundary_mask(d)
+            x = d.node_coords()
+            data = exact(x + np.array([shift * d.spacing[0], 0.0]))
+            res = solve_dirichlet(PFormContext(unit_structure(d), p, eps),
+                                  GridFunction(np.where(mask, data, 0.0), mask),
+                                  SolveOptions(grad_tol=1e-9))
+            errors.append(float(np.max(np.abs(res.solution.values - exact(x)))))
+        return np.array(errors)
+
+    @pytest.mark.parametrize("p, eps", [(1.5, 1e-12), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)])
+    def test_second_order_on_a_smooth_radial_solution(self, p, eps):
+        # observed, not proved: the scheme converges at O(h^2) in max norm
+        errors = self._radial_errors(p, eps)
+        assert np.all(np.log2(errors[:-1] / errors[1:]) >= 1.9)
+
+    def test_first_order_data_error_fails_the_order_bound(self):
+        # falsifier: data off by one spacing along x caps the rate near 1
+        errors = self._radial_errors(3.0, 0.0, shift=1.0)
+        assert np.all(np.log2(errors[:-1] / errors[1:]) < 1.9)
+
     def test_maximum_principle(self, rng):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (13, 13))
         s = GridStructure(d, random_elliptic_field(d, rng))
@@ -115,9 +151,12 @@ class TestDirichlet:
         bc = GridFunction(np.where(mask, g, 0.0), mask)
         opts = SolveOptions(grad_tol=1e-10)
         r1 = solve_dirichlet(ctx, bc, opts)
-        warm = GridFunction(rng.standard_normal(d.node_shape))
-        r2 = solve_dirichlet(ctx, bc, opts, initial=warm)
-        assert np.max(np.abs(r1.solution.values - r2.solution.values)) <= 10 * opts.grad_tol
+        # Newton from a random start far from the linear solution
+        far = np.where(mask, g, rng.standard_normal(d.node_shape))
+        r2 = solve_module._newton(far, mask, ctx, opts)
+        assert r2.stop == "converged"
+        assert np.max(np.abs(r1.solution.values - r2.u.reshape(d.node_shape))) \
+            <= 10 * opts.grad_tol
 
     def test_energy_trace_nonincreasing(self, rng):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (17, 17))
@@ -161,7 +200,7 @@ class TestDirichlet:
         g = rng.standard_normal(d.node_shape)
         bc = GridFunction(np.where(mask, g, 0.0), mask)
         res = solve_dirichlet(ctx, bc)
-        direct = solve_linear_dirichlet(s, np.where(mask, g, 0.0), mask)
+        direct = linear_reference(s, g, mask)
         assert np.max(np.abs(res.solution.values - direct)) <= 1e-8
 
 
@@ -218,8 +257,9 @@ class TestNewton:
         calls, distinct = len(points), len(set(points))
         assert res.iterations >= 3
         assert distinct == calls
-        # every step of this solve is a full step: one trial per iteration
-        assert calls == 1 + res.iterations
+        # every step of this solve is a full step: one trial per iteration,
+        # after the linear start's flux at the pinned data and Newton's at the start
+        assert calls == 2 + res.iterations
 
     @pytest.mark.parametrize("p", [3.0, 4.0])
     def test_ring_condenser_converges_fast(self, p):
@@ -347,7 +387,7 @@ class TestNewton:
 
 def _spy_blocks(monkeypatch):
     """Record every `_SpdBlock` built, the block of every Hessian call and
-    of every linear solve."""
+    the block every linear start returns."""
     import dirichlet_p.assemble as assemble_module
 
     built, hessians, linear = [], [], []
@@ -361,14 +401,15 @@ def _spy_blocks(monkeypatch):
         hessians.append(kwargs["block"])
         return _hessian(u, ctx, **kwargs)
 
-    def linear_spy(*args, _linear=solve_module.solve_linear_dirichlet, **kwargs):
-        linear.append(kwargs.get("block"))
-        return _linear(*args, **kwargs)
+    def linear_spy(*args, _linear=solve_module._linear_start):
+        vals, block = _linear(*args)
+        linear.append(block)
+        return vals, block
 
     for module in (assemble_module, solve_module):
         monkeypatch.setattr(module, "_SpdBlock", Counted)
     monkeypatch.setattr(solve_module, "hessian_matrix", hessian_spy)
-    monkeypatch.setattr(solve_module, "solve_linear_dirichlet", linear_spy)
+    monkeypatch.setattr(solve_module, "_linear_start", linear_spy)
     return built, hessians, linear
 
 
@@ -415,8 +456,7 @@ def _reference_obstacle(ctx, lo, boundary, opts, complementarity_tol=1e-8):
     free = ~mask.reshape(-1)
     lo_flat = lo.reshape(-1)
     node_mass = domain.node_mass().reshape(-1)
-    pinned = np.where(mask, boundary.values, 0.0)
-    vals = solve_linear_dirichlet(ctx.structure, pinned, mask).reshape(-1)
+    vals = linear_reference(ctx.structure, boundary.values, mask).reshape(-1)
     vals[free] = np.maximum(vals[free], lo_flat[free])
     _, fun, jac = reference_objective(vals, mask, ctx)
     bounds = [(l if np.isfinite(l) else None, None) for l in lo_flat[free]]

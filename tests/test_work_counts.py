@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from dirichlet_p import solve as solve_module
-from dirichlet_p.assemble import _block_order, _SpdBlock, solve_linear_dirichlet
 from dirichlet_p.config import node_set_from_shape
 from dirichlet_p.grid import GridDomain, GridFunction, boundary_mask, unit_structure
 from dirichlet_p.pform import PFormContext
@@ -161,10 +160,8 @@ class TestFactorizationGate:
         ctx = PFormContext(unit_structure(d), 3.0)
         mask = boundary_mask(d)
         x = d.node_coords()
-        block = _SpdBlock(d.node_shape, _block_order(d.node_shape, ~mask.reshape(-1)))
-        vals = solve_linear_dirichlet(
-            ctx.structure, np.where(mask, x[..., 0] + 0.5 * x[..., 1] ** 2, 0.0), mask,
-            block=block)
+        vals, block = solve_module._linear_start(ctx, x[..., 0] + 0.5 * x[..., 1] ** 2, mask)
+        vals = vals.reshape(d.node_shape)
         vals[6:9, 6:9] = vals[7, 7]
         H = hessian_matrix(GridFunction(vals), ctx, block=block)
         assert np.count_nonzero(H.diagonal() <= 0.0) == 1
