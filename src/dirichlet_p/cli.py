@@ -37,6 +37,7 @@ from .config import (
     _at_least,
     _check_keys,
     _get_value,
+    _integer,
     _list_of,
     _nonempty_list,
     _point,
@@ -344,7 +345,7 @@ def _cmd_metric(cfg: dict, seed: int, tol: float | None) -> dict:
 
 def _stencil(value: Any) -> int:
     """Neighborhood of the intrinsic-metric stencil: 8 or 16."""
-    n = int(value)
+    n = _integer(value)
     if n not in (8, 16):
         raise ValueError("must be 8 or 16")
     return n
@@ -520,7 +521,8 @@ def main(argv: list[str] | None = None) -> int:
         required = {"domain"} if args.command == "check" else {"domain", args.command}
         _check_keys(cfg, _SHARED_KEYS | set(_COMMANDS), required, "config")
         _check_keys(cfg.get(args.command, {}), *_BLOCK_KEYS[args.command], args.command)
-        seed = args.seed if args.seed is not None else _get_value(cfg, "seed", int, "config", 0)
+        seed = (args.seed if args.seed is not None
+                else _get_value(cfg, "seed", _integer, "config", 0))
         results = _COMMANDS[args.command](cfg, seed, args.tol)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

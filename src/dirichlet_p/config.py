@@ -88,14 +88,23 @@ def _get_value(block: dict, key: str, kind: Callable[[Any], Any], where: str,
               default: Any = None) -> Any:
     """kind(block[key]), or kind(default) when the key is absent.
 
-    kind is a converter such as int, float or `_as_list`; the TypeError or
-    ValueError it raises becomes a config error that names the key.
+    kind is a converter such as `_integer`, float or `_as_list`; the
+    TypeError or ValueError it raises becomes a config error that names the
+    key.
     """
     value = block.get(key, default)
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid value {value!r:.80} for '{key}' in {where}: {exc}")
+
+
+def _integer(value: Any) -> int:
+    """An integer config value: 2.5 and true are refused where int() would
+    turn them into 2 and 1."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got a boolean")
+    return operator.index(value)
 
 
 def _as_list(value: Any) -> list:
@@ -128,7 +137,7 @@ def _point(dim: int) -> Callable[[Any], np.ndarray]:
 def _at_least(low: int) -> Callable[[Any], int]:
     """Converter to an int no smaller than low: a count that would make a run vacuous fails."""
     def convert(value: Any) -> int:
-        n = int(value)
+        n = _integer(value)
         if n < low:
             raise ValueError(f"must be at least {low}")
         return n
@@ -140,7 +149,7 @@ def parse_domain(cfg: dict[str, Any]) -> GridDomain:
                 "domain")
     dim = cfg["dim"]
     extent = _get_value(cfg, "extent", _as_list, "domain")
-    shape = _get_value(cfg, "shape", _as_list, "domain")
+    shape = _get_value(cfg, "shape", _list_of(_integer), "domain")
     if not isinstance(dim, int) or not 1 <= dim <= 3:
         raise ConfigError("domain.dim must be an integer in {1, 2, 3}")
     if len(extent) != dim or len(shape) != dim:
@@ -200,7 +209,7 @@ def parse_solve_options(cfg: dict[str, Any], tol_override: float | None = None) 
     block = cfg.get("solver", {})
     _check_keys(block, {"grad_tol", "max_iter"}, set(), "solver")
     grad_tol = _get_value(block, "grad_tol", float, "solver", 1e-8)
-    max_iter = _get_value(block, "max_iter", operator.index, "solver", 200)
+    max_iter = _get_value(block, "max_iter", _integer, "solver", 200)
     try:
         return SolveOptions(
             grad_tol=tol_override if tol_override is not None else grad_tol,
@@ -271,7 +280,7 @@ def node_set_from_shape(spec: Any, domain: GridDomain) -> np.ndarray:
         return nodes_in_box(domain, lo, _get_value(spec, "max", point, where) + grow)
 
     def node_index(value: Any) -> tuple[int, ...]:
-        idx = tuple(int(i) for i in (value if isinstance(value, (list, tuple)) else [value]))
+        idx = tuple(_integer(i) for i in (value if isinstance(value, (list, tuple)) else [value]))
         if len(idx) != domain.dim:
             raise ValueError(f"node index {list(idx)} has wrong dimension")
         if not all(-n <= i < n for i, n in zip(idx, domain.node_shape)):
@@ -342,7 +351,7 @@ def parse_mapping(spec: dict[str, Any], domain: GridDomain) -> Mapping:
     _check_keys(spec, allowed | {"kind"}, required | {"kind"}, where)
     try:
         if kind == "power":
-            return PowerMapping(domain, _get_value(spec, "k", int, where),
+            return PowerMapping(domain, _get_value(spec, "k", _integer, where),
                                 _get_value(spec, "puncture", float, where, 0.15))
         if kind == "radial":
             return RadialStretch(domain, _get_value(spec, "a", float, where),

@@ -200,8 +200,13 @@ class GridDomain:
 class CoefficientField:
     """Per-cell symmetric matrix field G with ellipticity bounds.
 
-    Construction validates symmetry and that every cell's eigenvalues lie in
-    [alpha, beta]; the bounds are declared inputs, not inferred.
+    `CoefficientField(matrices, alpha, beta)` and `from_cells`, the paths by
+    which fields enter from outside the program (`file:` fields, library
+    callers), validate finiteness, symmetry and that every cell's
+    eigenvalues lie in [alpha, beta]; the bounds are declared inputs, not
+    inferred.  `identity`, `scalar` and `mappings.induced_structure` (the
+    distortion tensor, whose eigenvalues `analyze` has certified) build
+    fields that are valid by construction and skip the re-check.
     """
 
     matrices: np.ndarray
@@ -237,18 +242,31 @@ class CoefficientField:
         return self.matrices.shape[-1]
 
     @classmethod
+    def _certified(cls, matrices: np.ndarray, alpha: float, beta: float) -> "CoefficientField":
+        """A field valid by construction: finite and symmetric, 0 < alpha <= beta,
+        every cell's eigenvalues in [alpha, beta].  Stored read-only; only the
+        bounds themselves are checked, not the matrices."""
+        if not (0 < alpha <= beta):
+            raise ValueError("need 0 < alpha <= beta")
+        fld = object.__new__(cls)
+        object.__setattr__(fld, "matrices", _readonly(matrices))
+        object.__setattr__(fld, "alpha", float(alpha))
+        object.__setattr__(fld, "beta", float(beta))
+        return fld
+
+    @classmethod
     def identity(cls, domain: GridDomain) -> "CoefficientField":
         eye = np.broadcast_to(np.eye(domain.dim), domain.cells_shape + (domain.dim, domain.dim))
-        return cls(np.array(eye), 1.0, 1.0)
+        return cls._certified(np.array(eye), 1.0, 1.0)
 
     @classmethod
     def scalar(cls, domain: GridDomain, value: float) -> "CoefficientField":
         value = float(value)
-        if value <= 0:
-            raise ValueError("scalar coefficient must be positive")
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"scalar coefficient must be positive and finite, got {value}")
         eye = value * np.eye(domain.dim)
         mats = np.broadcast_to(eye, domain.cells_shape + (domain.dim, domain.dim))
-        return cls(np.array(mats), value, value)
+        return cls._certified(np.array(mats), value, value)
 
     @classmethod
     def from_cells(cls, domain: GridDomain, matrices: np.ndarray,

@@ -356,9 +356,15 @@ def analyze(mapping: Mapping) -> QrAnalysis:
 
 
 def induced_structure(analysis: QrAnalysis, domain: GridDomain) -> GridStructure:
-    """Grid structure whose coefficient field is the distortion tensor."""
+    """Grid structure whose coefficient field is the distortion tensor.
+
+    `analysis` must come from `analyze`, which has certified theta's
+    eigenvalues against [alpha, beta] within 1e-10 max(beta, 1); theta is
+    symmetric by construction and flagged cells hold I, with
+    alpha <= 1 <= beta.  So the field is not re-validated.
+    """
     tol = 1e-9 * max(analysis.beta, 1.0)
-    fld = CoefficientField(analysis.theta, analysis.alpha - tol, analysis.beta + tol)
+    fld = CoefficientField._certified(analysis.theta, analysis.alpha - tol, analysis.beta + tol)
     return GridStructure(domain, fld)
 
 

@@ -25,6 +25,14 @@ def random_elliptic_field(domain: GridDomain, rng: np.random.Generator,
     return CoefficientField(mats, alpha, beta)
 
 
+def assert_passes_validation(fld: CoefficientField) -> None:
+    """The validating constructor accepts `fld` and keeps its matrices and bounds."""
+    assert fld.matrices.flags.c_contiguous and not fld.matrices.flags.writeable
+    checked = CoefficientField(fld.matrices, fld.alpha, fld.beta)
+    assert np.array_equal(checked.matrices, fld.matrices)
+    assert (checked.alpha, checked.beta) == (fld.alpha, fld.beta)
+
+
 class _CountingSpla:
     """scipy.sparse.linalg, with every `splu` call's matrix order recorded."""
 

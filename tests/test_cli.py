@@ -518,13 +518,31 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
     ("capacity", {"domain": base_domain_2d(9), "p": 2.0, "capacity": {
         "condenser": {"inner": {"type": "nodes", "indices": [["a", 4]]},
                       "outer": "domain_boundary"}}}, "'indices'"),
+    ("qr", {"domain": base_domain_2d(9), "qr": {"mapping": {"kind": "power", "k": 2.5}}},
+     "'k'"),
+    ("check", {"domain": base_domain_1d(), "p": 2.0, "check": {"trials": 2.5}}, "'trials'"),
+    ("metric", _metric_config(neighborhood=16.5), "'neighborhood'"),
+    ("check", {"domain": base_domain_1d(), "p": 2.0, "seed": 1.5}, "'seed'"),
+    ("check", {"domain": base_domain_1d(), "p": 2.0, "check": {"trials": True}}, "'trials'"),
+    ("capacity", {"domain": base_domain_2d(9), "p": 2.0, "capacity": {
+        "condenser": {"inner": {"type": "nodes", "indices": [[4.7, 4]]},
+                      "outer": "domain_boundary"}}}, "'indices'"),
+    ("solve", {"domain": {"dim": 2, "extent": [[0, 1], [0, 1]], "shape": [9.5, 9]}, "p": 2.0,
+               "solve": {"boundary": {"values": 0.0}}}, "'shape'"),
+    ("solve", {"domain": base_domain_1d(), "p": 2.0, "field": "scalar:inf",
+               "solve": {"boundary": {"values": 0.0}}}, "'scalar:inf'"),
+    ("solve", {"domain": base_domain_1d(), "p": 2.0, "field": "scalar:nan",
+               "solve": {"boundary": {"values": 0.0}}}, "'scalar:nan'"),
 ], ids=["balls-not-a-list", "balls-empty", "targets-not-a-list", "suites-not-a-list",
         "trials-not-int", "trials-zero", "trials-negative", "suites-empty",
         "vi-samples-not-int", "vi-samples-two", "vi-samples-negative", "seed-not-int",
         "ball-r-not-float", "neighborhood-not-8-or-16", "affine-linear-not-numbers", "grad-tol-not-float", "max-iter-not-int",
         "interval-a-not-float", "extent-not-a-list", "power-k-null",
         "puncture-a-list", "puncture-an-object", "metric-source-a-string",
-        "disk-center-a-string", "rect-min-a-string", "node-index-a-string"])
+        "disk-center-a-string", "rect-min-a-string", "node-index-a-string",
+        "power-k-not-int", "trials-not-int-valued", "neighborhood-not-int",
+        "seed-not-int-valued", "trials-a-boolean", "node-index-not-int", "shape-not-int",
+        "scalar-inf", "scalar-nan"])
 def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, command, config, key):
     path = write_config(tmp_path, "c.json", config)
     assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG

@@ -23,7 +23,12 @@ from dirichlet_p.grid import (
     unit_structure,
 )
 from dirichlet_p.grid import _sym_eigvalsh
-from conftest import random_2x2_blocks, random_elliptic_field, random_function
+from conftest import (
+    assert_passes_validation,
+    random_2x2_blocks,
+    random_elliptic_field,
+    random_function,
+)
 
 
 class TestGridDomain:
@@ -84,6 +89,21 @@ class TestCoefficientField:
         assert f.alpha == f.beta == 1.0
         g = CoefficientField.scalar(square, 2.5)
         assert g.alpha == g.beta == 2.5
+
+    @pytest.mark.parametrize("build", [CoefficientField.identity,
+                                       lambda d: CoefficientField.scalar(d, 2.5)],
+                             ids=["identity", "scalar"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_fields_built_without_checks_pass_them(self, build, dim):
+        d = GridDomain(((0.0, 1.0),) * dim, (4, 5, 3)[:dim])
+        fld = build(d)
+        assert fld.matrices.shape == d.cells_shape + (dim, dim)
+        assert_passes_validation(fld)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+    def test_scalar_rejects_nonpositive_and_nonfinite(self, square, value):
+        with pytest.raises(ValueError, match="scalar"):
+            CoefficientField.scalar(square, value)
 
     def test_rejects_asymmetric(self, square):
         mats = np.broadcast_to(np.array([[1.0, 0.5], [0.0, 1.0]]),

@@ -24,7 +24,7 @@ from dirichlet_p.mappings import (
 )
 from dirichlet_p.mappings import _singular_values
 from dirichlet_p.pform import PFormContext, _weights
-from conftest import random_2x2_blocks, random_function
+from conftest import assert_passes_validation, random_2x2_blocks, random_function
 
 
 @pytest.fixture
@@ -191,6 +191,27 @@ class TestInducedStructure:
             v = random_function(box, rng)
             assert np.isclose(energy(u, v, induced), energy(u, v, reference),
                               rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("dim, make", [
+        (2, lambda d: PowerMapping(d, 2, puncture=0.3)),
+        (2, lambda d: PowerMapping(d, 3, puncture=0.3)),
+        (2, lambda d: RadialStretch(d, 1.5, puncture=0.25)),
+        (2, lambda d: RadialStretch(d, 3.0, puncture=0.25)),
+        (2, lambda d: LinearMapping(d, np.diag([2.0, 1.0]))),
+        (2, lambda d: LinearMapping(d, np.array([[1.0, 0.4], [0.4, 1.5]]))),
+        (3, lambda d: LinearMapping(d, np.array([[1.0, 0.4, 0.0], [0.2, 1.5, 0.3],
+                                                 [0.0, 0.1, 0.8]]))),
+    ], ids=["z2", "z3", "radial1.5", "radial3", "linear-diag", "linear-shear", "linear-3d"])
+    def test_distortion_field_passes_validation(self, dim, make):
+        # the maps of scripts/mapping_gallery.py at 17^2, plus one 3-D map
+        d = GridDomain(((-1.0, 1.0),) * dim, (17,) * dim)
+        assert_passes_validation(induced_structure(analyze(make(d)), d).field)
+
+    def test_bounds_that_lose_positivity_are_rejected(self, box):
+        # alpha = 1e-5 minus the 1e-9 beta = 1e-4 widening is negative
+        an = analyze(LinearMapping(box, np.diag([1e5, 1.0])))
+        with pytest.raises(ValueError, match="alpha"):
+            induced_structure(an, box)
 
     def test_context_has_p_equal_dimension(self, box, monkeypatch):
         # the induced form is the n-form: every residual field is measured with p = n

@@ -96,38 +96,47 @@ class TestDirichlet:
         assert order >= 1.9
 
     @staticmethod
-    def _radial_errors(p, eps, shift=0.0):
-        """Max errors against u* = |x - x0|^((p-2)/(p-1)) (log at p = 2), the
-        p-harmonic radial function with pole x0 off [-1, 1]^2, on 33^2, 65^2
-        and 129^2 grids with data u* on the boundary, or u*(x + shift h e_1)."""
-        x0 = np.array([-1.6, -1.3])
+    def _radial_rates(p, eps, dim, sizes, shift=0.0):
+        """Observed orders log(e1/e2)/log(h1/h2) of the max error against
+        u* = |x - x0|^((p-n)/(p-1)) (log at p = n), the p-harmonic radial
+        function with pole x0 off [-1, 1]^n, n = dim, on the grids with
+        `sizes` nodes per axis, with data u* on the boundary, or u*(x + shift h e_1)."""
+        x0 = np.array([-1.6, -1.3, -1.45][:dim])
 
         def exact(x):
             r = np.linalg.norm(x - x0, axis=-1)
-            return np.log(r) if p == 2.0 else r ** ((p - 2.0) / (p - 1.0))
+            return np.log(r) if p == dim else r ** ((p - dim) / (p - 1.0))
 
-        errors = []
-        for n in (33, 65, 129):
-            d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (n, n))
+        errors, spacings = [], []
+        for n in sizes:
+            d = GridDomain(((-1.0, 1.0),) * dim, (n,) * dim)
             mask = boundary_mask(d)
             x = d.node_coords()
-            data = exact(x + np.array([shift * d.spacing[0], 0.0]))
+            data = exact(x + shift * d.spacing[0] * np.eye(dim)[0])
             res = solve_dirichlet(PFormContext(unit_structure(d), p, eps),
                                   GridFunction(np.where(mask, data, 0.0), mask),
                                   SolveOptions(grad_tol=1e-9))
             errors.append(float(np.max(np.abs(res.solution.values - exact(x)))))
-        return np.array(errors)
+            spacings.append(d.spacing[0])
+        return np.diff(np.log(errors)) / np.diff(np.log(spacings))
 
     @pytest.mark.parametrize("p, eps", [(1.5, 1e-12), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)])
     def test_second_order_on_a_smooth_radial_solution(self, p, eps):
         # observed, not proved: the scheme converges at O(h^2) in max norm
-        errors = self._radial_errors(p, eps)
-        assert np.all(np.log2(errors[:-1] / errors[1:]) >= 1.9)
+        assert np.all(self._radial_rates(p, eps, 2, (33, 65, 129)) >= 1.9)
 
     def test_first_order_data_error_fails_the_order_bound(self):
         # falsifier: data off by one spacing along x caps the rate near 1
-        errors = self._radial_errors(3.0, 0.0, shift=1.0)
-        assert np.all(np.log2(errors[:-1] / errors[1:]) < 1.9)
+        assert np.all(self._radial_rates(3.0, 0.0, 2, (33, 65, 129), shift=1.0) < 1.9)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_second_order_on_a_smooth_radial_solution_in_3d(self, p):
+        # spacing ratios 2/3 and 3/4; observed rates 2.2-3.0
+        assert np.all(self._radial_rates(p, 0.0, 3, (9, 13, 17)) >= 1.9)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_first_order_data_error_fails_the_order_bound_in_3d(self, p):
+        assert np.all(self._radial_rates(p, 0.0, 3, (9, 13, 17), shift=1.0) < 1.9)
 
     def test_maximum_principle(self, rng):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (13, 13))
