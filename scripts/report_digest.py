@@ -4,7 +4,7 @@
 Writes the `solvers` and `geometry` job configs of perfbench/workloads.py
 for one seed, plus jobs on paths the benchmark never runs (a plain
 `solve`, a regularized p = 1.5 solve, a curved obstacle, `check` with
-`--tol`, and a 3-D p = 3 `solve`), runs each job through `dirichlet_p.cli.main`
+`--tol`, a 3-D p = 3 `solve`, and a `qr` map with a flagged cell), runs each job through `dirichlet_p.cli.main`
 with `--csv`, and prints `name exit json-sha256 csv-sha256` per job ("-"
 for a file the job did not write).  Run it on two checkouts and diff the
 outputs.
@@ -101,6 +101,10 @@ def _extra_jobs(seed: int, workdir: str, smoke: bool) -> list[workloads.Job]:
         "solver": {"grad_tol": workloads.GRAD_TOL},
         "solve": {"boundary": {"values": {"affine": {"linear": [1.0, 0.5, -0.25],
                                                       "constant": 0.25}}}}}, []))
+    # a cell centre on the origin, where the stretch's Jacobian vanishes: one flagged cell
+    configs.append(("qr-radial1.5-flagged-17", "qr", {
+        "domain": {"dim": 2, "extent": [[-1.0625, 0.9375]] * 2, "shape": [17, 17]},
+        "seed": seed, "qr": {"mapping": {"kind": "radial", "a": 1.5, "puncture": 0.25}}}, []))
     jobs = []
     for name, command, cfg, flags in configs:
         config = os.path.join(workdir, f"{name}.config.json")

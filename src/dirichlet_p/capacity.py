@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .grid import GridFunction, ShapeMismatchError, gamma, join, meet
+from .grid import GridFunction, ShapeMismatchError, _length, gamma, join, meet
 from .pform import (
     PFormContext,
     _pure_potential_test,
@@ -61,13 +61,13 @@ def nodes_in_interval(domain, a: float, b: float) -> np.ndarray:
 def nodes_in_ball(domain, center: Sequence[float], radius: float) -> np.ndarray:
     coords = domain.node_coords()
     c = np.asarray(center, dtype=float)
-    return np.linalg.norm(coords - c, axis=-1) <= radius
+    return _length(coords - c) <= radius
 
 
 def nodes_outside_ball(domain, center: Sequence[float], radius: float) -> np.ndarray:
     coords = domain.node_coords()
     c = np.asarray(center, dtype=float)
-    return np.linalg.norm(coords - c, axis=-1) >= radius
+    return _length(coords - c) >= radius
 
 
 def nodes_in_box(domain, lo: Sequence[float], hi: Sequence[float]) -> np.ndarray:

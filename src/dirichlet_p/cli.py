@@ -54,7 +54,7 @@ from .config import (
     parse_solve_options,
     parse_structure,
 )
-from .grid import GridFunction, boundary_mask
+from .grid import GridFunction, _length, boundary_mask
 from .mappings import analyze, verify_component_harmonicity
 from .metric import (
     _distance_fields,
@@ -224,7 +224,7 @@ def _field_from_spec(kind: str, domain) -> np.ndarray:
             raise ConfigError("re_z2 needs a 2-D domain")
         return coords[..., 0] ** 2 - coords[..., 1] ** 2
     if kind == "log_abs":
-        r = np.linalg.norm(coords, axis=-1)
+        r = _length(coords)
         if np.any(r <= 0):
             raise ConfigError("log_abs needs a domain omitting the origin")
         return np.log(r)
@@ -272,7 +272,7 @@ def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
             rep = check_caccioppoli(u, phi, c, ctx, residual_tol=residual_tol)
         elif variant == "euclidean":
             coords = ctx.domain.node_coords()
-            dist = np.linalg.norm(coords - np.asarray(center, dtype=float), axis=-1)
+            dist = _length(coords - np.asarray(center, dtype=float))
             phi = GridFunction(np.clip((R - dist) / (R - r), 0.0, 1.0))
             rep = check_caccioppoli_euclidean(
                 u, phi, c, ctx.structure.field.alpha, ctx.structure.field.beta,

@@ -16,7 +16,6 @@ whose nodes align with the shape boundary the rule adds no nodes.
 from __future__ import annotations
 
 import json
-import operator
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ from .grid import (
     GridDomain,
     GridFunction,
     GridStructure,
+    _integer,
     boundary_mask,
 )
 from .mappings import (
@@ -99,14 +99,6 @@ def _get_value(block: dict, key: str, kind: Callable[[Any], Any], where: str,
         raise ConfigError(f"invalid value {value!r:.80} for '{key}' in {where}: {exc}")
 
 
-def _integer(value: Any) -> int:
-    """An integer config value: 2.5 and true are refused where int() would
-    turn them into 2 and 1."""
-    if isinstance(value, bool):
-        raise TypeError("expected an integer, got a boolean")
-    return operator.index(value)
-
-
 def _as_list(value: Any) -> list:
     if not isinstance(value, list):
         raise TypeError("expected a list")
@@ -147,10 +139,10 @@ def _at_least(low: int) -> Callable[[Any], int]:
 def parse_domain(cfg: dict[str, Any]) -> GridDomain:
     _check_keys(cfg, {"dim", "extent", "shape", "density"}, {"dim", "extent", "shape"},
                 "domain")
-    dim = cfg["dim"]
+    dim = _get_value(cfg, "dim", _integer, "domain")
     extent = _get_value(cfg, "extent", _as_list, "domain")
     shape = _get_value(cfg, "shape", _list_of(_integer), "domain")
-    if not isinstance(dim, int) or not 1 <= dim <= 3:
+    if not 1 <= dim <= 3:
         raise ConfigError("domain.dim must be an integer in {1, 2, 3}")
     if len(extent) != dim or len(shape) != dim:
         raise ConfigError("domain.extent and domain.shape must match domain.dim")

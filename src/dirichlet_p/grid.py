@@ -16,8 +16,9 @@ functions use the cell average of the corner values.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -55,6 +56,26 @@ def _require_finite(mats: np.ndarray) -> None:
     """Reject NaN or infinite coefficient entries before any arithmetic on them."""
     if not np.isfinite(mats).all():
         raise ValueError("non-finite coefficient entries: their eigenvalues escape any bounds")
+
+
+def _integer(value: Any) -> int:
+    """An integer: 2.5 and True are refused where int() would turn them into 2 and 1."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got a boolean")
+    return operator.index(value)
+
+
+def _length(v: np.ndarray) -> np.ndarray:
+    """Euclidean length over the last axis, bit for bit np.linalg.norm(v, axis=-1).
+
+    The squares are summed left to right, as numpy's reduction over a short
+    axis does, but on whole component planes instead of a length-2 or -3 axis.
+    """
+    v = np.asarray(v, dtype=float)
+    out = v[..., 0] * v[..., 0]
+    for i in range(1, v.shape[-1]):
+        out += v[..., i] * v[..., i]
+    return np.sqrt(out)
 
 
 def _det(mats: np.ndarray) -> np.ndarray:
@@ -103,7 +124,7 @@ class GridDomain:
 
     def __post_init__(self) -> None:
         extent = tuple((float(a), float(b)) for a, b in self.extent)
-        shape = tuple(int(s) for s in self.shape)
+        shape = tuple(_integer(s) for s in self.shape)
         object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "shape", shape)
         if not 1 <= len(extent) <= 3:

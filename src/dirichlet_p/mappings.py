@@ -44,6 +44,7 @@ from .grid import (
     GridStructure,
     ShapeMismatchError,
     _det,
+    _length,
     _sym_eigvalsh,
     boundary_mask,
     gradient,
@@ -111,7 +112,7 @@ class _PuncturedMapping(Mapping):
 
     def safe_region(self) -> np.ndarray:
         scale = max(abs(b) for ab in self.domain.extent for b in ab)
-        outside = np.linalg.norm(self.domain.node_coords(), axis=-1) > self.puncture * scale
+        outside = _length(self.domain.node_coords()) > self.puncture * scale
         return outside & ~boundary_mask(self.domain)
 
 
@@ -143,10 +144,11 @@ class PowerMapping(_PuncturedMapping):
         c = self.domain.cell_centers()
         z = c[..., 0] + 1j * c[..., 1]
         fp = self.k * z ** (self.k - 1)
-        a, b = fp.real, fp.imag
-        row0 = np.stack([a, -b], axis=-1)
-        row1 = np.stack([b, a], axis=-1)
-        return np.stack([row0, row1], axis=-2)
+        out = np.empty(fp.shape + (2, 2))
+        out[..., 0, 0] = out[..., 1, 1] = fp.real
+        out[..., 1, 0] = fp.imag
+        out[..., 0, 1] = -fp.imag
+        return out
 
     def refined(self) -> "PowerMapping":
         return PowerMapping(self.domain.refined(), self.k, self.puncture)
@@ -171,14 +173,14 @@ class RadialStretch(_PuncturedMapping):
 
     def node_values(self) -> np.ndarray:
         c = self.domain.node_coords()
-        r = np.linalg.norm(c, axis=-1)
+        r = _length(c)
         scale = np.where(r > 0, r ** (self.a - 1.0), 0.0)
         return scale[..., None] * c
 
     def cell_jacobian(self) -> np.ndarray:
         c = self.domain.cell_centers()
         n = self.domain.dim
-        r = np.linalg.norm(c, axis=-1)
+        r = _length(c)
         rhat = c / np.where(r > 0, r, 1.0)[..., None]
         eye = np.broadcast_to(np.eye(n), c.shape[:-1] + (n, n))
         proj = rhat[..., :, None] * rhat[..., None, :]
@@ -276,15 +278,19 @@ def differentiate(mapping: Mapping) -> JacobianField:
 
 
 def _dilatations(jf: JacobianField) -> tuple[float, float]:
-    """Outer and inner dilatations K_O, K_I over the unflagged cells (both >= 1)."""
+    """Outer and inner dilatations K_O, K_I over the unflagged cells (both >= 1).
+
+    Every cell is computed; the flagged ones (J <= 0, possibly 0) are masked
+    at the two maxima.
+    """
     ok = ~jf.flagged
     if not ok.any():
         raise ValueError("every cell is degenerate; no dilatations")
     n = jf.Df.shape[-1]
-    sv = _singular_values(jf.Df[ok])
-    J = jf.J[ok]
-    K_O = float(np.max(sv[..., 0] ** n / J))
-    K_I = float(np.max(J / sv[..., -1] ** n))
+    sv = _singular_values(jf.Df)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K_O = float(np.max(sv[..., 0] ** n / jf.J, where=ok, initial=-np.inf))
+        K_I = float(np.max(jf.J / sv[..., -1] ** n, where=ok, initial=-np.inf))
     return K_O, K_I
 
 
@@ -293,22 +299,23 @@ def distortion_tensor(jf: JacobianField) -> np.ndarray:
 
     In the plane this is adj(Df) adj(Df)^T / J, symmetric by construction.
     Flagged cells get the identity (they are excluded from analysis and
-    their mass is reported separately).
+    their mass is reported separately).  The plane's entries are written
+    for every cell, the flagged ones included, and then overwritten.
     """
     n = jf.Df.shape[-1]
-    ok = ~jf.flagged
-    out = np.empty_like(jf.Df)
-    out[jf.flagged] = np.eye(n)
+    out = np.empty(jf.Df.shape)
     if n == 2:
-        Df, J = jf.Df[ok], jf.J[ok]
-        a, b, c, d = Df[..., 0, 0], Df[..., 0, 1], Df[..., 1, 0], Df[..., 1, 1]
-        off = -(a * b + c * d) / J
-        out[ok] = np.stack([np.stack([(b * b + d * d) / J, off], axis=-1),
-                            np.stack([off, (a * a + c * c) / J], axis=-1)], axis=-2)
-        return out
-    inv = np.linalg.inv(jf.Df[ok])
-    theta = (jf.J[ok] ** (2.0 / n))[..., None, None] * (inv @ np.swapaxes(inv, -1, -2))
-    out[ok] = 0.5 * (theta + np.swapaxes(theta, -1, -2))
+        a, b, c, d = jf.Df[..., 0, 0], jf.Df[..., 0, 1], jf.Df[..., 1, 0], jf.Df[..., 1, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[..., 0, 0] = (b * b + d * d) / jf.J
+            out[..., 0, 1] = out[..., 1, 0] = -(a * b + c * d) / jf.J
+            out[..., 1, 1] = (a * a + c * c) / jf.J
+    else:
+        ok = ~jf.flagged
+        inv = np.linalg.inv(jf.Df[ok])
+        theta = (jf.J[ok] ** (2.0 / n))[..., None, None] * (inv @ np.swapaxes(inv, -1, -2))
+        out[ok] = 0.5 * (theta + np.swapaxes(theta, -1, -2))
+    out[jf.flagged] = np.eye(n)
     return out
 
 
@@ -330,6 +337,9 @@ def analyze(mapping: Mapping) -> QrAnalysis:
 
     Certifies the ellipticity sandwich per cell: every eigenvalue of theta
     lies in [K_O^(-2/n), K_I^(2/n)] up to rounding, and det theta = 1.
+    Flagged cells hold I, whose eigenvalue and determinant 1 lie inside
+    every certified bound, so theta is read whole.  `details` carries the
+    smallest and largest eigenvalue over all cells as "eigenvalue_range".
     """
     jf = differentiate(mapping)
     K_O, K_I = _dilatations(jf)
@@ -338,33 +348,35 @@ def analyze(mapping: Mapping) -> QrAnalysis:
     alpha = K_O ** (-2.0 / n)
     beta = K_I ** (2.0 / n)
     # from theta's own entries, not from sv: otherwise the check is a tautology
-    eigs = _sym_eigvalsh(theta[~jf.flagged])
+    eigs = _sym_eigvalsh(theta)
     tol = 1e-10 * max(beta, 1.0)
-    lo = float(np.min(eigs)) if eigs.size else 1.0
-    hi = float(np.max(eigs)) if eigs.size else 1.0
+    lo, hi = float(np.min(eigs)), float(np.max(eigs))
     if not (lo >= alpha - tol and hi <= beta + tol):  # NaN fails too
         raise ValueError(
             f"ellipticity certification failed: eigenvalues [{lo:.6g}, {hi:.6g}] "
             f"escape [{alpha:.6g}, {beta:.6g}]")
-    dets = _det(theta[~jf.flagged])
-    det_err = float(np.max(np.abs(dets - 1.0))) if dets.size else 0.0
+    det_err = float(np.max(np.abs(_det(theta) - 1.0)))
     excluded = float(np.sum(np.where(jf.flagged, mapping.domain.measure, 0.0)))
     return QrAnalysis(
         K_O=K_O, K_I=K_I, theta=theta, alpha=alpha, beta=beta, excluded_measure=excluded,
-        details={"det_error": det_err, "flagged_cells": int(jf.flagged.sum())},
+        details={"det_error": det_err, "flagged_cells": int(jf.flagged.sum()),
+                 "eigenvalue_range": (lo, hi)},
     )
 
 
 def induced_structure(analysis: QrAnalysis, domain: GridDomain) -> GridStructure:
     """Grid structure whose coefficient field is the distortion tensor.
 
-    `analysis` must come from `analyze`, which has certified theta's
-    eigenvalues against [alpha, beta] within 1e-10 max(beta, 1); theta is
-    symmetric by construction and flagged cells hold I, with
-    alpha <= 1 <= beta.  So the field is not re-validated.
+    `analysis` must come from `analyze`, which has computed every cell's
+    eigenvalues (flagged cells hold I) and certified them against
+    [alpha, beta] within rounding; theta is symmetric by construction.  So
+    the field is not re-validated: its bounds are min(alpha, lowest) and
+    max(beta, highest eigenvalue), each widened by 1e-9 of itself, which
+    stay positive whenever theta is positive definite.
     """
-    tol = 1e-9 * max(analysis.beta, 1.0)
-    fld = CoefficientField._certified(analysis.theta, analysis.alpha - tol, analysis.beta + tol)
+    lo, hi = analysis.details["eigenvalue_range"]
+    fld = CoefficientField._certified(analysis.theta, min(analysis.alpha, lo) * (1.0 - 1e-9),
+                                      max(analysis.beta, hi) * (1.0 + 1e-9))
     return GridStructure(domain, fld)
 
 
@@ -386,7 +398,7 @@ def _matched_residuals(mapping: Mapping, include_log: bool | None,
             fields[f"component_{i}"] = scaled_operator_field(GridFunction(comp), ctx)
         if include_log:
             vals = m.node_values()
-            absf = np.linalg.norm(vals, axis=-1)
+            absf = _length(vals)
             if np.any(absf[region] <= 0):
                 raise ValueError("log|f| requested but f hits 0 on the region")
             logf = np.where(absf > 0, np.log(np.where(absf > 0, absf, 1.0)), 0.0)

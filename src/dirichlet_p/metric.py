@@ -36,6 +36,7 @@ from .grid import (
     GridFunction,
     GridStructure,
     _det,
+    _length,
     _values,
     boundary_mask,
     cell_mean,
@@ -104,10 +105,10 @@ def _sampled_metrication(dim: int, neighborhood: int) -> float:
     from scipy.optimize import linprog
 
     offsets = np.array(stencil_offsets(dim, neighborhood), dtype=float)
-    costs = np.linalg.norm(offsets, axis=1)
+    costs = _length(offsets)
     rng = np.random.default_rng(12345)
     dirs = rng.standard_normal((600, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= _length(dirs)[:, None]
     worst = 1.0
     for u in dirs:
         res = linprog(costs, A_eq=offsets.T, b_eq=u, bounds=[(0, None)] * len(costs),
@@ -548,8 +549,8 @@ def check_caccioppoli_euclidean(u, phi: GridFunction, c: float | None,
     constant = p * math.sqrt(beta / alpha)
 
     def sides(ubar: np.ndarray, c: float) -> tuple[float, float]:
-        gu = np.linalg.norm(gradient(h.u, domain), axis=-1)
-        gphi = np.linalg.norm(gradient(phi_vals, domain), axis=-1)
+        gu = _length(gradient(h.u, domain))
+        gphi = _length(gradient(phi_vals, domain))
         lhs = float(np.sum(np.abs(phibar) ** p * gu ** p * m)) ** (1.0 / p)
         rhs = constant * float(np.sum(gphi ** p * np.abs(ubar - c) ** p * m)) ** (1.0 / p)
         return lhs, rhs

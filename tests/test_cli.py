@@ -238,6 +238,18 @@ class TestQrCommand:
         assert harm["passed"]
         json.dumps(harm, allow_nan=False)  # raises on nan or inf
 
+    def test_large_linear_distortion_is_certified(self, tmp_path):
+        # alpha = 1e-5, beta = 1e5: the induced field keeps a positive lower bound
+        cfg = write_config(tmp_path, "c.json", {
+            "domain": {"dim": 2, "extent": [[-1.0, 1.0], [-1.0, 1.0]], "shape": [9, 9]},
+            "qr": {"mapping": {"kind": "linear", "A": [[1e5, 0.0], [0.0, 1.0]]}},
+        })
+        out = tmp_path / "out.json"
+        assert cli.main(["qr", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        rep = json.loads(out.read_text())["results"]
+        assert (rep["alpha"], rep["beta"]) == (1e-5, 1e5)
+        assert rep["harmonicity"]["passed"]
+
 
 class TestMetricCommand:
     def test_distances_and_certificates(self, tmp_path):
@@ -533,6 +545,8 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
                "solve": {"boundary": {"values": 0.0}}}, "'scalar:inf'"),
     ("solve", {"domain": base_domain_1d(), "p": 2.0, "field": "scalar:nan",
                "solve": {"boundary": {"values": 0.0}}}, "'scalar:nan'"),
+    ("check", {"domain": {**base_domain_1d(), "dim": True}, "p": 2.0}, "'dim'"),
+    ("check", {"domain": {**base_domain_2d(9), "dim": 2.0}, "p": 2.0}, "'dim'"),
 ], ids=["balls-not-a-list", "balls-empty", "targets-not-a-list", "suites-not-a-list",
         "trials-not-int", "trials-zero", "trials-negative", "suites-empty",
         "vi-samples-not-int", "vi-samples-two", "vi-samples-negative", "seed-not-int",
@@ -542,7 +556,7 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
         "disk-center-a-string", "rect-min-a-string", "node-index-a-string",
         "power-k-not-int", "trials-not-int-valued", "neighborhood-not-int",
         "seed-not-int-valued", "trials-a-boolean", "node-index-not-int", "shape-not-int",
-        "scalar-inf", "scalar-nan"])
+        "scalar-inf", "scalar-nan", "dim-a-boolean", "dim-not-int"])
 def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, command, config, key):
     path = write_config(tmp_path, "c.json", config)
     assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG

@@ -22,7 +22,7 @@ from dirichlet_p.grid import (
     meet,
     unit_structure,
 )
-from dirichlet_p.grid import _sym_eigvalsh
+from dirichlet_p.grid import _length, _sym_eigvalsh
 from conftest import (
     assert_passes_validation,
     random_2x2_blocks,
@@ -68,6 +68,14 @@ class TestGridDomain:
             GridDomain(((0.0, 1.0),) * 4, (3, 3, 3, 3))
         with pytest.raises(ValueError):
             GridDomain(((0.0, 1.0),), (5,), np.array([1.0, -1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(9.7, 9), (9, 9.0), (True, 9), ("9", 9)],
+                             ids=["fraction", "integral-float", "boolean", "string"])
+    def test_shape_that_is_not_an_integer_is_refused(self, shape):
+        # int() would truncate 9.7 to a 9-node axis and read True as 1
+        with pytest.raises(TypeError):
+            GridDomain(((0.0, 1.0), (0.0, 1.0)), shape)
+        assert GridDomain(((0.0, 1.0), (0.0, 1.0)), (np.int64(9), 9)).shape == (9, 9)
 
     def test_node_mass_sums_to_measure(self):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (5, 7))
@@ -159,6 +167,37 @@ class TestSymEigvalsh:
         mats = rng.standard_normal((50, n, n))
         assert np.array_equal(_sym_eigvalsh(mats),
                               np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2))))
+
+
+class TestLength:
+    """grid._length against np.linalg.norm(v, axis=-1); squares that overflow
+    give inf on both sides (numpy's overflow warning is silenced)."""
+
+    @pytest.fixture(autouse=True)
+    def _quiet_overflow(self):
+        with np.errstate(over="ignore"):
+            yield
+
+    @pytest.mark.parametrize("shape", [(3,), (7, 2), (5, 6, 3), (3, 4, 5, 2), (4, 1)])
+    @pytest.mark.parametrize("magnitude", ["unit", "1e150", "1e-150", "mixed"])
+    def test_equals_numpy_norm_bitwise(self, rng, shape, magnitude):
+        v = rng.standard_normal(shape)
+        if magnitude == "mixed":
+            v *= 10.0 ** rng.uniform(-160.0, 160.0, shape)
+        elif magnitude != "unit":
+            v *= float(magnitude)
+        v.reshape(-1)[::5] = 0.0
+        expected = np.linalg.norm(v, axis=-1)
+        assert np.array_equal(_length(v), expected)
+        # on strided component planes too, and with integer coordinates
+        assert np.array_equal(_length(v[..., ::-1]), np.linalg.norm(v[..., ::-1], axis=-1))
+        ints = np.round(100.0 * rng.standard_normal(shape)).astype(int)
+        assert np.array_equal(_length(ints), np.linalg.norm(ints, axis=-1))
+
+    def test_zeros_and_overflow(self):
+        v = np.array([[0.0, 0.0], [-0.0, 0.0], [1e155, 1e155], [1e-170, 1e-170]])
+        assert np.array_equal(_length(v), np.linalg.norm(v, axis=-1))
+        assert _length(v)[2] == np.inf and _length(v)[3] == 0.0
 
 
 class TestGradient:

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dirichlet_p import mappings as mappings_module
 from dirichlet_p.grid import (
+    CoefficientField,
     GridDomain,
     _det,
     _sym_eigvalsh,
@@ -13,6 +16,7 @@ from dirichlet_p.grid import (
 from dirichlet_p.mappings import (
     JacobianField,
     LinearMapping,
+    Mapping,
     PowerMapping,
     RadialStretch,
     SampledMapping,
@@ -22,7 +26,7 @@ from dirichlet_p.mappings import (
     induced_structure,
     verify_component_harmonicity,
 )
-from dirichlet_p.mappings import _singular_values
+from dirichlet_p.mappings import _dilatations, _singular_values
 from dirichlet_p.pform import PFormContext, _weights
 from conftest import assert_passes_validation, random_2x2_blocks, random_function
 
@@ -175,6 +179,92 @@ class TestClosedFormKernels:
         assert an.details["det_error"] == np.max(np.abs(np.linalg.det(an.theta[ok]) - 1.0))
 
 
+class _GivenBlocks(Mapping):
+    """A plane mapping known only by its cell Jacobi matrices, one per cell of a square grid."""
+
+    def __init__(self, Df: np.ndarray):
+        side = int(np.sqrt(len(Df)))
+        self.domain = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (side + 1, side + 1))
+        self._Df = Df.reshape(side, side, 2, 2)
+
+    def cell_jacobian(self) -> np.ndarray:
+        return self._Df
+
+
+def _gathered_dilatations(jf: JacobianField) -> tuple[float, float]:
+    """The dilatations from the unflagged cells gathered first (the former formulas)."""
+    ok = ~jf.flagged
+    sv = _singular_values(jf.Df[ok])
+    J = jf.J[ok]
+    return float(np.max(sv[..., 0] ** 2 / J)), float(np.max(J / sv[..., -1] ** 2))
+
+
+def _gathered_theta(jf: JacobianField) -> np.ndarray:
+    """The plane's distortion tensor on the gathered unflagged cells, scattered back."""
+    ok = ~jf.flagged
+    out = np.empty_like(jf.Df)
+    out[jf.flagged] = np.eye(2)
+    Df, J = jf.Df[ok], jf.J[ok]
+    a, b, c, d = Df[..., 0, 0], Df[..., 0, 1], Df[..., 1, 0], Df[..., 1, 1]
+    off = -(a * b + c * d) / J
+    out[ok] = np.stack([np.stack([(b * b + d * d) / J, off], axis=-1),
+                        np.stack([off, (a * a + c * c) / J], axis=-1)], axis=-2)
+    return out
+
+
+class TestWholeCellArrays:
+    """The plane's cell algebra runs on every cell and masks the flagged ones;
+    it equals the gather-based formulas bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        Df = random_2x2_blocks()["random"]
+        jf = differentiate_blocks(Df)
+        assert 0 < jf.flagged.sum() < jf.flagged.size  # about half are flagged
+        return Df, jf
+
+    def test_distortion_tensor_equals_gathered(self, blocks):
+        _, jf = blocks
+        theta = distortion_tensor(jf)
+        assert theta.tobytes() == _gathered_theta(jf).tobytes()
+        assert np.array_equal(theta[jf.flagged], np.broadcast_to(
+            np.eye(2), (int(jf.flagged.sum()), 2, 2)))
+
+    def test_dilatations_equal_gathered(self, blocks):
+        _, jf = blocks
+        assert _dilatations(jf) == _gathered_dilatations(jf)
+
+    def test_analyze_equals_gathered(self, blocks):
+        Df, jf = blocks
+        mapping = _GivenBlocks(Df)
+        an = analyze(mapping)
+        K_O, K_I = _gathered_dilatations(jf)
+        theta = _gathered_theta(jf)
+        ok = ~jf.flagged
+        assert (an.K_O, an.K_I, an.alpha, an.beta) == (K_O, K_I, K_O ** -1.0, K_I ** 1.0)
+        assert an.theta.tobytes() == theta.reshape(an.theta.shape).tobytes()
+        assert an.details["det_error"] == float(np.max(np.abs(_det(theta[ok]) - 1.0)))
+        assert an.details["flagged_cells"] == int(jf.flagged.sum())
+        assert an.excluded_measure == float(np.sum(np.where(
+            jf.flagged.reshape(mapping.domain.cells_shape), mapping.domain.measure, 0.0)))
+        eigs = _sym_eigvalsh(theta)
+        assert an.details["eigenvalue_range"] == (float(eigs.min()), float(eigs.max()))
+
+    def test_all_flagged_map_is_degenerate(self, box):
+        with pytest.raises(ValueError, match="degenerate"):
+            analyze(LinearMapping(box, np.diag([-1.0, 1.0])))
+        with pytest.raises(ValueError, match="degenerate"):
+            analyze(RadialStretch(GridDomain(((-0.5, 0.5),) * 2, (2, 2)), 2.0))
+
+    def test_power_jacobian_equals_stacked_rows(self, box):
+        Df = PowerMapping(box, 3).cell_jacobian()
+        c = box.cell_centers()
+        fp = 3 * (c[..., 0] + 1j * c[..., 1]) ** 2
+        assert Df.tobytes() == np.stack([np.stack([fp.real, -fp.imag], axis=-1),
+                                         np.stack([fp.imag, fp.real], axis=-1)],
+                                        axis=-2).tobytes()
+
+
 def differentiate_blocks(Df: np.ndarray) -> JacobianField:
     """The JacobianField that `differentiate` builds from these blocks."""
     J = _det(Df)
@@ -207,11 +297,27 @@ class TestInducedStructure:
         d = GridDomain(((-1.0, 1.0),) * dim, (17,) * dim)
         assert_passes_validation(induced_structure(analyze(make(d)), d).field)
 
-    def test_bounds_that_lose_positivity_are_rejected(self, box):
-        # alpha = 1e-5 minus the 1e-9 beta = 1e-4 widening is negative
+    def test_large_distortion_keeps_a_positive_lower_bound(self, box):
+        # alpha = 1e-5 against beta = 1e5: an absolute widening of 1e-9 beta
+        # would push the lower bound below 0, a relative one does not
         an = analyze(LinearMapping(box, np.diag([1e5, 1.0])))
+        fld = induced_structure(an, box).field
+        assert 0 < fld.alpha <= min(an.alpha, an.details["eigenvalue_range"][0])
+        assert fld.beta >= max(an.beta, an.details["eigenvalue_range"][1])
+        assert_passes_validation(fld)
+
+    def test_bounds_that_are_not_positive_are_rejected(self, box):
+        # one cell of theta made semidefinite: no positive lower bound holds
+        an = analyze(LinearMapping(box, np.diag([1e5, 1.0])))
+        theta = an.theta.copy()
+        theta[3, 4] = np.diag([0.0, 1.0])
+        eigs = _sym_eigvalsh(theta)
+        singular = dataclasses.replace(an, theta=theta, details={
+            **an.details, "eigenvalue_range": (float(eigs.min()), float(eigs.max()))})
         with pytest.raises(ValueError, match="alpha"):
-            induced_structure(an, box)
+            induced_structure(singular, box)
+        with pytest.raises(ValueError, match="alpha"):
+            CoefficientField(theta, 0.0, an.beta)
 
     def test_context_has_p_equal_dimension(self, box, monkeypatch):
         # the induced form is the n-form: every residual field is measured with p = n

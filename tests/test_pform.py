@@ -425,6 +425,19 @@ class TestPoincare:
         expected = float(np.max(scipy.linalg.eigvalsh(M, S)))
         assert np.isclose(estimate_poincare(s, mask), expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(17,), (9, 9), (33, 33), (13, 13, 13)])
+    def test_unit_box_closed_form(self, shape):
+        # K = tridiag(-1, 2, -1)/h^2 and M = tridiag(1/4, 1/2, 1/4) share the
+        # DST-I modes; the lowest, theta = pi h, gives 1/k = 8 d tan^2(pi h/2) / h^2
+        d = GridDomain(((0.0, 1.0),) * len(shape), shape)
+        h = 1.0 / (shape[0] - 1)
+        exact = h ** 2 / (8 * d.dim * math.tan(math.pi * h / 2) ** 2)
+        mask = boundary_mask(d)
+        assert estimate_poincare(unit_structure(d), mask) == pytest.approx(exact, rel=1e-12)
+        # the falsifier: a field 1% stronger scales the constant by 1/1.01
+        scaled = GridStructure(d, CoefficientField.scalar(d, 1.01))
+        assert estimate_poincare(scaled, mask) != pytest.approx(exact, rel=1e-12)
+
     def test_refinement_approaches_continuum_monotonically(self):
         # the unit interval with pinned ends and unit coefficient has the
         # continuum constant 1/(2 pi^2) for the full carre du champ pairing
