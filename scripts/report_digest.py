@@ -4,7 +4,8 @@
 Writes the `solvers` and `geometry` job configs of perfbench/workloads.py
 for one seed, plus jobs on paths the benchmark never runs (a plain
 `solve`, a regularized p = 1.5 solve, a curved obstacle, `check` with
-`--tol`, a 3-D p = 3 `solve`, and a `qr` map with a flagged cell), runs each job through `dirichlet_p.cli.main`
+`--tol`, a two-ball `caccioppoli` cutoff run, a 3-D p = 3 `solve`, and a
+`qr` map with a flagged cell), runs each job through `dirichlet_p.cli.main`
 with `--csv`, and prints `name exit json-sha256 csv-sha256` per job ("-"
 for a file the job did not write).  Run it on two checkouts and diff the
 outputs.
@@ -91,6 +92,14 @@ def _extra_jobs(seed: int, workdir: str, smoke: bool) -> list[workloads.Job]:
         **base, "p": 3.0, "check": {"suites": ["sector", "monotone", "contraction", "d1d2",
                                                "choquet", "union_diff"], "trials": 4}},
         ["--tol", "1e-7"]))
+    # the only run of truncation_function on a distance field: two balls of
+    # different R, so the smaller one reads a field computed for the larger;
+    # re_z2 is not harmonic for this field, so residual_tol admits its residual
+    configs.append((f"caccioppoli-{n}-cutoff", "caccioppoli", {
+        **base, "p": 2.0, "caccioppoli": {
+            "u": "re_z2", "variant": "cutoff", "residual_tol": 1e3,
+            "balls": [{"center": [0.0, 0.0], "r": 0.2, "R": 0.4},
+                      {"center": [0.25, -0.25], "r": 0.15, "R": 0.3}]}}, []))
     # the only 3-D report: it pins the cell products and corner sums off the 2-D path
     n3 = 7 if smoke else 9
     field3 = os.path.join(workdir, "extra-field-3d.json")

@@ -258,8 +258,10 @@ def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
     c = None if cvalue in (None, "mean") else _get_value(block, "c", float, "caccioppoli")
     neighborhood = _get_value(block, "neighborhood", _stencil, "caccioppoli", 16)
     sources = [nearest_node(ctx.domain, center) for center, _, _ in balls]
-    # the intrinsic variants read every ball's distances off one stencil graph
-    fields = (_distance_fields(sources, ctx.structure, neighborhood)
+    # the intrinsic variants read every ball's distances off one stencil
+    # graph, and no distance beyond the largest R
+    fields = (_distance_fields(sources, ctx.structure, neighborhood,
+                               radius=max(R for _, _, R in balls))
               if variant in ("ball", "cutoff") else [None] * len(balls))
     checks: list[dict] = []
     for (center, r, R), src, field in zip(balls, sources, fields):

@@ -195,12 +195,16 @@ class GridDomain:
         grids = np.meshgrid(*mids, indexing="ij")
         return np.stack(grids, axis=-1)
 
+    @functools.cached_property
     def node_mass(self) -> np.ndarray:
-        """Per-node mass: each cell spreads its measure equally on its corners."""
+        """Per-node mass: each cell spreads its measure equally on its corners.
+
+        Built once, read-only.
+        """
         out = self.measure / 2 ** self.dim
         for axis in range(self.dim):
             out = _avg_adjoint(out, axis, weight=1.0)
-        return out
+        return _readonly(out)
 
     def refined(self) -> "GridDomain":
         """Same box with each cell split in two per axis (half the spacing)."""

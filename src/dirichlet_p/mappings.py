@@ -178,16 +178,23 @@ class RadialStretch(_PuncturedMapping):
         return scale[..., None] * c
 
     def cell_jacobian(self) -> np.ndarray:
+        """r^(a-1) (I + (a-1) rhat rhat^T) per cell, and 0 at a centre on the origin.
+
+        Each entry is scale * (delta_ij + (a-1) (rhat_i rhat_j)); the delta
+        term also turns a -0.0 product into +0.0, as I + ... does.
+        """
         c = self.domain.cell_centers()
         n = self.domain.dim
         r = _length(c)
         rhat = c / np.where(r > 0, r, 1.0)[..., None]
-        eye = np.broadcast_to(np.eye(n), c.shape[:-1] + (n, n))
-        proj = rhat[..., :, None] * rhat[..., None, :]
-        return np.where(r[..., None, None] > 0,
-                        (r ** (self.a - 1.0))[..., None, None]
-                        * (eye + (self.a - 1.0) * proj),
-                        np.zeros_like(proj))
+        scale = np.where(r > 0, r ** (self.a - 1.0), 0.0)
+        out = np.empty(c.shape[:-1] + (n, n))
+        for i in range(n):
+            for j in range(i, n):
+                entry = (1.0 if i == j else 0.0) + (self.a - 1.0) * (rhat[..., i] * rhat[..., j])
+                np.multiply(scale, entry, out=out[..., i, j])
+                out[..., j, i] = out[..., i, j]
+        return out
 
     def refined(self) -> "RadialStretch":
         return RadialStretch(self.domain.refined(), self.a, self.puncture)

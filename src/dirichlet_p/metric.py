@@ -6,8 +6,9 @@ cell field G that constraint reads 2 (G grad u, grad u) <= 1, so distance
 is the path length in the Riemannian metric (2G)^-1.  It is computed as a
 shortest path on an extended lattice stencil (axis, diagonal and knight
 moves) with edge lengths sqrt(e^T (2G)^-1 e), each edge computed once for
-both of its directions; graph distances satisfy the metric axioms exactly,
-and overestimate the continuum length by at most the stencil's metrication
+both of its directions; graph distances satisfy the metric axioms to
+rounding (a path's length is summed from the end it is walked from), and
+overestimate the continuum length by at most the stencil's metrication
 constant (about 2.75 percent for the default 16-neighborhood in 2-D, about
 8.24 percent for the 8-neighborhood).  Fields from several sources on one
 structure share a single graph (the caccioppoli command's balls do).
@@ -156,12 +157,17 @@ def _probed_cutoff_bound(dim: int, neighborhood: int) -> float:
 
 @dataclass(eq=False)
 class MetricField:
-    """Distances from one source node under the intrinsic metric."""
+    """Distances from one source node under the intrinsic metric.
+
+    Every distance up to `reach` is exact, and so is every ball or cutoff
+    of radius up to it; farther nodes may read inf.
+    """
 
     source: tuple[int, ...]
     distances: np.ndarray
     neighborhood: int
     metrication: float
+    reach: float = math.inf
 
     def at(self, node: tuple[int, ...]) -> float:
         return float(self.distances[tuple(node)])
@@ -187,7 +193,8 @@ def _move_lengths(Minv: np.ndarray, off: tuple[int, ...], src_lo: list[int],
     The metric tensor (2G)^-1 is sampled as the mean over the cells whose
     closed extent contains the segment midpoint, as the mean of the
     per-cell quadratic forms e^T (2G)^-1 e (which is the form of the mean
-    tensor).
+    tensor).  Only the first-axis cell rows that the box touches are
+    evaluated; each is the same per-row product as over the whole grid.
     """
     cells = Minv.shape[:-1]
     # candidate cells containing the segment midpoint, relative to the
@@ -198,8 +205,10 @@ def _move_lengths(Minv: np.ndarray, off: tuple[int, ...], src_lo: list[int],
             cand_axes.append([o // 2 - 1, o // 2])
         else:
             cand_axes.append([(o - 1) // 2])
+    row0 = max(0, src_lo[0] + min(cand_axes[0]))
+    row1 = min(cells[0], src_lo[0] + view[0] + max(cand_axes[0]))
     e = np.asarray(off, dtype=float) * h
-    quad = Minv @ np.outer(e, e).ravel()  # e^T M e per cell
+    quad = Minv[row0:row1] @ np.outer(e, e).ravel()  # e^T M e per cell
     acc = np.zeros(view)
     count = np.zeros(view)
     for combo in itertools.product(*cand_axes):
@@ -212,8 +221,9 @@ def _move_lengths(Minv: np.ndarray, off: tuple[int, ...], src_lo: list[int],
             if i0 > i1:
                 ok = False
                 break
+            first = row0 if a == 0 else 0
             view_sl.append(slice(i0 - lo, i1 - lo + 1))
-            cell_sl.append(slice(i0 + c, i1 + c + 1))
+            cell_sl.append(slice(i0 + c - first, i1 + c + 1 - first))
         if not ok:
             continue
         acc[tuple(view_sl)] += quad[tuple(cell_sl)]
@@ -221,18 +231,28 @@ def _move_lengths(Minv: np.ndarray, off: tuple[int, ...], src_lo: list[int],
     return np.sqrt(acc / count)
 
 
+# Table entries (nodes x moves) filled per row block: the block and its
+# per-move temporaries stay small next to the table.
+_BLOCK_ENTRIES = 1 << 17
+
+
 def _edge_weight_arrays(structure: GridStructure, offsets: list[tuple[int, ...]]):
     """Edge lengths and targets of every stencil move, one column per offset.
 
-    Returns (weights, targets), both of shape (num_nodes, len(offsets)):
-    row j holds the moves out of flat node j, with the lengths of
-    `_move_lengths`.  Moves leaving the grid become self-loops of infinite
-    length, so every row has the same number of entries.
+    Returns (weights, targets, longest).  weights and targets have shape
+    (num_nodes, len(offsets)): row j holds the moves out of flat node j,
+    with the lengths of `_move_lengths`.  Moves leaving the grid become
+    self-loops of infinite length, so every row has the same number of
+    entries.  longest is the largest finite edge length.
 
     A move o out of node j and the move -o out of node j + o share their
     midpoint, hence their candidate cells in the same summation order, and
-    (-e)(-e)^T = e e^T exactly: each +-o pair is computed once, so every
-    edge has the same length in both directions, bit for bit.
+    (-e)(-e)^T = e e^T exactly: each +-o pair is computed once per block,
+    so every edge has the same length in both directions, bit for bit.
+
+    The table is filled one block of first-axis node rows at a time: the
+    block's moves are written as contiguous planes of a small (moves,
+    rows, ...) array, which is then copied into the row-major table whole.
     """
     domain = structure.domain
     dim = domain.dim
@@ -240,36 +260,68 @@ def _edge_weight_arrays(structure: GridStructure, offsets: list[tuple[int, ...]]
     Minv = _metric_tensor(structure.field.matrices).reshape(domain.cells_shape + (dim * dim,))
     h = np.asarray(domain.spacing)
     n = domain.num_nodes
-    column = {off: k for k, off in enumerate(offsets)}
-    weights = np.full((n, len(offsets)), np.inf)
-    weights_nd = weights.reshape(shape + (len(offsets),))
-    for k, off in enumerate(offsets):
-        back = column.get(tuple(-o for o in off))
-        if back is not None and back < k:
-            continue  # filled as the reverse of column `back`
-        src_lo = [(-o if o < 0 else 0) for o in off]
-        view = tuple(shape[a] - abs(off[a]) for a in range(dim))
-        w = _move_lengths(Minv, off, src_lo, view, h)
-        weights_nd[tuple(slice(lo, lo + v) for lo, v in zip(src_lo, view)) + (k,)] = w
-        if back is not None:
-            # the same edges walked from their far ends: the box shifted by o
-            weights_nd[tuple(slice(lo + o, lo + o + v)
-                             for lo, o, v in zip(src_lo, off, view)) + (back,)] = w
-        del w  # freed before the next move's temporaries, which keeps peak memory flat
-    # built after the loop so its temporaries and the targets never coexist
+    k = len(offsets)
+    column = {off: j for j, off in enumerate(offsets)}
+    # (column, offset, reverse column), each +-o pair once: stencils are symmetric
+    pairs = [(j, off, column[tuple(-o for o in off)]) for j, off in enumerate(offsets)]
+    pairs = [(j, off, back) for j, off, back in pairs if back > j]
     strides = [int(np.prod(shape[a + 1:])) for a in range(dim)]
     step = np.array([np.dot(off, strides) for off in offsets], dtype=np.int32)
-    targets = np.where(np.isfinite(weights), step, np.int32(0))
-    targets += np.arange(n, dtype=np.int32)[:, None]
-    return weights, targets
+    row_nodes = strides[0]
+    height = max(1, _BLOCK_ENTRIES // (row_nodes * k))
+    weights = np.empty((n, k))
+    weights_nd = weights.reshape(shape + (k,))
+    block = np.empty((k, min(height, shape[0])) + shape[1:])
+    longest = 0.0
+    for b0 in range(0, shape[0], height):
+        b1 = min(b0 + height, shape[0])
+        planes = block[:, :b1 - b0]
+        planes.fill(np.inf)
+        for j, off, back in pairs:
+            src_lo = [(-o if o < 0 else 0) for o in off]
+            view = tuple(shape[a] - abs(off[a]) for a in range(dim))
+            # source rows of the moves that start in the block or end there
+            lo = max(src_lo[0], b0 - max(off[0], 0))
+            hi = min(src_lo[0] + view[0], b1 - min(off[0], 0))
+            if lo >= hi:
+                continue
+            w = _move_lengths(Minv, off, [lo] + src_lo[1:], (hi - lo,) + view[1:], h)
+            longest = max(longest, float(np.max(w, initial=0.0)))
+            rest = tuple(slice(s, s + v) for s, v in zip(src_lo[1:], view[1:]))
+            f0, f1 = max(lo, b0), min(hi, b1)
+            if f0 < f1:
+                planes[(j, slice(f0 - b0, f1 - b0)) + rest] = w[f0 - lo:f1 - lo]
+            # the same edges walked from their far ends: the box shifted by o
+            g0, g1 = max(lo, b0 - off[0]), min(hi, b1 - off[0])
+            if g0 < g1:
+                shifted = tuple(slice(s + o, s + o + v)
+                                for s, o, v in zip(src_lo[1:], off[1:], view[1:]))
+                planes[(back, slice(g0 + off[0] - b0, g1 + off[0] - b0)) + shifted] = \
+                    w[g0 - lo:g1 - lo]
+        weights_nd[b0:b1] = np.moveaxis(planes, 0, -1)
+    # allocated once the planes are freed, which keeps peak memory flat
+    del block, planes
+    targets = np.empty((n, k), dtype=np.int32)
+    for start in range(0, n, height * row_nodes):
+        rows = slice(start, min(start + height * row_nodes, n))
+        targets[rows] = np.where(np.isfinite(weights[rows]), step, np.int32(0))
+        targets[rows] += np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
+    return weights, targets, longest
 
 
 def _distance_fields(sources: Sequence[Sequence[int]], structure: GridStructure,
-                     neighborhood: int = 16) -> list[MetricField]:
+                     neighborhood: int = 16, radius: float = math.inf) -> list[MetricField]:
     """One MetricField per source, all from a single stencil graph.
 
     The graph is built once and scipy's Dijkstra runs from every source on
-    it; each field equals the one `intrinsic_distance` gives for its source.
+    it.  A finite radius stops each run past radius + 2 * (longest edge):
+    scipy relaxes an edge only to a value within that limit, so every
+    distance within it is the unlimited run's, bit for bit, and farther
+    nodes read inf.  A cell whose corner mean is below the radius has every
+    corner within radius + (longest edge), since stencil moves join its
+    corners pairwise; so balls and cutoffs of radius up to `reach` are
+    exact.  With the default radius each field equals the one
+    `intrinsic_distance` gives for its source.
     """
     domain = structure.domain
     srcs = [tuple(int(i) for i in s) for s in sources]
@@ -279,15 +331,18 @@ def _distance_fields(sources: Sequence[Sequence[int]], structure: GridStructure,
         for i, s in zip(src, domain.node_shape):
             if not 0 <= i < s:
                 raise ValueError(f"source node {src} outside the grid")
-    weights, targets = _edge_weight_arrays(structure, stencil_offsets(domain.dim, neighborhood))
+    weights, targets, longest = _edge_weight_arrays(
+        structure, stencil_offsets(domain.dim, neighborhood))
     n, k = weights.shape
     indptr = np.arange(0, n * k + 1, k, dtype=np.int32)
     graph = sp.csr_matrix((weights.reshape(-1), targets.reshape(-1), indptr), shape=(n, n))
     starts = [int(np.ravel_multi_index(src, domain.node_shape)) for src in srcs]
-    dist = dijkstra(graph, directed=True, indices=starts)
+    # scipy refuses a negative limit; a radius below 0 is the consumers' to refuse
+    dist = dijkstra(graph, directed=True, indices=starts,
+                    limit=max(radius, 0.0) + 2.0 * longest)
     metrication = metrication_constant(domain.dim, neighborhood)
     return [MetricField(source=src, distances=d.reshape(domain.node_shape),
-                        neighborhood=neighborhood, metrication=metrication)
+                        neighborhood=neighborhood, metrication=metrication, reach=radius)
             for src, d in zip(srcs, dist)]
 
 
@@ -296,9 +351,11 @@ def intrinsic_distance(source: Sequence[int], structure: GridStructure,
     """Shortest-path intrinsic distance from a source node.
 
     Dijkstra from scipy.sparse.csgraph on the stencil graph.  The grid
-    must be connected (it is, being a full box).  Distances are a genuine
-    metric on the node set: symmetric (every edge has one length in both
-    directions), zero only at the source, triangle inequality exact.
+    must be connected (it is, being a full box).  Every edge has one
+    length in both directions, bit for bit, and distances vanish only at
+    the source.  Symmetry and the triangle inequality hold to rounding: a
+    path's length is summed from the end it is walked from.  The whole
+    field is computed (reach inf).
     """
     return _distance_fields([source], structure, neighborhood)[0]
 
@@ -316,6 +373,7 @@ def distance_cutoff(source: Sequence[int], r: float, structure: GridStructure,
         raise ValueError("radius must be positive")
     if field is None:
         field = intrinsic_distance(source, structure, neighborhood)
+    _require_reach(field, r)
     return GridFunction(np.maximum(r - field.distances, 0.0))
 
 
@@ -332,6 +390,7 @@ def truncation_function(source: Sequence[int], r: float, R: float,
         raise ValueError("need 0 < r < R")
     if field is None:
         field = intrinsic_distance(source, structure, neighborhood)
+    _require_reach(field, R)
     rho = field.distances
     if np.any(rho[boundary_mask(structure.domain)] < R):
         raise ValueError("the outer ball escapes the domain")
@@ -356,14 +415,23 @@ def certify_gradient_bound(u: GridFunction, structure: GridStructure,
     )
 
 
+def _require_reach(field: MetricField, radius: float) -> None:
+    """Refuse a field whose distances are exact only short of `radius`."""
+    if field.reach < radius:
+        raise ValueError(f"the distance field reaches {field.reach:g}, short of "
+                         f"the radius {radius:g}")
+
+
 def intrinsic_ball_nodes(field: MetricField, radius: float) -> np.ndarray:
     """Node set {rho < radius}."""
+    _require_reach(field, radius)
     return field.distances < radius
 
 
 def intrinsic_ball_cells(field: MetricField, radius: float,
                          domain: GridDomain) -> np.ndarray:
     """Cells whose center (corner mean of rho) lies in the ball."""
+    _require_reach(field, radius)
     return cell_mean(field.distances, domain) < radius
 
 

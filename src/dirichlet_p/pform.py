@@ -188,8 +188,8 @@ def scaled_operator_field(u, ctx: PFormContext) -> np.ndarray:
     solver convergence: it is the pairing against the nodal hat function at
     j, normalized by the measure carried by node j.
     """
-    coeff = p_operator(u, ctx, mask=np.zeros(ctx.domain.node_shape, dtype=bool))
-    return np.abs(coeff) / ctx.domain.node_mass()
+    coeff = _operator(_flux_gamma(u, ctx.structure), ctx)
+    return np.abs(coeff) / ctx.domain.node_mass
 
 
 def _pairing_difference(a, b, direction, ctx: PFormContext) -> float:

@@ -239,7 +239,7 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
     shape = ctx.domain.node_shape
     free = ~mask.reshape(-1)
     free_index = np.cumsum(free) - 1
-    mass = ctx.domain.node_mass().reshape(-1)[free]
+    mass = ctx.domain.node_mass.reshape(-1)[free]
     evaluate, gradient = _free_objective(vals.reshape(-1), mask, ctx)
     x = vals.reshape(-1)[free]
     lo = np.full(x.shape, -np.inf) if lower is None else lower.reshape(-1)[free]
@@ -460,7 +460,7 @@ def solve_obstacle(ctx: PFormContext, lower: GridFunction, boundary: GridFunctio
 
     free = ~mask.reshape(-1)
     lo_flat = lo.reshape(-1)
-    node_mass = domain.node_mass().reshape(-1)
+    node_mass = domain.node_mass.reshape(-1)
 
     vals, block = _linear_start(ctx, boundary.values, mask)
     vals[free] = np.maximum(vals[free], lo_flat[free])

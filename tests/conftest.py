@@ -132,7 +132,7 @@ def lbfgs_reference(ctx: PFormContext, boundary: GridFunction, grad_tol: float,
     """
     mask = boundary.mask
     free = ~mask.reshape(-1)
-    mass = ctx.domain.node_mass().reshape(-1)[free]
+    mass = ctx.domain.node_mass.reshape(-1)[free]
     start = linear_reference(ctx.structure, boundary.values, mask)
     embed, fun, jac = reference_objective(start.reshape(-1), mask, ctx)
     x = start.reshape(-1)[free]

@@ -22,7 +22,7 @@ from dirichlet_p.grid import (
     meet,
     unit_structure,
 )
-from dirichlet_p.grid import _length, _sym_eigvalsh
+from dirichlet_p.grid import _avg_adjoint, _length, _sym_eigvalsh
 from conftest import (
     assert_passes_validation,
     random_2x2_blocks,
@@ -79,9 +79,24 @@ class TestGridDomain:
 
     def test_node_mass_sums_to_measure(self):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (5, 7))
-        assert np.isclose(np.sum(d.node_mass()), d.total_measure)
+        assert np.isclose(np.sum(d.node_mass), d.total_measure)
         d1 = GridDomain(((0.0, 1.0),), (5,))
-        assert np.allclose(d1.node_mass(), [0.125, 0.25, 0.25, 0.25, 0.125])
+        assert np.allclose(d1.node_mass, [0.125, 0.25, 0.25, 0.25, 0.125])
+
+    @pytest.mark.parametrize("density", [None, "random"])
+    def test_node_mass_is_built_once_and_read_only(self, density, rng):
+        extent, shape = ((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)), (5, 7, 4)
+        dens = None if density is None else rng.uniform(0.5, 2.0, (4, 6, 3))
+        d = GridDomain(extent, shape, dens)
+        mass = d.node_mass
+        assert mass is d.node_mass and not mass.flags.writeable
+        # the per-call formula it replaces: each cell's measure split over its corners
+        ref = d.measure / 2 ** d.dim
+        for axis in range(d.dim):
+            ref = _avg_adjoint(ref, axis, weight=1.0)
+        assert mass.shape == shape and np.array_equal(mass, ref)
+        with pytest.raises(ValueError):
+            mass[0, 0, 0] = 1.0
 
     def test_refined_keeps_box(self):
         d = GridDomain(((0.0, 1.0), (0.0, 2.0)), (5, 9))

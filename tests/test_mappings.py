@@ -179,6 +179,45 @@ class TestClosedFormKernels:
         assert an.details["det_error"] == np.max(np.abs(np.linalg.det(an.theta[ok]) - 1.0))
 
 
+def _broadcast_radial_jacobian(mapping: RadialStretch) -> np.ndarray:
+    """Frozen oracle: the stretch's Jacobian from a broadcast identity and outer product."""
+    c = mapping.domain.cell_centers()
+    n = mapping.domain.dim
+    r = np.linalg.norm(c, axis=-1)
+    rhat = c / np.where(r > 0, r, 1.0)[..., None]
+    eye = np.broadcast_to(np.eye(n), c.shape[:-1] + (n, n))
+    proj = rhat[..., :, None] * rhat[..., None, :]
+    return np.where(r[..., None, None] > 0,
+                    (r ** (mapping.a - 1.0))[..., None, None] * (eye + (mapping.a - 1.0) * proj),
+                    np.zeros_like(proj))
+
+
+class TestRadialJacobian:
+    @pytest.mark.parametrize("extent, shape", [
+        (((-1.0, 1.0),) * 2, (65, 65)),
+        (((-1.0, 1.0),) * 2, (129, 129)),
+        (((-1.0, 1.0),) * 3, (9, 9, 9)),
+        # the digest's flagged grid: one cell centre on the origin
+        (((-1.0625, 0.9375),) * 2, (17, 17)),
+    ])
+    @pytest.mark.parametrize("a", [0.5, 1.5, 3.0])
+    def test_entries_equal_the_broadcast_formula_bitwise(self, extent, shape, a):
+        mapping = RadialStretch(GridDomain(extent, shape), a)
+        # a < 1 puts 0 ** (a - 1) = inf at a centre on the origin, where both give 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jac, ref = mapping.cell_jacobian(), _broadcast_radial_jacobian(mapping)
+        assert jac.shape == ref.shape
+        # bytes, so a -0.0 where the oracle has +0.0 fails too
+        assert jac.tobytes() == ref.tobytes()
+
+    def test_vanishes_at_a_centre_on_the_origin(self):
+        d = GridDomain(((-1.0625, 0.9375),) * 2, (17, 17))
+        jac = RadialStretch(d, 1.5).cell_jacobian()
+        origin = np.all(d.cell_centers() == 0.0, axis=-1)
+        assert origin.sum() == 1
+        assert jac[origin].tobytes() == np.zeros((1, 2, 2)).tobytes()
+
+
 class _GivenBlocks(Mapping):
     """A plane mapping known only by its cell Jacobi matrices, one per cell of a square grid."""
 

@@ -27,6 +27,7 @@ from dirichlet_p.metric import (
     cutoff_gamma_bound,
     distance_cutoff,
     intrinsic_ball_cells,
+    intrinsic_ball_nodes,
     intrinsic_distance,
     metrication_constant,
     stencil_offsets,
@@ -206,6 +207,20 @@ class TestDistance:
                     rhs = fields[a].distances[c] + fields[c].distances[b]
                     assert lhs <= rhs + 1e-12
 
+    def test_symmetry_and_triangle_inequality_hold_to_rounding(self):
+        # a path's length is summed from the end it is walked from, so
+        # d(a, b) and d(b, a) may differ in the last bits
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+        rng = np.random.default_rng(5)
+        s = GridStructure(d, random_elliptic_field(d, rng))
+        sources = [tuple(int(i) for i in rng.integers(0, 33, 2)) for _ in range(12)]
+        fields = metric_module._distance_fields(sources, s)
+        dist = np.array([[f.distances[b] for b in sources] for f in fields])
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(dist - dist.T) <= 4 * eps * np.maximum(dist, dist.T))
+        via = dist[:, :, None] + dist[None, :, :]  # d(a, c) + d(c, b) at [a, c, b]
+        assert np.all(dist[:, None, :] <= via * (1 + 4 * eps))
+
     def test_anisotropic_field_stays_metric(self, rng):
         from conftest import random_elliptic_field
 
@@ -243,7 +258,13 @@ _GRAPH_CASES = [
     (((0.0, 1.0),) * 2, (17, 17), 16, "random"),
     (((0.0, 1.0),) * 3, (7, 7, 7), 8, "random"),
     (((0.0, 1.0),) * 3, (7, 7, 7), 16, "random"),
+    # first axes shorter than a row block, or (at 500 entries) not a multiple of it
+    (((0.0, 1.0), (0.0, 4.0)), (5, 40), 16, "random"),
+    (((0.0, 3.0), (0.0, 1.0)), (37, 9), 16, "random"),
+    (((0.0, 1.0),) * 3, (3, 3, 3), 16, "random"),
 ]
+# the default row block, and one of 500 table entries: 1 to 3 node rows
+_BLOCKS = [None, 500]
 
 
 def _graph_structure(extent, shape, kind, rng):
@@ -254,21 +275,29 @@ def _graph_structure(extent, shape, kind, rng):
 
 
 class TestStencilGraph:
+    @pytest.mark.parametrize("block", _BLOCKS)
     @pytest.mark.parametrize("extent, shape, neighborhood, kind", _GRAPH_CASES)
     def test_paired_fill_matches_the_move_by_move_oracle(self, extent, shape, neighborhood,
-                                                          kind, rng):
+                                                          kind, block, rng, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(metric_module, "_BLOCK_ENTRIES", block)
         s = _graph_structure(extent, shape, kind, rng)
         offsets = stencil_offsets(len(shape), neighborhood)
-        weights, targets = _edge_weight_arrays(s, offsets)
+        weights, targets, longest = _edge_weight_arrays(s, offsets)
         ref_weights, ref_targets = _reference_edge_weight_arrays(s, offsets)
-        assert np.array_equal(weights, ref_weights)
+        assert np.array_equal(weights.view(np.int64), ref_weights.view(np.int64))
         assert np.array_equal(targets, ref_targets) and targets.dtype == ref_targets.dtype
+        assert longest == np.max(ref_weights[np.isfinite(ref_weights)])
 
+    @pytest.mark.parametrize("block", _BLOCKS)
     @pytest.mark.parametrize("extent, shape, neighborhood, kind", _GRAPH_CASES)
-    def test_every_move_equals_its_reverse_bitwise(self, extent, shape, neighborhood, kind, rng):
+    def test_every_move_equals_its_reverse_bitwise(self, extent, shape, neighborhood, kind,
+                                                   block, rng, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(metric_module, "_BLOCK_ENTRIES", block)
         s = _graph_structure(extent, shape, kind, rng)
         offsets = stencil_offsets(len(shape), neighborhood)
-        weights, targets = _edge_weight_arrays(s, offsets)
+        weights, targets, _ = _edge_weight_arrays(s, offsets)
         back = [offsets.index(tuple(-o for o in off)) for off in offsets]
         finite = np.isfinite(weights)
         assert finite.any(axis=1).all()
@@ -292,6 +321,130 @@ class TestStencilGraph:
         for src, fld in zip(sources, fields):
             assert fld.source == src and fld.neighborhood == 8
             assert np.array_equal(fld.distances, heapq_distance(src, s, 8))
+
+
+_REACH_CASES = [
+    ((33,), (5,), 16, "identity", 0.3),
+    ((33, 33), (10, 21), 16, "identity", 0.3),
+    ((33, 33), (10, 21), 8, "identity", 0.3),
+    ((33, 33), (10, 21), 16, "random", 0.3),
+    ((13, 13, 13), (1, 1, 1), 8, "random", 0.15),
+    ((13, 13, 13), (1, 1, 1), 16, "random", 0.15),
+]
+
+
+class TestReach:
+    """Distance fields computed only out to a radius."""
+
+    @pytest.mark.parametrize("shape, source, neighborhood, kind, reach", _REACH_CASES)
+    def test_below_reach_the_field_is_the_unlimited_one(self, shape, source, neighborhood,
+                                                        kind, reach, rng):
+        s = _graph_structure(((0.0, 1.0),) * len(shape), shape, kind, rng)
+        full, = metric_module._distance_fields([source], s, neighborhood)
+        near, = metric_module._distance_fields([source], s, neighborhood, radius=reach)
+        assert (full.reach, near.reach) == (math.inf, reach)
+        assert np.isfinite(full.distances).all()
+        reached = np.isfinite(near.distances)
+        # the limit does cut the run short, and everything within reach is reached
+        assert not reached.all()
+        assert reached[full.distances <= reach].all()
+        assert np.array_equal(near.distances[reached].view(np.int64),
+                              full.distances[reached].view(np.int64))
+        for radius in (reach / 3, 2 * reach / 3, reach):
+            assert np.array_equal(intrinsic_ball_nodes(near, radius),
+                                  intrinsic_ball_nodes(full, radius))
+            assert np.array_equal(intrinsic_ball_cells(near, radius, s.domain),
+                                  intrinsic_ball_cells(full, radius, s.domain))
+
+    def test_consumers_refuse_a_field_short_of_their_radius(self):
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+        ctx = PFormContext(unit_structure(d), 2.0)
+        u = GridFunction.from_callable(d, lambda x, y: 2 * x - y + 0.3)
+        fld, = metric_module._distance_fields([(16, 16)], ctx.structure, radius=0.3)
+        with pytest.raises(ValueError, match="short of the radius 0.4"):
+            check_caccioppoli_ball(u, (16, 16), 0.2, 0.4, None, ctx, field=fld)
+        with pytest.raises(ValueError, match="short of the radius 0.4"):
+            truncation_function((16, 16), 0.2, 0.4, ctx.structure, field=fld)
+        with pytest.raises(ValueError, match="short of the radius 0.35"):
+            distance_cutoff((16, 16), 0.35, ctx.structure, field=fld)
+        with pytest.raises(ValueError, match="short of"):
+            intrinsic_ball_nodes(fld, 0.31)
+        with pytest.raises(ValueError, match="short of"):
+            intrinsic_ball_cells(fld, 0.31, d)
+        # at its reach the same field serves
+        assert check_caccioppoli_ball(u, (16, 16), 0.2, 0.3, None, ctx, field=fld).passed
+        full = intrinsic_distance((16, 16), ctx.structure)
+        assert np.array_equal(truncation_function((16, 16), 0.2, 0.3, ctx.structure, fld).values,
+                              truncation_function((16, 16), 0.2, 0.3, ctx.structure,
+                                                  full).values)
+
+    def test_metric_and_intrinsic_distance_run_without_a_limit(self, tmp_path, monkeypatch):
+        import dirichlet_p.cli as cli
+
+        limits = []
+
+        def spy(*args, _dijkstra=metric_module.dijkstra, **kwargs):
+            limits.append(kwargs.get("limit", math.inf))
+            return _dijkstra(*args, **kwargs)
+
+        monkeypatch.setattr(metric_module, "dijkstra", spy)
+        cfg = tmp_path / "metric.json"
+        cfg.write_text(json.dumps({
+            "domain": {"dim": 2, "extent": [[0.0, 1.0], [0.0, 1.0]], "shape": [17, 17]},
+            "metric": {"source": [0.5, 0.5], "cutoff": {"r": 0.2},
+                       "truncation": {"r": 0.1, "R": 0.2}}}))
+        assert cli.main(["metric", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 0
+        intrinsic_distance((3, 3), unit_structure(GridDomain(((0.0, 1.0),) * 2, (9, 9))))
+        assert limits == [math.inf, math.inf]
+
+    @pytest.mark.parametrize("variant", ["ball", "cutoff"])
+    def test_caccioppoli_reports_equal_those_without_the_reach(self, tmp_path, monkeypatch,
+                                                               variant):
+        import dirichlet_p.cli as cli
+
+        n = 33
+        d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (n, n))
+        mats = random_elliptic_field(d, np.random.default_rng(7), 0.5, 2.5).matrices
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"matrices": mats.reshape(-1).tolist(),
+                                     "alpha": 0.5, "beta": 2.5}))
+        cfg = tmp_path / "cfg.json"
+        # re_z2 is not harmonic for this field: residual_tol admits its residual
+        cfg.write_text(json.dumps({
+            "domain": {"dim": 2, "extent": [[-1.0, 1.0], [-1.0, 1.0]], "shape": [n, n]},
+            "field": f"file:{field}", "p": 2.0,
+            "caccioppoli": {"u": "re_z2", "variant": variant, "residual_tol": 1e3,
+                            "balls": [{"center": [0.0, 0.1], "r": 0.2, "R": 0.4},
+                                      {"center": [-0.3, 0.2], "r": 0.1, "R": 0.25}]}}))
+        fields = []
+
+        def run(name):
+            out = tmp_path / f"{name}.json"
+            assert cli.main(["caccioppoli", "--config", str(cfg), "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        def spy(sources, structure, neighborhood=16, radius=math.inf,
+                _fields=metric_module._distance_fields):
+            fields.extend(_fields(sources, structure, neighborhood, radius))
+            return fields[-len(sources):]
+
+        monkeypatch.setattr(cli, "_distance_fields", spy)
+        reached = run("reach")
+        assert {f.reach for f in fields} == {0.4}
+        assert all(not np.isfinite(f.distances).all() for f in fields)
+        monkeypatch.setattr(cli, "_distance_fields",
+                            lambda sources, structure, neighborhood=16, radius=math.inf:
+                            spy(sources, structure, neighborhood))
+        assert run("whole") == reached
+        assert fields[-1].reach == math.inf and np.isfinite(fields[-1].distances).all()
+
+    def test_balls_of_the_benchmark_job_reach_a_third_of_the_grid(self):
+        # caccioppoli at 129^2 on the identity field with R = 0.4
+        d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (129, 129))
+        fields = metric_module._distance_fields([(64, 64), (45, 83)], unit_structure(d),
+                                                radius=0.4)
+        for f in fields:
+            assert np.mean(np.isfinite(f.distances)) <= 0.35
 
 
 def _ball_config(balls, variant):

@@ -36,6 +36,7 @@ from dirichlet_p.pform import (
     p_energy,
     p_form,
     p_operator,
+    scaled_operator_field,
 )
 from dirichlet_p.solve import SolveOptions, hessian_matrix
 from conftest import random_elliptic_field, random_function
@@ -121,6 +122,17 @@ class TestOperator:
                 v.values[mask] = 0.0
                 direct = p_form(u, GridFunction(v.values), ctx)
                 assert abs(np.sum(F * v.values) - direct) <= 1e-12 * max(abs(direct), 1.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_scaled_operator_field_is_the_unmasked_operator_over_the_mass(self, square, rng,
+                                                                           p):
+        s = GridStructure(square, random_elliptic_field(square, rng))
+        ctx = PFormContext(s, p, 1e-6 if p < 2 else 0.0)
+        u = GridFunction(random_function(square, rng).values, mask=boundary_mask(square))
+        ref = np.abs(p_operator(u, ctx, mask=np.zeros(square.node_shape, dtype=bool))) \
+            / square.node_mass
+        got = scaled_operator_field(u, ctx)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_constant_gives_zero_functional(self, square, square_structure):
         ctx = PFormContext(square_structure, 3.0)

@@ -464,7 +464,7 @@ def _reference_obstacle(ctx, lo, boundary, opts, complementarity_tol=1e-8):
     mask = boundary.mask
     free = ~mask.reshape(-1)
     lo_flat = lo.reshape(-1)
-    node_mass = domain.node_mass().reshape(-1)
+    node_mass = domain.node_mass.reshape(-1)
     vals = linear_reference(ctx.structure, boundary.values, mask).reshape(-1)
     vals[free] = np.maximum(vals[free], lo_flat[free])
     _, fun, jac = reference_objective(vals, mask, ctx)
