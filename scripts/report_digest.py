@@ -4,11 +4,11 @@
 Writes the `solvers` and `geometry` job configs of perfbench/workloads.py
 for one seed, plus jobs on paths the benchmark never runs (a plain
 `solve`, a regularized p = 1.5 solve, a curved obstacle, `check` with
-`--tol`, a two-ball `caccioppoli` cutoff run, a 3-D p = 3 `solve`, and a
-`qr` map with a flagged cell), runs each job through `dirichlet_p.cli.main`
-with `--csv`, and prints `name exit json-sha256 csv-sha256` per job ("-"
-for a file the job did not write).  Run it on two checkouts and diff the
-outputs.
+`--tol`, two-ball `caccioppoli` cutoff and Euclidean runs, a 3-D p = 3
+`solve`, and a `qr` map with a flagged cell), runs each job through
+`dirichlet_p.cli.main` with `--csv`, and prints `name exit json-sha256
+csv-sha256` per job ("-" for a file the job did not write).  Run it on two
+checkouts and diff the outputs.
 
 When a change moves reports in their last digits, compare them by value:
 `--keep DIR` saves each job's JSON report as DIR/<name>.json, and
@@ -98,6 +98,13 @@ def _extra_jobs(seed: int, workdir: str, smoke: bool) -> list[workloads.Job]:
     configs.append((f"caccioppoli-{n}-cutoff", "caccioppoli", {
         **base, "p": 2.0, "caccioppoli": {
             "u": "re_z2", "variant": "cutoff", "residual_tol": 1e3,
+            "balls": [{"center": [0.0, 0.0], "r": 0.2, "R": 0.4},
+                      {"center": [0.25, -0.25], "r": 0.15, "R": 0.3}]}}, []))
+    # the only run of the Euclidean variant: its constant p sqrt(beta/alpha)
+    # comes from the field's declared bounds, alpha = 0.5 and beta = 2.5
+    configs.append((f"caccioppoli-{n}-euclidean", "caccioppoli", {
+        **base, "p": 2.0, "caccioppoli": {
+            "u": "re_z2", "variant": "euclidean", "residual_tol": 1e3,
             "balls": [{"center": [0.0, 0.0], "r": 0.2, "R": 0.4},
                       {"center": [0.25, -0.25], "r": 0.15, "R": 0.3}]}}, []))
     # the only 3-D report: it pins the cell products and corner sums off the 2-D path

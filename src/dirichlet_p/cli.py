@@ -257,28 +257,25 @@ def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
     cvalue = block.get("c")
     c = None if cvalue in (None, "mean") else _get_value(block, "c", float, "caccioppoli")
     neighborhood = _get_value(block, "neighborhood", _stencil, "caccioppoli", 16)
-    sources = [nearest_node(ctx.domain, center) for center, _, _ in balls]
-    # the intrinsic variants read every ball's distances off one stencil
-    # graph, and no distance beyond the largest R
-    fields = (_distance_fields(sources, ctx.structure, neighborhood,
-                               radius=max(R for _, _, R in balls))
-              if variant in ("ball", "cutoff") else [None] * len(balls))
+    fields = [None] * len(balls)
+    if variant in ("ball", "cutoff"):
+        # the intrinsic variants read every ball's distances off one stencil
+        # graph, and no distance beyond the largest R
+        sources = [nearest_node(ctx.domain, center) for center, _, _ in balls]
+        fields = _distance_fields(sources, ctx.structure, neighborhood,
+                                  radius=max(R for _, _, R in balls))
     checks: list[dict] = []
-    for (center, r, R), src, field in zip(balls, sources, fields):
+    for (center, r, R), field in zip(balls, fields):
         if variant == "ball":
-            rep = check_caccioppoli_ball(u, src, r, R, c, ctx,
-                                         residual_tol=residual_tol,
-                                         neighborhood=neighborhood, field=field)
+            rep = check_caccioppoli_ball(u, field, r, R, c, ctx, residual_tol=residual_tol)
         elif variant == "cutoff":
-            phi = truncation_function(src, r, R, ctx.structure, field=field)
+            phi = truncation_function(field, r, R)
             rep = check_caccioppoli(u, phi, c, ctx, residual_tol=residual_tol)
         elif variant == "euclidean":
             coords = ctx.domain.node_coords()
             dist = _length(coords - np.asarray(center, dtype=float))
             phi = GridFunction(np.clip((R - dist) / (R - r), 0.0, 1.0))
-            rep = check_caccioppoli_euclidean(
-                u, phi, c, ctx.structure.field.alpha, ctx.structure.field.beta,
-                ctx, residual_tol=residual_tol)
+            rep = check_caccioppoli_euclidean(u, phi, c, ctx, residual_tol=residual_tol)
         else:
             raise ConfigError(f"unknown caccioppoli variant '{variant}'")
         checks.append(rep.to_dict())
@@ -332,13 +329,13 @@ def _cmd_metric(cfg: dict, seed: int, tol: float | None) -> dict:
     bound = cutoff_gamma_bound(structure.domain.dim, neighborhood)
     if "cutoff" in block:
         r = _get_value(block["cutoff"], "r", float, "metric.cutoff")
-        cut = distance_cutoff(src, r, structure, field)
+        cut = distance_cutoff(field, r)
         cert = certify_gradient_bound(cut, structure, bound, "cutoff_gamma")
         out["cutoff"] = {"r": r, "certificate": cert.to_dict()}
     if "truncation" in block:
         r = _get_value(block["truncation"], "r", float, "metric.truncation")
         R = _get_value(block["truncation"], "R", float, "metric.truncation")
-        tr = truncation_function(src, r, R, structure, field)
+        tr = truncation_function(field, r, R)
         cert = certify_gradient_bound(tr, structure, bound / (R - r) ** 2,
                                       "truncation_gamma")
         out["truncation"] = {"r": r, "R": R, "certificate": cert.to_dict()}

@@ -154,6 +154,14 @@ class PowerMapping(_PuncturedMapping):
         return PowerMapping(self.domain.refined(), self.k, self.puncture)
 
 
+def _stretch_scale(r: np.ndarray, a: float) -> np.ndarray:
+    """r^(a-1) where r > 0 and 0 at the origin, with no power taken of r = 0."""
+    scale = np.zeros_like(r)
+    pos = r > 0
+    scale[pos] = r[pos] ** (a - 1.0)
+    return scale
+
+
 @dataclass(eq=False)
 class RadialStretch(_PuncturedMapping):
     """x -> |x|^(a-1) x with a > 0; quasiconformal with both dilatations a.
@@ -174,7 +182,7 @@ class RadialStretch(_PuncturedMapping):
     def node_values(self) -> np.ndarray:
         c = self.domain.node_coords()
         r = _length(c)
-        scale = np.where(r > 0, r ** (self.a - 1.0), 0.0)
+        scale = _stretch_scale(r, self.a)
         return scale[..., None] * c
 
     def cell_jacobian(self) -> np.ndarray:
@@ -187,7 +195,7 @@ class RadialStretch(_PuncturedMapping):
         n = self.domain.dim
         r = _length(c)
         rhat = c / np.where(r > 0, r, 1.0)[..., None]
-        scale = np.where(r > 0, r ** (self.a - 1.0), 0.0)
+        scale = _stretch_scale(r, self.a)
         out = np.empty(c.shape[:-1] + (n, n))
         for i in range(n):
             for j in range(i, n):

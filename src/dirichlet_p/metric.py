@@ -17,7 +17,9 @@ Cutoff profiles (r - rho)+ and the two-radius truncation functions built
 from them inherit per-cell gradient bounds (see cutoff_gamma_bound; the
 constant is slightly larger than the distance one because cells next to
 the source mix cone directions), which is what the Caccioppoli verifiers
-consume.
+consume.  Cutoffs, truncations, balls and the intrinsic-ball check take a
+MetricField, which carries its source, stencil and grid; the Euclidean
+check reads its ellipticity bounds off the coefficient field.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ def _probed_cutoff_bound(dim: int, neighborhood: int) -> float:
 
 @dataclass(eq=False)
 class MetricField:
-    """Distances from one source node under the intrinsic metric.
+    """Distances from one source node of `domain` under the intrinsic metric.
 
     Every distance up to `reach` is exact, and so is every ball or cutoff
     of radius up to it; farther nodes may read inf.
@@ -165,6 +167,7 @@ class MetricField:
 
     source: tuple[int, ...]
     distances: np.ndarray
+    domain: GridDomain
     neighborhood: int
     metrication: float
     reach: float = math.inf
@@ -341,7 +344,7 @@ def _distance_fields(sources: Sequence[Sequence[int]], structure: GridStructure,
     dist = dijkstra(graph, directed=True, indices=starts,
                     limit=max(radius, 0.0) + 2.0 * longest)
     metrication = metrication_constant(domain.dim, neighborhood)
-    return [MetricField(source=src, distances=d.reshape(domain.node_shape),
+    return [MetricField(source=src, distances=d.reshape(domain.node_shape), domain=domain,
                         neighborhood=neighborhood, metrication=metrication, reach=radius)
             for src, d in zip(srcs, dist)]
 
@@ -360,39 +363,31 @@ def intrinsic_distance(source: Sequence[int], structure: GridStructure,
     return _distance_fields([source], structure, neighborhood)[0]
 
 
-def distance_cutoff(source: Sequence[int], r: float, structure: GridStructure,
-                    field: MetricField | None = None,
-                    neighborhood: int = 16) -> GridFunction:
-    """Cutoff profile (r - rho(source, .)) v 0.
+def distance_cutoff(field: MetricField, r: float) -> GridFunction:
+    """Cutoff profile (r - rho(field.source, .)) v 0.
 
     Per-cell gamma of the result stays below cutoff_gamma_bound(dim,
-    neighborhood) for constant coefficient fields; use
+    field.neighborhood) for constant coefficient fields; use
     `certify_gradient_bound` to attach the verdict.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    if field is None:
-        field = intrinsic_distance(source, structure, neighborhood)
     _require_reach(field, r)
     return GridFunction(np.maximum(r - field.distances, 0.0))
 
 
-def truncation_function(source: Sequence[int], r: float, R: float,
-                        structure: GridStructure,
-                        field: MetricField | None = None,
-                        neighborhood: int = 16) -> GridFunction:
+def truncation_function(field: MetricField, r: float, R: float) -> GridFunction:
     """Two-radius profile: 1 on the r-ball, 0 off the R-ball, slope 1/(R-r).
 
     Built as min((R - rho)+, R - r) / (R - r).  Requires 0 < r < R and the
-    closed R-ball inside the open box (no boundary node within distance R).
+    closed R-ball inside the open box (no boundary node of field.domain
+    within distance R).
     """
     if not 0 < r < R:
         raise ValueError("need 0 < r < R")
-    if field is None:
-        field = intrinsic_distance(source, structure, neighborhood)
     _require_reach(field, R)
     rho = field.distances
-    if np.any(rho[boundary_mask(structure.domain)] < R):
+    if np.any(rho[boundary_mask(field.domain)] < R):
         raise ValueError("the outer ball escapes the domain")
     psi = np.minimum(np.maximum(R - rho, 0.0), R - r)
     return GridFunction(psi / (R - r))
@@ -428,11 +423,10 @@ def intrinsic_ball_nodes(field: MetricField, radius: float) -> np.ndarray:
     return field.distances < radius
 
 
-def intrinsic_ball_cells(field: MetricField, radius: float,
-                         domain: GridDomain) -> np.ndarray:
+def intrinsic_ball_cells(field: MetricField, radius: float) -> np.ndarray:
     """Cells whose center (corner mean of rho) lies in the ball."""
     _require_reach(field, radius)
-    return cell_mean(field.distances, domain) < radius
+    return cell_mean(field.distances, field.domain) < radius
 
 
 class HarmonicityError(ValueError):
@@ -554,33 +548,25 @@ def check_caccioppoli(u, phi: GridFunction, c: float | None, ctx: PFormContext,
         {"constant": p, "region": {"support_nodes": int(np.sum(phi_vals > 0))}})
 
 
-def check_caccioppoli_ball(u, source: Sequence[int], r: float, R: float,
+def check_caccioppoli_ball(u, field: MetricField, r: float, R: float,
                            c: float | None, ctx: PFormContext,
-                           residual_tol: float = 1e-3,
-                           neighborhood: int = 16,
-                           field: MetricField | None = None) -> CheckReport:
+                           residual_tol: float = 1e-3) -> CheckReport:
     """Intrinsic-ball form with constant p / (R - r):
 
         ( int_{B_r} gamma(u)^(p/2) dm )^(1/p)
             <= p/(R-r) ( int_{B_R} |u - c|^p dm )^(1/p) + tol
 
-    The cutoff is the indicator of the R-ball's nodes; c defaults to the
-    mean of u over the cells of the R-ball.  A precomputed distance field
-    from this source under this neighborhood may be passed as `field`.
+    The balls are those of `field` around its source.  The cutoff is the
+    indicator of the R-ball's nodes; c defaults to the mean of u over the
+    cells of the R-ball.
     """
     h = _as_harmonic(u, ctx)
     if not 0 < r < R:
         raise ValueError("need 0 < r < R")
-    if field is None:
-        field = intrinsic_distance(source, ctx.structure, neighborhood)
-    elif (field.source, field.neighborhood) != (tuple(int(i) for i in source), neighborhood):
-        raise ValueError(f"the field from source {field.source} under neighborhood "
-                         f"{field.neighborhood} does not match the call")
-    domain = ctx.domain
     m = ctx.measure
     p = ctx.p
-    cells_r = intrinsic_ball_cells(field, r, domain)
-    cells_R = intrinsic_ball_cells(field, R, domain)
+    cells_r = intrinsic_ball_cells(field, r)
+    cells_R = intrinsic_ball_cells(field, R)
 
     def sides(ubar: np.ndarray, c: float) -> tuple[float, float]:
         lhs = float(np.sum(np.where(cells_r, _safe_power(h.gamma, p / 2.0) * m, 0.0))) ** (1.0 / p)
@@ -596,18 +582,17 @@ def check_caccioppoli_ball(u, source: Sequence[int], r: float, R: float,
                     "ball_r_cells": int(cells_r.sum()), "ball_R_cells": int(cells_R.sum())}})
 
 
-def check_caccioppoli_euclidean(u, phi: GridFunction, c: float | None,
-                                alpha: float, beta: float, ctx: PFormContext,
+def check_caccioppoli_euclidean(u, phi: GridFunction, c: float | None, ctx: PFormContext,
                                 residual_tol: float = 1e-3) -> CheckReport:
     """Euclidean-gradient form for a uniformly elliptic field:
 
         ( int phi^p |grad u|^p dm )^(1/p)
             <= p sqrt(beta/alpha) ( int |grad phi|^p |u - c|^p dm )^(1/p) + tol
 
-    with the constant exactly p * sqrt(beta / alpha).
+    with the constant exactly p * sqrt(beta / alpha), where alpha and beta
+    are the declared ellipticity bounds of ctx.structure.field.
     """
-    if not 0 < alpha <= beta:
-        raise ValueError("need 0 < alpha <= beta")
+    alpha, beta = ctx.structure.field.alpha, ctx.structure.field.beta
     h = _as_harmonic(u, ctx)
     phi_vals = _values(phi)
     domain = ctx.domain

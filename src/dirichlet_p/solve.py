@@ -85,14 +85,13 @@ _RELEASE_TOL = 1e-8
 
 
 class SolveError(RuntimeError):
-    """Non-convergence; carries the energy/residual trace, and the Newton
-    run (`_NewtonRun`) as far as it got, for diagnosis."""
+    """Non-convergence; carries the Newton run (`_NewtonRun`) as far as it
+    got, and its energy/residual trace (empty without a run), for diagnosis."""
 
-    def __init__(self, message: str, trace: list[dict[str, float]] | None = None,
-                 run: _NewtonRun | None = None):
+    def __init__(self, message: str, run: _NewtonRun | None = None):
         super().__init__(message)
-        self.trace = trace or []
         self.run = run
+        self.trace = run.trace if run is not None else []
 
 
 @dataclass(frozen=True)
@@ -345,7 +344,7 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
         row["cg_iterations"] = len(cg_steps)
         run.cg_iterations += len(cg_steps)
         if step is None:
-            raise SolveError("line search failed at a stationary-looking point", run.trace,
+            raise SolveError("line search failed at a stationary-looking point",
                              stopped("line_search"))
         x, u, flux, J, g, t_used = step
         if not np.any(x < lo):
@@ -356,7 +355,7 @@ def _newton(vals: np.ndarray, mask: np.ndarray, ctx: PFormContext, opts: SolveOp
             lam = 0.0
     raise SolveError(
         f"Newton did not reach grad_tol={opts.grad_tol:g} in {opts.max_iter} iterations "
-        f"(residual {res:.3e}{', active set still changing' if changed else ''})", run.trace,
+        f"(residual {res:.3e}{', active set still changing' if changed else ''})",
         stopped("max_iter"))
 
 

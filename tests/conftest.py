@@ -48,12 +48,14 @@ class _CountingSpla:
 
 
 def count_factorizations(monkeypatch) -> list[int]:
-    """The order of every matrix that `assemble` or `solve` factors, in call order."""
-    from dirichlet_p import assemble, solve
+    """The order of every matrix that `assemble` factors, in call order.
+
+    Every factorization goes through `assemble._SpdBlock.factor`.
+    """
+    from dirichlet_p import assemble
 
     orders: list[int] = []
-    for module in (assemble, solve):
-        monkeypatch.setattr(module, "spla", _CountingSpla(module.spla, orders))
+    monkeypatch.setattr(assemble, "spla", _CountingSpla(assemble.spla, orders))
     return orders
 
 

@@ -326,7 +326,7 @@ def test_criterion_08_intrinsic_metric():
     s33 = unit_structure(d33)
     cut_ok = {}
     for nb in (8, 16):
-        cut = distance_cutoff((16, 16), 0.3, s33, neighborhood=nb)
+        cut = distance_cutoff(intrinsic_distance((16, 16), s33, nb), 0.3)
         cut_ok[nb] = certify_gradient_bound(cut, s33, cutoff_gamma_bound(2, nb)).passed
     coincide = np.isclose(cutoff_gamma_bound(2, 8),
                           (1.0 + metrication_constant(2, 8)) ** 2)
@@ -343,13 +343,14 @@ def test_criterion_09_caccioppoli():
     d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
     s = unit_structure(d)
     ctx = PFormContext(s, 2.0)
-    phi = truncation_function((16, 16), 0.1, 0.25, s)
+    fld = intrinsic_distance((16, 16), s)
+    phi = truncation_function(fld, 0.1, 0.25)
     affine = GridFunction.from_callable(d, lambda x, y: 2 * x - y + 0.3)
     quad = GridFunction.from_callable(d, lambda x, y: x * x - y * y)
     checks = [
         check_caccioppoli(affine, phi, None, ctx),
         check_caccioppoli(quad, phi, 0.0, ctx),
-        check_caccioppoli_ball(quad, (16, 16), 0.1, 0.25, 0.0, ctx),
+        check_caccioppoli_ball(quad, fld, 0.1, 0.25, 0.0, ctx),
     ]
     # log|z| on a domain omitting the origin
     dl = GridDomain(((1.0, 2.0), (1.0, 2.0)), (33, 33))
@@ -359,7 +360,7 @@ def test_criterion_09_caccioppoli():
     coords = dl.node_coords()
     dist = np.linalg.norm(coords - np.array([1.5, 1.5]), axis=-1)
     bump = GridFunction(np.clip((0.3 - dist) / 0.15, 0.0, 1.0))
-    checks.append(check_caccioppoli_euclidean(ulog, bump, None, 1.0, 1.0, ctxl))
+    checks.append(check_caccioppoli_euclidean(ulog, bump, None, ctxl))
     # anisotropic field: the constant is exactly p sqrt(beta/alpha)
     mats = np.zeros(d.cells_shape + (2, 2))
     mats[..., 0, 0] = 1.0
@@ -369,7 +370,7 @@ def test_criterion_09_caccioppoli():
     aff2 = GridFunction.from_callable(d, lambda x, y: x + 0.5 * y)
     dist2 = np.linalg.norm(d.node_coords() - np.array([0.5, 0.5]), axis=-1)
     bump2 = GridFunction(np.clip((0.3 - dist2) / 0.15, 0.0, 1.0))
-    rep_a = check_caccioppoli_euclidean(aff2, bump2, None, 1.0, 4.0, ctxa)
+    rep_a = check_caccioppoli_euclidean(aff2, bump2, None, ctxa)
     checks.append(rep_a)
     constant_exact = rep_a.details["constant"] == 3.0 * math.sqrt(4.0 / 1.0)
     all_pass = all(c.passed for c in checks)

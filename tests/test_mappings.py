@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -203,9 +204,11 @@ class TestRadialJacobian:
     @pytest.mark.parametrize("a", [0.5, 1.5, 3.0])
     def test_entries_equal_the_broadcast_formula_bitwise(self, extent, shape, a):
         mapping = RadialStretch(GridDomain(extent, shape), a)
-        # a < 1 puts 0 ** (a - 1) = inf at a centre on the origin, where both give 0
+        jac = mapping.cell_jacobian()
+        # a < 1 puts 0 ** (a - 1) = inf in the oracle at a centre on the origin,
+        # where both give 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            jac, ref = mapping.cell_jacobian(), _broadcast_radial_jacobian(mapping)
+            ref = _broadcast_radial_jacobian(mapping)
         assert jac.shape == ref.shape
         # bytes, so a -0.0 where the oracle has +0.0 fails too
         assert jac.tobytes() == ref.tobytes()
@@ -216,6 +219,17 @@ class TestRadialJacobian:
         origin = np.all(d.cell_centers() == 0.0, axis=-1)
         assert origin.sum() == 1
         assert jac[origin].tobytes() == np.zeros((1, 2, 2)).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_qr_with_a_node_on_the_origin_and_a_below_one_warns_nothing(self, tmp_path):
+        # the node at the origin must not take 0 ** (a - 1), which divides by zero
+        import dirichlet_p.cli as cli
+
+        cfg = tmp_path / "qr.json"
+        cfg.write_text(json.dumps({
+            "domain": {"dim": 2, "extent": [[-1.0, 1.0], [-1.0, 1.0]], "shape": [17, 17]},
+            "qr": {"mapping": {"kind": "radial", "a": 0.5}}}))
+        assert cli.main(["qr", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 0
 
 
 class _GivenBlocks(Mapping):

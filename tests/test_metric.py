@@ -353,8 +353,8 @@ class TestReach:
         for radius in (reach / 3, 2 * reach / 3, reach):
             assert np.array_equal(intrinsic_ball_nodes(near, radius),
                                   intrinsic_ball_nodes(full, radius))
-            assert np.array_equal(intrinsic_ball_cells(near, radius, s.domain),
-                                  intrinsic_ball_cells(full, radius, s.domain))
+            assert np.array_equal(intrinsic_ball_cells(near, radius),
+                                  intrinsic_ball_cells(full, radius))
 
     def test_consumers_refuse_a_field_short_of_their_radius(self):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
@@ -362,21 +362,20 @@ class TestReach:
         u = GridFunction.from_callable(d, lambda x, y: 2 * x - y + 0.3)
         fld, = metric_module._distance_fields([(16, 16)], ctx.structure, radius=0.3)
         with pytest.raises(ValueError, match="short of the radius 0.4"):
-            check_caccioppoli_ball(u, (16, 16), 0.2, 0.4, None, ctx, field=fld)
+            check_caccioppoli_ball(u, fld, 0.2, 0.4, None, ctx)
         with pytest.raises(ValueError, match="short of the radius 0.4"):
-            truncation_function((16, 16), 0.2, 0.4, ctx.structure, field=fld)
+            truncation_function(fld, 0.2, 0.4)
         with pytest.raises(ValueError, match="short of the radius 0.35"):
-            distance_cutoff((16, 16), 0.35, ctx.structure, field=fld)
+            distance_cutoff(fld, 0.35)
         with pytest.raises(ValueError, match="short of"):
             intrinsic_ball_nodes(fld, 0.31)
         with pytest.raises(ValueError, match="short of"):
-            intrinsic_ball_cells(fld, 0.31, d)
+            intrinsic_ball_cells(fld, 0.31)
         # at its reach the same field serves
-        assert check_caccioppoli_ball(u, (16, 16), 0.2, 0.3, None, ctx, field=fld).passed
+        assert check_caccioppoli_ball(u, fld, 0.2, 0.3, None, ctx).passed
         full = intrinsic_distance((16, 16), ctx.structure)
-        assert np.array_equal(truncation_function((16, 16), 0.2, 0.3, ctx.structure, fld).values,
-                              truncation_function((16, 16), 0.2, 0.3, ctx.structure,
-                                                  full).values)
+        assert np.array_equal(truncation_function(fld, 0.2, 0.3).values,
+                              truncation_function(full, 0.2, 0.3).values)
 
     def test_metric_and_intrinsic_distance_run_without_a_limit(self, tmp_path, monkeypatch):
         import dirichlet_p.cli as cli
@@ -507,37 +506,20 @@ class TestCaccioppoliBallField:
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
         ctx = PFormContext(unit_structure(d), 2.0)
         u = metric_module._Harmonic(GridFunction.from_callable(d, lambda x, y: x - y), ctx)
+        fld = intrinsic_distance((16, 16), ctx.structure)
         with pytest.raises(ValueError, match="another context"):
-            check_caccioppoli_ball(u, (16, 16), 0.2, 0.4, None, PFormContext(ctx.structure, 3.0))
-
-    def test_given_field_gives_the_same_report(self):
-        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
-        ctx = PFormContext(unit_structure(d), 2.0)
-        u = GridFunction.from_callable(d, lambda x, y: 2 * x - y + 0.3)
-        fld = intrinsic_distance((16, 16), ctx.structure, 8)
-        given = check_caccioppoli_ball(u, (16, 16), 0.2, 0.4, None, ctx, neighborhood=8,
-                                       field=fld)
-        own = check_caccioppoli_ball(u, (16, 16), 0.2, 0.4, None, ctx, neighborhood=8)
-        assert given.to_dict() == own.to_dict()
-
-    @pytest.mark.parametrize("source, neighborhood", [((15, 16), 16), ((16, 16), 8)])
-    def test_mismatched_field_is_rejected(self, source, neighborhood):
-        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
-        ctx = PFormContext(unit_structure(d), 2.0)
-        u = GridFunction.from_callable(d, lambda x, y: 2 * x - y + 0.3)
-        fld = intrinsic_distance(source, ctx.structure, neighborhood)
-        with pytest.raises(ValueError, match="neighborhood"):
-            check_caccioppoli_ball(u, (16, 16), 0.2, 0.4, None, ctx, field=fld)
+            check_caccioppoli_ball(u, fld, 0.2, 0.4, None, PFormContext(ctx.structure, 3.0))
 
 
 class TestCutoffs:
     def test_value_at_source_and_tiny_radius(self):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (17, 17))
         s = unit_structure(d)
-        cut = distance_cutoff((8, 8), 0.3, s)
+        fld = intrinsic_distance((8, 8), s)
+        cut = distance_cutoff(fld, 0.3)
         assert np.isclose(cut.values[8, 8], 0.3)
         h_intrinsic = d.spacing[0] / math.sqrt(2)
-        tiny = distance_cutoff((8, 8), 0.5 * h_intrinsic, s)
+        tiny = distance_cutoff(fld, 0.5 * h_intrinsic)
         support = tiny.values > 0
         assert support.sum() == 1 and support[8, 8]
 
@@ -545,7 +527,7 @@ class TestCutoffs:
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
         s = unit_structure(d)
         for nb in (8, 16):
-            cut = distance_cutoff((16, 16), 0.3, s, neighborhood=nb)
+            cut = distance_cutoff(intrinsic_distance((16, 16), s, nb), 0.3)
             rep = certify_gradient_bound(cut, s, cutoff_gamma_bound(2, nb))
             assert rep.passed, rep.lhs
             assert abs(rep.lhs / rep.rhs - 1.0) <= 1e-12  # the bound is attained
@@ -558,7 +540,7 @@ class TestCutoffs:
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (17, 17))
         s = unit_structure(d)
         fld = intrinsic_distance((8, 8), s)
-        cut = distance_cutoff((8, 8), 0.25, s, fld)
+        cut = distance_cutoff(fld, 0.25)
         rng = np.random.default_rng(0)
         for _ in range(40):
             a = tuple(rng.integers(0, 17, 2))
@@ -569,7 +551,7 @@ class TestCutoffs:
     def test_rejects_nonpositive_radius(self):
         d = GridDomain(((0.0, 1.0),), (9,))
         with pytest.raises(ValueError):
-            distance_cutoff((4,), 0.0, unit_structure(d))
+            distance_cutoff(intrinsic_distance((4,), unit_structure(d)), 0.0)
 
 
 class TestTruncationFunction:
@@ -577,7 +559,7 @@ class TestTruncationFunction:
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
         s = unit_structure(d)
         fld = intrinsic_distance((16, 16), s)
-        phi = truncation_function((16, 16), 0.15, 0.3, s, fld)
+        phi = truncation_function(fld, 0.15, 0.3)
         assert np.all((phi.values >= 0.0) & (phi.values <= 1.0))
         inside = fld.distances <= 0.15
         outside = fld.distances >= 0.3
@@ -591,7 +573,7 @@ class TestTruncationFunction:
         # its slope exceeds that bound by (0.2 / 0.15)^2
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
         s = unit_structure(d)
-        phi = truncation_function((16, 16), 0.15, 0.3, s)
+        phi = truncation_function(intrinsic_distance((16, 16), s), 0.15, 0.3)
         rep = certify_gradient_bound(phi, s, cutoff_gamma_bound(2, 16) / 0.2 ** 2)
         assert rep.passed is False
         assert rep.lhs / rep.rhs == pytest.approx((0.2 / 0.15) ** 2, rel=1e-12)
@@ -599,10 +581,11 @@ class TestTruncationFunction:
     def test_guards(self):
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (17, 17))
         s = unit_structure(d)
+        fld = intrinsic_distance((8, 8), s)
         with pytest.raises(ValueError, match="0 < r < R"):
-            truncation_function((8, 8), 0.3, 0.3, s)
+            truncation_function(fld, 0.3, 0.3)
         with pytest.raises(ValueError, match="escapes"):
-            truncation_function((8, 8), 0.3, 0.6, s)
+            truncation_function(fld, 0.3, 0.6)
 
 
 class TestCaccioppoli:
@@ -611,7 +594,7 @@ class TestCaccioppoli:
         s = unit_structure(d)
         ctx = PFormContext(s, p)
         u = GridFunction.from_callable(d, lambda x, y: 2 * x - y + 0.3)
-        phi = truncation_function((16, 16), 0.1, 0.25, s)
+        phi = truncation_function(intrinsic_distance((16, 16), s), 0.1, 0.25)
         return ctx, u, phi
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -645,12 +628,12 @@ class TestCaccioppoli:
         ctx = PFormContext(s, 2.0)
         u = GridFunction.from_callable(d, lambda x: x)
         r, R = 0.1, 0.2
-        rep = check_caccioppoli_ball(u, (32,), r, R, None, ctx)
+        fld = intrinsic_distance((32,), s)
+        rep = check_caccioppoli_ball(u, fld, r, R, None, ctx)
         assert rep.passed
         # independent direct summation of both sides
-        fld = intrinsic_distance((32,), s)
-        cells_r = intrinsic_ball_cells(fld, r, d)
-        cells_R = intrinsic_ball_cells(fld, R, d)
+        cells_r = intrinsic_ball_cells(fld, r)
+        cells_R = intrinsic_ball_cells(fld, R)
         m = d.measure
         gu = gamma(u, s)
         lhs = float(np.sum(np.where(cells_r, gu ** 1.0 * m, 0.0))) ** 0.5
@@ -666,7 +649,8 @@ class TestCaccioppoli:
         d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
         ctx = PFormContext(unit_structure(d), 2.0)
         u = GridFunction.from_callable(d, lambda x, y: x * x - y * y)
-        rep = check_caccioppoli_ball(u, (16, 16), 0.1, 0.25, 0.0, ctx)
+        rep = check_caccioppoli_ball(u, intrinsic_distance((16, 16), ctx.structure),
+                                     0.1, 0.25, 0.0, ctx)
         assert rep.passed
         assert np.isclose(rep.details["constant"], 2.0 / 0.15)
 
@@ -678,7 +662,7 @@ class TestCaccioppoli:
         coords = d.node_coords()
         dist = np.linalg.norm(coords - np.array([0.5, 0.5]), axis=-1)
         phi = GridFunction(np.clip((0.3 - dist) / 0.15, 0.0, 1.0))
-        rep = check_caccioppoli_euclidean(u, phi, None, 2.0, 2.0, ctx)
+        rep = check_caccioppoli_euclidean(u, phi, None, ctx)
         assert rep.passed
         assert rep.details["constant"] == 3.0
 
@@ -690,7 +674,7 @@ class TestCaccioppoli:
         coords = d.node_coords()
         dist = np.linalg.norm(coords - np.array([1.5, 1.5]), axis=-1)
         phi = GridFunction(np.clip((0.3 - dist) / 0.15, 0.0, 1.0))
-        rep = check_caccioppoli_euclidean(u, phi, None, 1.0, 1.0, ctx)
+        rep = check_caccioppoli_euclidean(u, phi, None, ctx)
         assert rep.passed
         assert rep.details["constant"] == 2.0
 
@@ -706,7 +690,7 @@ class TestCaccioppoli:
         coords = d.node_coords()
         dist = np.linalg.norm(coords - np.array([0.5, 0.5]), axis=-1)
         phi = GridFunction(np.clip((0.3 - dist) / 0.15, 0.0, 1.0))
-        rep = check_caccioppoli_euclidean(u, phi, None, 1.0, 4.0, ctx)
+        rep = check_caccioppoli_euclidean(u, phi, None, ctx)
         assert rep.passed
         assert rep.details["constant"] == 2.0 * math.sqrt(4.0 / 1.0)
 
@@ -719,8 +703,7 @@ class TestCaccioppoli:
             coords = d.node_coords()
             dist = np.linalg.norm(coords - np.array([1.5, 1.5]), axis=-1)
             phi = GridFunction(np.clip((0.3 - dist) / 0.15, 0.0, 1.0))
-            rep = check_caccioppoli_euclidean(u, phi, 0.0, 1.0, 1.0, ctx,
-                                              residual_tol=1e-2)
+            rep = check_caccioppoli_euclidean(u, phi, 0.0, ctx, residual_tol=1e-2)
             assert rep.passed
             tols[shape] = rep.tolerance
         assert tols[33] < tols[17]
@@ -746,8 +729,9 @@ class TestCaccioppoliFalsifiable:
         if row == "caccioppoli":
             return check_caccioppoli(u, phi, None, ctx)
         if row == "caccioppoli_ball":
-            return check_caccioppoli_ball(u, (16, 16), 0.2, 0.4, None, ctx)
-        return check_caccioppoli_euclidean(u, phi, None, 1.0, 1.0, ctx)
+            return check_caccioppoli_ball(u, intrinsic_distance((16, 16), ctx.structure),
+                                          0.2, 0.4, None, ctx)
+        return check_caccioppoli_euclidean(u, phi, None, ctx)
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("row", ["caccioppoli", "caccioppoli_ball", "caccioppoli_euclidean"])

@@ -20,6 +20,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = str(ROOT / "scripts" / "report_digest.py")
 GOLDEN = ROOT / "tests" / "golden"
+# jobs in one smoke run, each with a golden report
+JOBS = 22
 
 
 def _smoke_compare(golden: pathlib.Path, *flags: str) -> subprocess.CompletedProcess:
@@ -48,7 +50,7 @@ def golden_run(kept) -> subprocess.CompletedProcess:
 def test_smoke_digests_every_job(golden_run):
     lines = [line for line in golden_run.stdout.splitlines()
              if not line.startswith(("compare ", "  "))]
-    assert len(lines) == 21
+    assert len(lines) == JOBS
     digest = re.compile(r"\S+ 0 [0-9a-f]{64} [0-9a-f]{64}")
     bad = [line for line in lines if not digest.fullmatch(line)]
     assert not bad, bad
@@ -56,7 +58,7 @@ def test_smoke_digests_every_job(golden_run):
 
 def test_smoke_reports_match_golden(golden_run):
     compared = _compare_lines(golden_run.stdout)
-    assert len(compared) == 21 == len(list(GOLDEN.glob("*.json")))
+    assert len(compared) == JOBS == len(list(GOLDEN.glob("*.json")))
     assert {name for name, fields in compared.items() if fields[0] != "ok"} == set(), \
         golden_run.stdout
     assert golden_run.returncode == 0
@@ -65,7 +67,7 @@ def test_smoke_reports_match_golden(golden_run):
 def test_smoke_reports_are_stdlib_indent_2_json(golden_run, kept):
     # pins the byte layout of every command's report, whatever its values
     reports = sorted(kept.glob("*.json"))
-    assert len(reports) == 21
+    assert len(reports) == JOBS
     for path in reports:
         text = path.read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path.name
@@ -158,14 +160,14 @@ def test_compare_mode_against_kept_reports(tmp_path):
     script = str(ROOT / "scripts" / "report_digest.py")
     subprocess.run([sys.executable, script, "--smoke", "--keep", str(tmp_path)],
                    capture_output=True, text=True, timeout=300, check=True)
-    assert len(list(tmp_path.glob("*.json"))) == 21
+    assert len(list(tmp_path.glob("*.json"))) == JOBS
     # one integer changed in one saved report
     saved = tmp_path / "ring-33-p2.json"
     saved.write_text(saved.read_text().replace('"solver_iterations": ', '"solver_iterations": 1'))
     run = subprocess.run([sys.executable, script, "--smoke", "--compare", str(tmp_path)],
                          capture_output=True, text=True, timeout=300)
     compared = _compare_lines(run.stdout)
-    assert len(compared) == 21
+    assert len(compared) == JOBS
     assert {name: fields[:2] for name, fields in compared.items() if fields[0] != "ok"} \
         == {"ring-33-p2": ["1", "differences"]}
     # every job also prints how far its floats moved: here not at all

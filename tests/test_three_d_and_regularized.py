@@ -85,7 +85,7 @@ class TestThreeD:
         assert len(stencil_offsets(3, 8)) == 26
         fld = intrinsic_distance((4, 4, 4), s, 8)
         assert fld.distances[4, 4, 4] == 0.0
-        cut = distance_cutoff((4, 4, 4), 0.3, s, fld, neighborhood=8)
+        cut = distance_cutoff(fld, 0.3)
         assert certify_gradient_bound(cut, s, cutoff_gamma_bound(3, 8)).passed
 
 
