@@ -510,6 +510,29 @@ class TestCaccioppoliBallField:
         with pytest.raises(ValueError, match="another context"):
             check_caccioppoli_ball(u, fld, 0.2, 0.4, None, PFormContext(ctx.structure, 3.0))
 
+    @pytest.mark.parametrize("source, neighborhood", [((15, 16), 16), ((16, 16), 8)])
+    def test_balls_are_those_of_the_given_field(self, source, neighborhood):
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (33, 33))
+        ctx = PFormContext(unit_structure(d), 2.0)
+        u = GridFunction.from_callable(d, lambda x, y: 2 * x - y + 0.3)
+        fld = intrinsic_distance(source, ctx.structure, neighborhood)
+        rep = check_caccioppoli_ball(u, fld, 0.2, 0.4, None, ctx)
+        assert rep.passed
+        assert rep.details["metrication"] == metrication_constant(2, neighborhood)
+        region = rep.details["region"]
+        assert region["source"] == list(source)
+        assert region["ball_r_cells"] == int(intrinsic_ball_cells(fld, 0.2).sum())
+        assert region["ball_R_cells"] == int(intrinsic_ball_cells(fld, 0.4).sum())
+
+    def test_field_carries_the_grid_it_was_computed_on(self):
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (17, 17))
+        s = unit_structure(d)
+        fields = metric_module._distance_fields([(8, 8), (4, 12)], s)
+        assert all(f.domain is d for f in fields)
+        assert intrinsic_distance((8, 8), s).domain is d
+        # the ball cells are the cells of that grid
+        assert intrinsic_ball_cells(fields[0], 0.3).shape == d.cells_shape
+
 
 class TestCutoffs:
     def test_value_at_source_and_tiny_radius(self):

@@ -186,6 +186,20 @@ class TestDirichlet:
                             SolveOptions(grad_tol=1e-13, max_iter=1))
         assert err.value.trace
 
+    def test_error_reads_its_trace_from_the_run(self):
+        d = GridDomain(((0.0, 1.0), (0.0, 1.0)), (17, 17))
+        ctx = PFormContext(unit_structure(d), 4.0)
+        mask = boundary_mask(d)
+        g = np.sin(7 * d.node_coords()[..., 0]) * np.cos(5 * d.node_coords()[..., 1])
+        with pytest.raises(SolveError) as err:
+            solve_dirichlet(ctx, GridFunction(np.where(mask, g, 0.0), mask),
+                            SolveOptions(grad_tol=1e-13, max_iter=1))
+        assert err.value.run is not None
+        assert err.value.trace is err.value.run.trace
+        # without a run the trace is empty
+        bare = SolveError("no run")
+        assert bare.run is None and bare.trace == []
+
     def test_requires_boundary_mask(self, square, square_structure):
         ctx = PFormContext(square_structure, 2.0)
         with pytest.raises(ValueError):
