@@ -41,7 +41,7 @@ def main() -> int:
     ]
     for name, mapping in gallery:
         an = analyze(mapping)
-        rep = verify_component_harmonicity(mapping, min_order=1.0)
+        rep = verify_component_harmonicity(an, min_order=1.0)
         orders = []
         for field, row in rep.details["fields"].items():
             tag = "floor" if row["regime"] == "exact_floor" else f"{row['order']:.2f}"

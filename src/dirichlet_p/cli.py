@@ -13,8 +13,7 @@ the --threads hint never enters the output (all reductions run in a fixed
 order regardless of it).  A report is, byte for byte, what
 json.dumps(report, sort_keys=True, indent=2) writes, plus a newline; the
 values of its grid payloads (a solution, a potential) are encoded by the
-stdlib's C encoder and spliced into that layout.  DIRICHLET_P_LOG in
-{error, info, debug} controls logging on stderr.
+stdlib's C encoder and spliced into that layout.
 """
 
 from __future__ import annotations
@@ -23,18 +22,17 @@ import argparse
 import csv
 import io
 import json
-import logging
-import os
 import sys
 from typing import Any
 
 import numpy as np
 
 from . import __version__
-from .capacity import _memo_cap, capacity, check_choquet, check_union_difference
+from .capacity import _memo_cap, capacity, check_choquet, check_union_difference, nodes_in_box
 from .config import (
     ConfigError,
     _at_least,
+    _boolean,
     _check_keys,
     _get_value,
     _integer,
@@ -75,9 +73,7 @@ from .pform import (
     check_sector,
 )
 from .report import CheckReport
-from .solve import SolveError, solve_dirichlet, solve_obstacle
-
-log = logging.getLogger("dirichlet_p")
+from .solve import SolveError, _region_interior, solve_dirichlet, solve_obstacle
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -298,10 +294,13 @@ def _cmd_qr(cfg: dict, seed: int, tol: float | None) -> dict:
         "excluded_measure": analysis.excluded_measure,
         "flagged_cells": analysis.details["flagged_cells"],
     }
-    if block.get("verify", True):
+    if _get_value(block, "verify", _boolean, "qr", True):
+        # null, the default, includes log|f| when the mapping omits zero
+        include_log = _get_value(block, "include_log",
+                                 lambda v: None if v is None else _boolean(v), "qr")
         rep = verify_component_harmonicity(
-            mapping, min_order=_get_value(block, "min_order", float, "qr", 1.0),
-            include_log=block.get("include_log"), analysis=analysis)
+            analysis, min_order=_get_value(block, "min_order", float, "qr", 1.0),
+            include_log=include_log)
         out["harmonicity"] = rep.to_dict()
     return out
 
@@ -404,7 +403,8 @@ def _cmd_check(cfg: dict, seed: int, tol: float | None) -> dict:
         if "choquet" in suites:
             reports.extend(check_choquet(sets, outer, ctx, opts, memo=memo))
         if "union_diff" in suites:
-            f_sets = [_shrink(s) for s in sets]
+            interiors = [_region_interior(s, domain.dim) for s in sets]
+            f_sets = [f if f.any() else s for f, s in zip(interiors, sets)]
             reports.append(check_union_difference(sets, f_sets, outer, ctx, opts, memo=memo))
     payload = [r.to_dict() for r in reports]
     return {"suites": suites, "trials": trials,
@@ -414,8 +414,6 @@ def _cmd_check(cfg: dict, seed: int, tol: float | None) -> dict:
 
 def _seeded_sets(rng: np.random.Generator, domain) -> list[np.ndarray]:
     """Deterministic family of boxes for the set-function suites."""
-    from .capacity import nodes_in_box
-
     sets = []
     for _ in range(3):
         lo, hi = [], []
@@ -428,13 +426,6 @@ def _seeded_sets(rng: np.random.Generator, domain) -> list[np.ndarray]:
         sets.append(nodes_in_box(domain, lo, hi))
     return [s for s in sets if s.any()] or [nodes_in_box(domain, *zip(*[
         (a + 0.3 * (b - a), a + 0.7 * (b - a)) for a, b in domain.extent]))]
-
-
-def _shrink(mask: np.ndarray) -> np.ndarray:
-    from scipy import ndimage
-
-    eroded = ndimage.binary_erosion(mask, np.ones((3,) * mask.ndim, dtype=bool))
-    return eroded if eroded.any() else mask
 
 
 _COMMANDS = {
@@ -508,13 +499,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
 
-    level = os.environ.get("DIRICHLET_P_LOG", "error").lower()
-    logging.basicConfig(
-        stream=sys.stderr,
-        level={"error": logging.ERROR, "info": logging.INFO,
-               "debug": logging.DEBUG}.get(level, logging.ERROR),
-        format="%(levelname)s %(name)s: %(message)s")
-
     try:
         cfg = load_config(args.config)
         required = {"domain"} if args.command == "check" else {"domain", args.command}
@@ -522,6 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_keys(cfg.get(args.command, {}), *_BLOCK_KEYS[args.command], args.command)
         seed = (args.seed if args.seed is not None
                 else _get_value(cfg, "seed", _integer, "config", 0))
+        p = _get_value(cfg, "p", float, "config") if "p" in cfg else None
         results = _COMMANDS[args.command](cfg, seed, args.tol)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -542,8 +527,8 @@ def main(argv: list[str] | None = None) -> int:
         "version": __version__,
         "results": results,
     }
-    if "p" in cfg:
-        report["p"] = float(cfg["p"])
+    if p is not None:
+        report["p"] = p
     try:
         text = _encode_report(report)
     except ValueError:

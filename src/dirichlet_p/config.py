@@ -20,7 +20,13 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .capacity import Condenser
+from .capacity import (
+    Condenser,
+    nodes_in_ball,
+    nodes_in_box,
+    nodes_in_interval,
+    nodes_outside_ball,
+)
 from .grid import (
     CoefficientField,
     GridDomain,
@@ -108,6 +114,13 @@ def _as_list(value: Any) -> list:
 def _nonempty_list(value: Any) -> list:
     if not _as_list(value):
         raise ValueError("expected a nonempty list")
+    return value
+
+
+def _boolean(value: Any) -> bool:
+    """A JSON boolean: "false" and 0 are refused where their truthiness would be read."""
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
     return value
 
 
@@ -245,8 +258,6 @@ _NODE_SET_KEYS = {
 
 def node_set_from_shape(spec: Any, domain: GridDomain) -> np.ndarray:
     """Node set of a shape primitive with the half-spacing dilation rule."""
-    from .capacity import nodes_in_ball, nodes_in_box, nodes_in_interval, nodes_outside_ball
-
     if spec == "domain_boundary":
         return boundary_mask(domain)
     kind = spec.get("type") if isinstance(spec, dict) else None

@@ -85,26 +85,28 @@ def _det(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
 
 
-def _sym_eigvalsh(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric part of each block, ascending.
+def _sym_eig_extremes(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest and highest eigenvalue of the symmetric part of each block.
 
     2x2 blocks use the closed form m +- r, m = (a + d)/2 and
     r = hypot((a - d)/2, b).  The eigenvalue of larger magnitude,
     m + sign(m) r, adds terms of one sign; the other is (ad - b^2) over
-    it, which keeps its accuracy where m - sign(m) r would cancel.
-    Other sizes use LAPACK.
+    it, which keeps its accuracy where m - sign(m) r would cancel.  Where
+    the two agree to rounding, that quotient may land an ulp past the other
+    one, so the pair is ordered by value.  Other sizes take the first and
+    last column of LAPACK's ascending eigenvalues.
     """
     if mats.shape[-1] != 2:
-        return np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+        eigs = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+        return eigs[..., 0], eigs[..., -1]
     a, d = mats[..., 0, 0], mats[..., 1, 1]
     b = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
     m = 0.5 * (a + d)
     r = np.hypot(0.5 * (a - d), b)
-    neg = m < 0
-    big = m + np.where(neg, -r, r)
+    big = m + np.where(m < 0, -r, r)
     nonzero = big != 0  # big = 0 only for the zero block
     small = np.where(nonzero, (a * d - b * b) / np.where(nonzero, big, 1.0), 0.0)
-    return np.stack([np.where(neg, big, small), np.where(neg, small, big)], axis=-1)
+    return np.minimum(big, small), np.maximum(big, small)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,9 +255,9 @@ class CoefficientField:
         scale = max(np.max(np.abs(mats)), 1e-300)
         if sym_err > 1e-10 * scale:
             raise ValueError(f"coefficient matrices not symmetric (error {sym_err:.3e})")
-        eigs = _sym_eigvalsh(mats)
+        lowest, highest = _sym_eig_extremes(mats)
         tol = 1e-8 * (self.alpha + self.beta)
-        lo, hi = float(np.min(eigs)), float(np.max(eigs))
+        lo, hi = float(np.min(lowest)), float(np.max(highest))
         if not (lo >= self.alpha - tol and hi <= self.beta + tol):
             raise ValueError(
                 f"eigenvalues [{lo:.6g}, {hi:.6g}] escape the declared bounds "
@@ -302,9 +304,9 @@ class CoefficientField:
             raise ShapeMismatchError(f"expected matrix field of shape {expected}, got {mats.shape}")
         if alpha is None or beta is None:
             _require_finite(mats)
-            eigs = _sym_eigvalsh(mats)
-            alpha = float(np.min(eigs)) if alpha is None else alpha
-            beta = float(np.max(eigs)) if beta is None else beta
+            lowest, highest = _sym_eig_extremes(mats)
+            alpha = float(np.min(lowest)) if alpha is None else alpha
+            beta = float(np.max(highest)) if beta is None else beta
         return cls(mats, alpha, beta)
 
 

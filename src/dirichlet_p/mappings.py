@@ -16,6 +16,8 @@ p = n, produces the nonlinear form for which the components of f (and
 log|f|, when f omits 0) are harmonic; `verify_component_harmonicity`
 checks exactly that through mass-scaled residuals under grid refinement,
 comparing residuals at the same physical nodes across resolutions.
+`induced_structure` and the check take only the `QrAnalysis`, which
+carries the mapping it analysed.
 
 Analytic kinds (plane powers, radial stretches, linear maps) are
 differentiated in closed form at cell centers; sampled mappings reuse the
@@ -32,7 +34,7 @@ eigvalsh).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -45,7 +47,7 @@ from .grid import (
     ShapeMismatchError,
     _det,
     _length,
-    _sym_eigvalsh,
+    _sym_eig_extremes,
     boundary_mask,
     gradient,
 )
@@ -86,8 +88,8 @@ class Mapping:
         raise NotImplementedError
 
     def refined(self) -> "Mapping":
-        """The same mapping on `domain.refined()`."""
-        raise NotImplementedError
+        """The same mapping, every other field kept, on `domain.refined()`."""
+        return replace(self, domain=self.domain.refined())
 
     def omits_zero(self) -> bool:
         """Whether |f| is bounded away from 0 on the analysis region."""
@@ -96,10 +98,6 @@ class Mapping:
     def safe_region(self) -> np.ndarray:
         """Node mask on which residuals are measured (excludes punctures)."""
         return ~boundary_mask(self.domain)
-
-    def _component_functions(self) -> list[np.ndarray]:
-        vals = self.node_values()
-        return [vals[..., i] for i in range(self.domain.dim)]
 
 
 class _PuncturedMapping(Mapping):
@@ -149,9 +147,6 @@ class PowerMapping(_PuncturedMapping):
         out[..., 1, 0] = fp.imag
         out[..., 0, 1] = -fp.imag
         return out
-
-    def refined(self) -> "PowerMapping":
-        return PowerMapping(self.domain.refined(), self.k, self.puncture)
 
 
 def _stretch_scale(r: np.ndarray, a: float) -> np.ndarray:
@@ -204,9 +199,6 @@ class RadialStretch(_PuncturedMapping):
                 out[..., j, i] = out[..., i, j]
         return out
 
-    def refined(self) -> "RadialStretch":
-        return RadialStretch(self.domain.refined(), self.a, self.puncture)
-
     def omits_zero(self) -> bool:
         return True  # on the punctured region |f| = |x|^a > 0
 
@@ -228,9 +220,6 @@ class LinearMapping(Mapping):
     def cell_jacobian(self) -> np.ndarray:
         n = self.domain.dim
         return np.broadcast_to(self.matrix, self.domain.cells_shape + (n, n)).copy()
-
-    def refined(self) -> "LinearMapping":
-        return LinearMapping(self.domain.refined(), self.matrix)
 
 
 @dataclass(eq=False)
@@ -267,22 +256,24 @@ class JacobianField:
     flagged: np.ndarray  # J <= 0: excluded from dilatations, reported
 
 
-def _singular_values(Df: np.ndarray) -> np.ndarray:
-    """Per-cell singular values, descending.
+def _singular_extremes(Df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest singular value of each cell's Df.
 
     For 2x2 blocks, Df z = alpha z + beta conj(z) in complex notation, so
     sigma_max = |alpha| + |beta| = (|(a+d, c-b)| + |(a-d, c+b)|)/2, and
     sigma_min = |ad - bc| / sigma_max (0 where Df = 0), which keeps its
     relative accuracy where the difference |alpha| - |beta| would cancel.
-    Other sizes use LAPACK.
+    Other sizes take the first and last column of LAPACK's descending
+    singular values.
     """
     if Df.shape[-1] != 2:
-        return np.linalg.svd(Df, compute_uv=False)
+        sv = np.linalg.svd(Df, compute_uv=False)
+        return sv[..., 0], sv[..., -1]
     a, b, c, d = Df[..., 0, 0], Df[..., 0, 1], Df[..., 1, 0], Df[..., 1, 1]
     smax = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, c + b))
     nonzero = smax > 0
     smin = np.where(nonzero, np.abs(_det(Df)) / np.where(nonzero, smax, 1.0), 0.0)
-    return np.stack([smax, smin], axis=-1)
+    return smax, smin
 
 
 def differentiate(mapping: Mapping) -> JacobianField:
@@ -302,10 +293,10 @@ def _dilatations(jf: JacobianField) -> tuple[float, float]:
     if not ok.any():
         raise ValueError("every cell is degenerate; no dilatations")
     n = jf.Df.shape[-1]
-    sv = _singular_values(jf.Df)
+    largest, smallest = _singular_extremes(jf.Df)
     with np.errstate(divide="ignore", invalid="ignore"):
-        K_O = float(np.max(sv[..., 0] ** n / jf.J, where=ok, initial=-np.inf))
-        K_I = float(np.max(jf.J / sv[..., -1] ** n, where=ok, initial=-np.inf))
+        K_O = float(np.max(largest ** n / jf.J, where=ok, initial=-np.inf))
+        K_I = float(np.max(jf.J / smallest ** n, where=ok, initial=-np.inf))
     return K_O, K_I
 
 
@@ -336,8 +327,9 @@ def distortion_tensor(jf: JacobianField) -> np.ndarray:
 
 @dataclass(eq=False)
 class QrAnalysis:
-    """Everything the distortion analysis produces for one mapping."""
+    """Everything the distortion analysis produces for one mapping, and the mapping."""
 
+    mapping: Mapping
     K_O: float
     K_I: float
     theta: np.ndarray
@@ -362,10 +354,10 @@ def analyze(mapping: Mapping) -> QrAnalysis:
     theta = distortion_tensor(jf)
     alpha = K_O ** (-2.0 / n)
     beta = K_I ** (2.0 / n)
-    # from theta's own entries, not from sv: otherwise the check is a tautology
-    eigs = _sym_eigvalsh(theta)
+    # from theta's own entries, not from the singular values: else a tautology
+    lowest, highest = _sym_eig_extremes(theta)
     tol = 1e-10 * max(beta, 1.0)
-    lo, hi = float(np.min(eigs)), float(np.max(eigs))
+    lo, hi = float(np.min(lowest)), float(np.max(highest))
     if not (lo >= alpha - tol and hi <= beta + tol):  # NaN fails too
         raise ValueError(
             f"ellipticity certification failed: eigenvalues [{lo:.6g}, {hi:.6g}] "
@@ -373,14 +365,15 @@ def analyze(mapping: Mapping) -> QrAnalysis:
     det_err = float(np.max(np.abs(_det(theta) - 1.0)))
     excluded = float(np.sum(np.where(jf.flagged, mapping.domain.measure, 0.0)))
     return QrAnalysis(
-        K_O=K_O, K_I=K_I, theta=theta, alpha=alpha, beta=beta, excluded_measure=excluded,
+        mapping=mapping, K_O=K_O, K_I=K_I, theta=theta, alpha=alpha, beta=beta,
+        excluded_measure=excluded,
         details={"det_error": det_err, "flagged_cells": int(jf.flagged.sum()),
                  "eigenvalue_range": (lo, hi)},
     )
 
 
-def induced_structure(analysis: QrAnalysis, domain: GridDomain) -> GridStructure:
-    """Grid structure whose coefficient field is the distortion tensor.
+def induced_structure(analysis: QrAnalysis) -> GridStructure:
+    """Grid structure on the analysed domain whose coefficient field is the distortion tensor.
 
     `analysis` must come from `analyze`, which has computed every cell's
     eigenvalues (flagged cells hold I) and certified them against
@@ -392,27 +385,25 @@ def induced_structure(analysis: QrAnalysis, domain: GridDomain) -> GridStructure
     lo, hi = analysis.details["eigenvalue_range"]
     fld = CoefficientField._certified(analysis.theta, min(analysis.alpha, lo) * (1.0 - 1e-9),
                                       max(analysis.beta, hi) * (1.0 + 1e-9))
-    return GridStructure(domain, fld)
+    return GridStructure(analysis.mapping.domain, fld)
 
 
-def _matched_residuals(mapping: Mapping, include_log: bool | None,
-                       analysis: QrAnalysis) -> dict[str, Any]:
-    """Residuals of components (and log|f|) at matched nodes, two levels."""
-    fine = mapping.refined()
+def _matched_residuals(analysis: QrAnalysis, include_log: bool) -> dict[str, Any]:
+    """Residuals of components (and log|f|) at matched nodes, analysed grid and refinement."""
     out: dict[str, Any] = {}
     levels = []
-    for m, an in ((mapping, analysis), (fine, analyze(fine))):
-        ctx = PFormContext(induced_structure(an, m.domain), float(m.domain.dim))
+    for an in (analysis, analyze(analysis.mapping.refined())):
+        m = an.mapping
+        ctx = PFormContext(induced_structure(an), float(m.domain.dim))
         region = m.safe_region()
         eligible = _region_interior(region, m.domain.dim)
         if not eligible.any():
             raise ValueError("analysis region has empty interior")
         fields = {}
-        comps = m._component_functions()
-        for i, comp in enumerate(comps):
-            fields[f"component_{i}"] = scaled_operator_field(GridFunction(comp), ctx)
+        vals = m.node_values()
+        for i in range(m.domain.dim):
+            fields[f"component_{i}"] = scaled_operator_field(GridFunction(vals[..., i]), ctx)
         if include_log:
-            vals = m.node_values()
             absf = _length(vals)
             if np.any(absf[region] <= 0):
                 raise ValueError("log|f| requested but f hits 0 on the region")
@@ -433,16 +424,16 @@ def _matched_residuals(mapping: Mapping, include_log: bool | None,
     return out
 
 
-def verify_component_harmonicity(mapping: Mapping, min_order: float = 1.0,
-                                 include_log: bool | None = None, *,
-                                 analysis: QrAnalysis | None = None) -> CheckReport:
-    """Refinement check that the components of f are harmonic for p = n.
+def verify_component_harmonicity(analysis: QrAnalysis, min_order: float = 1.0,
+                                 include_log: bool | None = None) -> CheckReport:
+    """Refinement check that the components of the analysed f are harmonic for p = n.
 
     Residuals are mass-scaled operator pairings measured at the same
-    physical nodes on the mapping's grid and its refinement.  Each field
-    passes when either both residuals sit below the rounding floor 1e-10
-    (the discrete operator annihilates quadratic and cubic harmonics
-    exactly) or the observed order log2(coarse/fine) reaches min_order.
+    physical nodes on the analysed mapping's grid and on its refinement,
+    the one level analysed here.  Each field passes when either both
+    residuals sit below the rounding floor 1e-10 (the discrete operator
+    annihilates quadratic and cubic harmonics exactly) or the observed
+    order log2(coarse/fine) reaches min_order.
     log|f| is included automatically when the mapping omits zero on its
     region.
 
@@ -450,13 +441,11 @@ def verify_component_harmonicity(mapping: Mapping, min_order: float = 1.0,
     When every field sits at the rounding floor no order is observed, and
     the row reports the inequality that was checked instead: the largest
     residual (lhs) against the floor (rhs), so every number stays finite.
-
-    `analysis`, when given, must be `analyze(mapping)`; it saves recomputing it.
     """
+    mapping = analysis.mapping
     if include_log is None:
         include_log = mapping.omits_zero()
-    res = _matched_residuals(mapping, include_log,
-                             analyze(mapping) if analysis is None else analysis)
+    res = _matched_residuals(analysis, include_log)
     rows = {}
     passed = True
     worst_order = math.inf

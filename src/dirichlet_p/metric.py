@@ -40,6 +40,7 @@ from .grid import (
     GridStructure,
     _det,
     _length,
+    _readonly,
     _values,
     boundary_mask,
     cell_mean,
@@ -448,16 +449,11 @@ class _Harmonic:
 
     @functools.cached_property
     def density(self) -> np.ndarray:
-        return _read_only(scaled_operator_field(self.u, self.ctx))
+        return _readonly(scaled_operator_field(self.u, self.ctx))
 
     @functools.cached_property
     def gamma(self) -> np.ndarray:
-        return _read_only(gamma(self.u, self.ctx.structure))
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+        return _readonly(gamma(self.u, self.ctx.structure))
 
 
 def _as_harmonic(u, ctx: PFormContext) -> _Harmonic:

@@ -400,7 +400,7 @@ def test_criterion_10_quasiregular():
         det_err = max(det_err, analyze(m).details["det_error"])
     # refinement: 64^2 -> 128^2 cells (65 -> 129 nodes)
     d65 = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (65, 65))
-    rep = verify_component_harmonicity(PowerMapping(d65, 2, puncture=0.3),
+    rep = verify_component_harmonicity(analyze(PowerMapping(d65, 2, puncture=0.3)),
                                        min_order=1.9, include_log=True)
     fields = rep.details["fields"]
     comp_ok = all(

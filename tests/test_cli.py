@@ -547,6 +547,19 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
                "solve": {"boundary": {"values": 0.0}}}, "'scalar:nan'"),
     ("check", {"domain": {**base_domain_1d(), "dim": True}, "p": 2.0}, "'dim'"),
     ("check", {"domain": {**base_domain_2d(9), "dim": 2.0}, "p": 2.0}, "'dim'"),
+    ("qr", {"domain": base_domain_2d(9),
+            "qr": {"mapping": {"kind": "power", "k": 2}, "verify": "false"}}, "'verify'"),
+    ("qr", {"domain": base_domain_2d(9),
+            "qr": {"mapping": {"kind": "power", "k": 2}, "verify": 0}}, "'verify'"),
+    ("qr", {"domain": base_domain_2d(9),
+            "qr": {"mapping": {"kind": "power", "k": 2}, "include_log": "false"}},
+     "'include_log'"),
+    ("qr", {"domain": base_domain_2d(9),
+            "qr": {"mapping": {"kind": "power", "k": 2}, "include_log": 1}}, "'include_log'"),
+    ("metric", {**_metric_config(), "p": "abc"}, "'p'"),
+    ("qr", {"domain": base_domain_2d(9), "p": "abc",
+            "qr": {"mapping": {"kind": "power", "k": 2}}}, "'p'"),
+    ("metric", {**_metric_config(), "p": [2.0]}, "'p'"),
 ], ids=["balls-not-a-list", "balls-empty", "targets-not-a-list", "suites-not-a-list",
         "trials-not-int", "trials-zero", "trials-negative", "suites-empty",
         "vi-samples-not-int", "vi-samples-two", "vi-samples-negative", "seed-not-int",
@@ -556,7 +569,9 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
         "disk-center-a-string", "rect-min-a-string", "node-index-a-string",
         "power-k-not-int", "trials-not-int-valued", "neighborhood-not-int",
         "seed-not-int-valued", "trials-a-boolean", "node-index-not-int", "shape-not-int",
-        "scalar-inf", "scalar-nan", "dim-a-boolean", "dim-not-int"])
+        "scalar-inf", "scalar-nan", "dim-a-boolean", "dim-not-int", "verify-a-string",
+        "verify-an-int", "include-log-a-string", "include-log-an-int", "metric-p-a-string",
+        "qr-p-a-string", "metric-p-a-list"])
 def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, command, config, key):
     path = write_config(tmp_path, "c.json", config)
     assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
@@ -619,6 +634,39 @@ def test_qr_run_analyzes_each_level_once(tmp_path, monkeypatch):
     })
     assert cli.main(["qr", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
     assert calls == [(17, 17), (33, 33)]
+
+
+@pytest.mark.parametrize("include_log, expected", [(None, True), (False, False),
+                                                    (True, True)])
+def test_qr_include_log_null_is_automatic(tmp_path, include_log, expected):
+    # the radial stretch omits zero on its region, so "auto" includes log|f|
+    cfg = write_config(tmp_path, "c.json", {
+        "domain": {"dim": 2, "extent": [[-1.0, 1.0], [-1.0, 1.0]], "shape": [17, 17]},
+        "qr": {"mapping": {"kind": "radial", "a": 1.5}, "include_log": include_log},
+    })
+    out = tmp_path / "o.json"
+    assert cli.main(["qr", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    harmonicity = json.loads(out.read_text())["results"]["harmonicity"]
+    assert harmonicity["details"]["include_log"] is expected
+    assert ("log_abs" in harmonicity["details"]["fields"]) is expected
+
+
+def test_qr_verify_false_skips_the_harmonicity_check(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "domain": base_domain_2d(9),
+        "qr": {"mapping": {"kind": "power", "k": 2}, "verify": False},
+    })
+    out = tmp_path / "o.json"
+    assert cli.main(["qr", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    assert "harmonicity" not in json.loads(out.read_text())["results"]
+
+
+@pytest.mark.parametrize("p", [3, 2.5])
+def test_shared_p_is_echoed_as_a_float(tmp_path, p):
+    cfg = write_config(tmp_path, "c.json", {**_metric_config(), "p": p})
+    out = tmp_path / "o.json"
+    assert cli.main(["metric", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["p"] == float(p)
 
 
 def _disk_condenser_config(solver):

@@ -22,7 +22,7 @@ from dirichlet_p.grid import (
     meet,
     unit_structure,
 )
-from dirichlet_p.grid import _avg_adjoint, _length, _sym_eigvalsh
+from dirichlet_p.grid import _avg_adjoint, _length, _sym_eig_extremes
 from conftest import (
     assert_passes_validation,
     random_2x2_blocks,
@@ -153,13 +153,15 @@ class TestCoefficientField:
             CoefficientField(mats, 0.5, 2.0)
 
 
-class TestSymEigvalsh:
+class TestSymEigExtremes:
     @pytest.mark.parametrize("kind", ["random", "near_singular", "conformal"])
     def test_2x2_matches_lapack(self, kind):
         mats = random_2x2_blocks()[kind]
         ref = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
-        scale = np.max(np.abs(ref), axis=-1, keepdims=True)  # spectral norm
-        assert np.all(np.abs(_sym_eigvalsh(mats) - ref) <= 1e-14 * scale)
+        scale = np.max(np.abs(ref), axis=-1)  # spectral norm
+        lowest, highest = _sym_eig_extremes(mats)
+        assert np.all(np.abs(lowest - ref[:, 0]) <= 1e-14 * scale)
+        assert np.all(np.abs(highest - ref[:, -1]) <= 1e-14 * scale)
 
     def test_2x2_graded_block_keeps_small_eigenvalue(self, rng):
         # D C D with D = diag(1, 1e-6): eigenvalues near 1 and 1e-12, where
@@ -169,19 +171,33 @@ class TestSymEigvalsh:
         D = np.array([1.0, 1e-6])
         mats = C * D[:, None] * D[None, :]
         lo = np.linalg.eigvalsh(mats)[:, 0]
-        assert np.all(np.abs(_sym_eigvalsh(mats)[:, 0] - lo) <= 1e-13 * lo)
+        assert np.all(np.abs(_sym_eig_extremes(mats)[0] - lo) <= 1e-13 * lo)
 
     def test_2x2_edge_blocks(self):
         mats = np.array([np.zeros((2, 2)), -np.eye(2), np.diag([-3.0, 2.0]),
                          [[0.0, 1.0], [1.0, 0.0]], [[1.0, 2.0], [0.0, 1.0]]])
         expected = [[0.0, 0.0], [-1.0, -1.0], [-3.0, 2.0], [-1.0, 1.0], [0.0, 2.0]]
-        assert np.allclose(_sym_eigvalsh(mats), expected, rtol=0.0, atol=1e-15)
+        assert np.allclose(np.stack(_sym_eig_extremes(mats), axis=-1), expected,
+                           rtol=0.0, atol=1e-15)
+
+    def test_2x2_near_isotropic_blocks_stay_ordered(self, rng):
+        # t I with t in [0.5, 2]: the quotient t^2 / t lands an ulp above t
+        # in a few percent of the cells, and must not pass for the highest
+        t = rng.uniform(0.5, 2.0, 10000)
+        mats = t[:, None, None] * np.eye(2)
+        lowest, highest = _sym_eig_extremes(mats)
+        assert np.all(lowest <= highest)
+        assert np.all(highest - lowest <= 2 * np.spacing(t))
+        a, d = mats[:, 0, 0], mats[:, 1, 1]
+        assert np.any((a * d) / t > t)  # the case above does occur
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_other_sizes_are_lapack(self, rng, n):
         mats = rng.standard_normal((50, n, n))
-        assert np.array_equal(_sym_eigvalsh(mats),
-                              np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2))))
+        ref = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+        lowest, highest = _sym_eig_extremes(mats)
+        assert np.array_equal(lowest, ref[:, 0])
+        assert np.array_equal(highest, ref[:, -1])
 
 
 class TestLength:

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import json
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from dirichlet_p.grid import (
     CoefficientField,
     GridDomain,
     _det,
-    _sym_eigvalsh,
+    _sym_eig_extremes,
     energy,
     gradient,
     unit_structure,
@@ -27,7 +30,7 @@ from dirichlet_p.mappings import (
     induced_structure,
     verify_component_harmonicity,
 )
-from dirichlet_p.mappings import _dilatations, _singular_values
+from dirichlet_p.mappings import _dilatations, _singular_extremes
 from dirichlet_p.pform import PFormContext, _weights
 from conftest import assert_passes_validation, random_2x2_blocks, random_function
 
@@ -136,9 +139,9 @@ class TestClosedFormKernels:
         big_first = np.take_along_axis(
             Df, np.argsort(-np.linalg.norm(Df, axis=-1), axis=-1)[..., None], axis=-2)
         ref = np.linalg.svd(big_first, compute_uv=False)
-        sv = _singular_values(Df)
-        assert np.all(np.abs(sv[:, 0] - ref[:, 0]) <= 1e-14 * ref[:, 0])
-        assert np.all(np.abs(sv[:, 1] - ref[:, 1]) <= 1e-10 * ref[:, 1])
+        largest, smallest = _singular_extremes(Df)
+        assert np.all(np.abs(largest - ref[:, 0]) <= 1e-14 * ref[:, 0])
+        assert np.all(np.abs(smallest - ref[:, 1]) <= 1e-10 * ref[:, 1])
 
     @pytest.mark.parametrize("kind", ["random", "near_singular", "conformal"])
     def test_theta_matches_lapack(self, kind):
@@ -172,11 +175,15 @@ class TestClosedFormKernels:
         jf = differentiate(mapping)
         Df, J, ok = jf.Df, jf.J, ~jf.flagged
         assert np.array_equal(J, np.linalg.det(Df))
-        assert np.array_equal(_singular_values(Df), np.linalg.svd(Df, compute_uv=False))
+        sv = np.linalg.svd(Df, compute_uv=False)
+        largest, smallest = _singular_extremes(Df)
+        assert np.array_equal(largest, sv[..., 0]) and np.array_equal(smallest, sv[..., -1])
         inv = np.linalg.inv(Df[ok])
         theta = (J[ok] ** (2.0 / 3.0))[:, None, None] * (inv @ np.swapaxes(inv, -1, -2))
         assert np.array_equal(an.theta[ok], 0.5 * (theta + np.swapaxes(theta, -1, -2)))
-        assert np.array_equal(_sym_eigvalsh(an.theta), np.linalg.eigvalsh(an.theta))
+        eigs = np.linalg.eigvalsh(an.theta)
+        lowest, highest = _sym_eig_extremes(an.theta)
+        assert np.array_equal(lowest, eigs[..., 0]) and np.array_equal(highest, eigs[..., -1])
         assert an.details["det_error"] == np.max(np.abs(np.linalg.det(an.theta[ok]) - 1.0))
 
 
@@ -247,9 +254,9 @@ class _GivenBlocks(Mapping):
 def _gathered_dilatations(jf: JacobianField) -> tuple[float, float]:
     """The dilatations from the unflagged cells gathered first (the former formulas)."""
     ok = ~jf.flagged
-    sv = _singular_values(jf.Df[ok])
+    largest, smallest = _singular_extremes(jf.Df[ok])
     J = jf.J[ok]
-    return float(np.max(sv[..., 0] ** 2 / J)), float(np.max(J / sv[..., -1] ** 2))
+    return float(np.max(largest ** 2 / J)), float(np.max(J / smallest ** 2))
 
 
 def _gathered_theta(jf: JacobianField) -> np.ndarray:
@@ -300,8 +307,8 @@ class TestWholeCellArrays:
         assert an.details["flagged_cells"] == int(jf.flagged.sum())
         assert an.excluded_measure == float(np.sum(np.where(
             jf.flagged.reshape(mapping.domain.cells_shape), mapping.domain.measure, 0.0)))
-        eigs = _sym_eigvalsh(theta)
-        assert an.details["eigenvalue_range"] == (float(eigs.min()), float(eigs.max()))
+        lowest, highest = _sym_eig_extremes(theta)
+        assert an.details["eigenvalue_range"] == (float(lowest.min()), float(highest.max()))
 
     def test_all_flagged_map_is_degenerate(self, box):
         with pytest.raises(ValueError, match="degenerate"):
@@ -327,7 +334,7 @@ def differentiate_blocks(Df: np.ndarray) -> JacobianField:
 class TestInducedStructure:
     def test_conformal_matches_identity_structure(self, box, rng):
         an = analyze(PowerMapping(box, 2))
-        induced = induced_structure(an, box)
+        induced = induced_structure(an)
         reference = unit_structure(box)
         for _ in range(5):
             u = random_function(box, rng)
@@ -348,13 +355,13 @@ class TestInducedStructure:
     def test_distortion_field_passes_validation(self, dim, make):
         # the maps of scripts/mapping_gallery.py at 17^2, plus one 3-D map
         d = GridDomain(((-1.0, 1.0),) * dim, (17,) * dim)
-        assert_passes_validation(induced_structure(analyze(make(d)), d).field)
+        assert_passes_validation(induced_structure(analyze(make(d))).field)
 
     def test_large_distortion_keeps_a_positive_lower_bound(self, box):
         # alpha = 1e-5 against beta = 1e5: an absolute widening of 1e-9 beta
         # would push the lower bound below 0, a relative one does not
         an = analyze(LinearMapping(box, np.diag([1e5, 1.0])))
-        fld = induced_structure(an, box).field
+        fld = induced_structure(an).field
         assert 0 < fld.alpha <= min(an.alpha, an.details["eigenvalue_range"][0])
         assert fld.beta >= max(an.beta, an.details["eigenvalue_range"][1])
         assert_passes_validation(fld)
@@ -364,11 +371,11 @@ class TestInducedStructure:
         an = analyze(LinearMapping(box, np.diag([1e5, 1.0])))
         theta = an.theta.copy()
         theta[3, 4] = np.diag([0.0, 1.0])
-        eigs = _sym_eigvalsh(theta)
+        lowest, highest = _sym_eig_extremes(theta)
         singular = dataclasses.replace(an, theta=theta, details={
-            **an.details, "eigenvalue_range": (float(eigs.min()), float(eigs.max()))})
+            **an.details, "eigenvalue_range": (float(lowest.min()), float(highest.max()))})
         with pytest.raises(ValueError, match="alpha"):
-            induced_structure(singular, box)
+            induced_structure(singular)
         with pytest.raises(ValueError, match="alpha"):
             CoefficientField(theta, 0.0, an.beta)
 
@@ -384,20 +391,20 @@ class TestInducedStructure:
         d3 = GridDomain(((-1.0, 1.0),) * 3, (9, 9, 9))
         for mapping, n in ((RadialStretch(box, 2.0), 2.0), (RadialStretch(d3, 1.5), 3.0)):
             seen.clear()
-            assert verify_component_harmonicity(mapping).p == n
+            assert verify_component_harmonicity(analyze(mapping)).p == n
             assert seen and set(seen) == {n}
 
 
 class TestComponentHarmonicity:
     def test_identity_map_floor(self, box):
-        rep = verify_component_harmonicity(LinearMapping(box, np.eye(2)))
+        rep = verify_component_harmonicity(analyze(LinearMapping(box, np.eye(2))))
         assert rep.passed
         regimes = {v["regime"] for v in rep.details["fields"].values()}
         assert regimes == {"exact_floor"}
 
     def test_power_two_components_and_log(self):
         d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (65, 65))
-        rep = verify_component_harmonicity(PowerMapping(d, 2, puncture=0.3),
+        rep = verify_component_harmonicity(analyze(PowerMapping(d, 2, puncture=0.3)),
                                            min_order=1.9, include_log=True)
         assert rep.passed
         fields = rep.details["fields"]
@@ -414,11 +421,10 @@ class TestComponentHarmonicity:
                 x, y = c[..., 0], c[..., 1]
                 return np.stack([x * x + y * y, 2.0 * x * y], axis=-1)
 
-            def refined(self):
-                return SquaredModulus(self.domain.refined(), self.k, self.puncture)
-
         d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (33, 33))
-        rep = verify_component_harmonicity(SquaredModulus(d, 2))
+        # the inherited refined() keeps the subclass, so the fine level is measured too
+        assert type(SquaredModulus(d, 2).refined()) is SquaredModulus
+        rep = verify_component_harmonicity(analyze(SquaredModulus(d, 2)))
         assert rep.passed is False
         first = rep.details["fields"]["component_0"]
         assert first["regime"] == "refinement"
@@ -427,7 +433,7 @@ class TestComponentHarmonicity:
 
     def test_radial_stretch_components(self):
         d = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (65, 65))
-        rep = verify_component_harmonicity(RadialStretch(d, 3.0, puncture=0.25),
+        rep = verify_component_harmonicity(analyze(RadialStretch(d, 3.0, puncture=0.25)),
                                            min_order=1.0)
         assert rep.passed
         for name, row in rep.details["fields"].items():
@@ -437,7 +443,58 @@ class TestComponentHarmonicity:
     def test_sampled_cannot_refine(self, box):
         sm = SampledMapping(box, LinearMapping(box, np.eye(2)).node_values())
         with pytest.raises(ValueError, match="refine"):
-            verify_component_harmonicity(sm)
+            sm.refined()
+        with pytest.raises(ValueError, match="refine"):
+            verify_component_harmonicity(analyze(sm))
+
+
+_ANALYTIC = [
+    lambda d: PowerMapping(d, 3, puncture=0.3),
+    lambda d: RadialStretch(d, 1.5, puncture=0.25),
+    lambda d: LinearMapping(d, np.array([[1.0, 0.4], [0.4, 1.5]])),
+]
+_ANALYTIC_IDS = ["power", "radial", "linear"]
+
+
+class TestAnalysisCarriesMapping:
+    """The qr consumers read the mapping and its domain off the analysis."""
+
+    @pytest.mark.parametrize("make", _ANALYTIC, ids=_ANALYTIC_IDS)
+    def test_analysis_carries_its_mapping(self, box, make):
+        mapping = make(box)
+        an = analyze(mapping)
+        assert an.mapping is mapping
+        assert induced_structure(an).domain is mapping.domain
+
+    @pytest.mark.parametrize("make", _ANALYTIC, ids=_ANALYTIC_IDS)
+    def test_refined_equals_the_constructor_on_the_refined_domain(self, box, make):
+        mapping = make(box)
+        fine = mapping.refined()
+        expected = make(box.refined())
+        assert type(fine) is type(mapping)
+        assert (fine.domain.extent, fine.domain.shape) == (box.extent, (33, 33))
+        assert fine.node_values().tobytes() == expected.node_values().tobytes()
+        assert fine.cell_jacobian().tobytes() == expected.cell_jacobian().tobytes()
+        assert getattr(fine, "puncture", None) == getattr(mapping, "puncture", None)
+
+    def test_gallery_analyzes_each_map_once(self, monkeypatch, capsys):
+        script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "mapping_gallery.py"
+        spec = importlib.util.spec_from_file_location("mapping_gallery", script)
+        gallery = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gallery)
+        seen = []
+
+        def counting(mapping, _analyze=mappings_module.analyze):
+            seen.append(mapping.domain.shape)
+            return _analyze(mapping)
+
+        monkeypatch.setattr(mappings_module, "analyze", counting)
+        monkeypatch.setattr(gallery, "analyze", counting)
+        monkeypatch.setattr(sys, "argv", ["mapping_gallery.py", "--nodes", "17"])
+        assert gallery.main() == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        # once per map on its own grid, once more on the refined grid
+        assert seen.count((17, 17)) == 6 and seen.count((33, 33)) == 6 and len(seen) == 12
 
 
 def _flux(G: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:
@@ -472,7 +529,7 @@ class TestAOperator:
     def test_batched_over_cells(self, box, rng):
         # over the cells of the induced structure, p_operator's weight times
         # G grad u is 2^((p-2)/2) A(grad u), since gamma = 2 (G xi, xi)
-        s = induced_structure(analyze(RadialStretch(box, 2.0)), box)
+        s = induced_structure(analyze(RadialStretch(box, 2.0)))
         u = random_function(box, rng)
         for p in (2.0, 3.0, 4.0):
             Ggu, w = _weights(u, PFormContext(s, p))
