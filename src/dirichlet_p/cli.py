@@ -31,26 +31,18 @@ from . import __version__
 from .capacity import _memo_cap, capacity, check_choquet, check_union_difference, nodes_in_box
 from .config import (
     ConfigError,
-    _at_least,
-    _boolean,
-    _check_keys,
-    _get_value,
-    _integer,
-    _list_of,
-    _nonempty_list,
-    _point,
+    _boundary,
+    _condenser,
+    _fit,
+    _function_values,
+    _mapping,
     load_config,
     nearest_node,
     node_set_from_shape,
-    parse_affine,
-    parse_boundary,
-    parse_condenser,
     parse_context,
-    parse_domain,
-    parse_grid_function,
-    parse_mapping,
     parse_solve_options,
     parse_structure,
+    read_config,
 )
 from .grid import GridFunction, _length, boundary_mask
 from .mappings import analyze, verify_component_harmonicity
@@ -171,23 +163,22 @@ def _harvest_failures(obj: Any) -> bool:
 
 # -- subcommand implementations ------------------------------------------------
 
+# Each command takes the config as `read_config` returns it.
+
 def _cmd_solve(cfg: dict, seed: int, tol: float | None) -> dict:
     ctx = parse_context(cfg)
     opts = parse_solve_options(cfg, tol)
-    block = cfg["solve"]
-    boundary = parse_boundary(block["boundary"], ctx.domain)
-    if "obstacle" in block:
-        obs = block["obstacle"]
-        if isinstance(obs, dict) and "region" in obs:
-            _check_keys(obs, {"region", "level"}, {"region"}, "solve.obstacle")
-            region = node_set_from_shape(obs["region"], ctx.domain)
-            lower = np.where(region, _get_value(obs, "level", float, "solve.obstacle", 0.0),
-                             -np.inf)
-        else:
-            lower = parse_grid_function(obs, ctx.domain)
-        result = solve_obstacle(ctx, GridFunction(lower), boundary, opts)
-    else:
+    boundary = _boundary(cfg["solve"]["boundary"], ctx.domain)
+    obs = cfg["solve"]["obstacle"]
+    if obs is None:
         result = solve_dirichlet(ctx, boundary, opts)
+    else:
+        if "region" in obs:
+            region = node_set_from_shape(obs["region"], ctx.domain)
+            lower = np.where(region, obs["level"], -np.inf)
+        else:
+            lower = _function_values(obs, ctx.domain, "solve.obstacle")
+        result = solve_obstacle(ctx, GridFunction(lower), boundary, opts)
     return {
         "solution": _grid_payload(result.solution.values),
         "residual_norm": result.residual_norm,
@@ -200,11 +191,9 @@ def _cmd_solve(cfg: dict, seed: int, tol: float | None) -> dict:
 def _cmd_capacity(cfg: dict, seed: int, tol: float | None) -> dict:
     ctx = parse_context(cfg)
     opts = parse_solve_options(cfg, tol)
-    block = cfg["capacity"]
-    cond = parse_condenser(block["condenser"], ctx.domain)
-    rng = np.random.default_rng(seed)
-    vi_samples = _get_value(block, "vi_samples", _at_least(3), "capacity", 8)
-    result = capacity(cond, ctx, opts, vi_samples=vi_samples, rng=rng)
+    cond = _condenser(cfg["capacity"]["condenser"], ctx.domain)
+    result = capacity(cond, ctx, opts, vi_samples=cfg["capacity"]["vi_samples"],
+                      rng=np.random.default_rng(seed))
     return {
         "value": result.value,
         "vi_residual": result.vi_residual,
@@ -213,52 +202,34 @@ def _cmd_capacity(cfg: dict, seed: int, tol: float | None) -> dict:
     }
 
 
-def _field_from_spec(kind: str, domain) -> np.ndarray:
+def _parse_u(spec: Any, domain) -> np.ndarray:
+    if isinstance(spec, dict):
+        return _function_values(spec, domain, "caccioppoli.u")
     coords = domain.node_coords()
-    if kind == "re_z2":
+    if spec == "re_z2":
         if domain.dim != 2:
             raise ConfigError("re_z2 needs a 2-D domain")
         return coords[..., 0] ** 2 - coords[..., 1] ** 2
-    if kind == "log_abs":
-        r = _length(coords)
-        if np.any(r <= 0):
-            raise ConfigError("log_abs needs a domain omitting the origin")
-        return np.log(r)
-    raise ConfigError(f"unknown function kind '{kind}'")
-
-
-def _parse_u(spec: Any, domain) -> np.ndarray:
-    if isinstance(spec, str):
-        return _field_from_spec(spec, domain)
-    if isinstance(spec, dict) and "affine" in spec:
-        return parse_affine(spec, domain, "caccioppoli.u")
-    if isinstance(spec, dict):
-        return parse_grid_function(spec, domain)
-    raise ConfigError("unrecognized function spec for 'u'")
+    r = _length(coords)
+    if np.any(r <= 0):
+        raise ConfigError("log_abs needs a domain omitting the origin")
+    return np.log(r)
 
 
 def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
     ctx = parse_context(cfg)
     block = cfg["caccioppoli"]
-    balls = []
-    for ball in _get_value(block, "balls", _nonempty_list, "caccioppoli"):
-        _check_keys(ball, _BALL_KEYS, _BALL_KEYS, "caccioppoli ball")
-        balls.append((_get_value(ball, "center", _point(ctx.domain.dim), "caccioppoli ball"),
-                      _get_value(ball, "r", float, "caccioppoli ball"),
-                      _get_value(ball, "R", float, "caccioppoli ball")))
+    balls = [(_fit(ball["center"], ctx.domain.dim, "center", "caccioppoli ball"),
+              ball["r"], ball["R"]) for ball in block["balls"]]
     # every ball reads u's residual density and gamma, evaluated once here
     u = _Harmonic(GridFunction(_parse_u(block["u"], ctx.domain)), ctx)
-    variant = block.get("variant", "ball")
-    residual_tol = _get_value(block, "residual_tol", float, "caccioppoli", 1e-3)
-    cvalue = block.get("c")
-    c = None if cvalue in (None, "mean") else _get_value(block, "c", float, "caccioppoli")
-    neighborhood = _get_value(block, "neighborhood", _stencil, "caccioppoli", 16)
+    variant, c, residual_tol = block["variant"], block["c"], block["residual_tol"]
     fields = [None] * len(balls)
     if variant in ("ball", "cutoff"):
         # the intrinsic variants read every ball's distances off one stencil
         # graph, and no distance beyond the largest R
         sources = [nearest_node(ctx.domain, center) for center, _, _ in balls]
-        fields = _distance_fields(sources, ctx.structure, neighborhood,
+        fields = _distance_fields(sources, ctx.structure, block["neighborhood"],
                                   radius=max(R for _, _, R in balls))
     checks: list[dict] = []
     for (center, r, R), field in zip(balls, fields):
@@ -267,22 +238,19 @@ def _cmd_caccioppoli(cfg: dict, seed: int, tol: float | None) -> dict:
         elif variant == "cutoff":
             phi = truncation_function(field, r, R)
             rep = check_caccioppoli(u, phi, c, ctx, residual_tol=residual_tol)
-        elif variant == "euclidean":
+        else:
             coords = ctx.domain.node_coords()
             dist = _length(coords - np.asarray(center, dtype=float))
             phi = GridFunction(np.clip((R - dist) / (R - r), 0.0, 1.0))
             rep = check_caccioppoli_euclidean(u, phi, c, ctx, residual_tol=residual_tol)
-        else:
-            raise ConfigError(f"unknown caccioppoli variant '{variant}'")
         checks.append(rep.to_dict())
     return {"variant": variant, "checks": checks}
 
 
 def _cmd_qr(cfg: dict, seed: int, tol: float | None) -> dict:
-    domain = parse_domain(cfg["domain"])
+    domain = cfg["domain"]
     block = cfg["qr"]
-    mapping = parse_mapping(block["mapping"], domain)
-    analysis = analyze(mapping)
+    analysis = analyze(_mapping(block["mapping"], domain))
     eye_dev = float(np.max(np.abs(analysis.theta - np.eye(domain.dim))))
     out: dict[str, Any] = {
         "K_O": analysis.K_O,
@@ -294,13 +262,10 @@ def _cmd_qr(cfg: dict, seed: int, tol: float | None) -> dict:
         "excluded_measure": analysis.excluded_measure,
         "flagged_cells": analysis.details["flagged_cells"],
     }
-    if _get_value(block, "verify", _boolean, "qr", True):
+    if block["verify"]:
         # null, the default, includes log|f| when the mapping omits zero
-        include_log = _get_value(block, "include_log",
-                                 lambda v: None if v is None else _boolean(v), "qr")
-        rep = verify_component_harmonicity(
-            analysis, min_order=_get_value(block, "min_order", float, "qr", 1.0),
-            include_log=include_log)
+        rep = verify_component_harmonicity(analysis, min_order=block["min_order"],
+                                           include_log=block["include_log"])
         out["harmonicity"] = rep.to_dict()
     return out
 
@@ -308,12 +273,11 @@ def _cmd_qr(cfg: dict, seed: int, tol: float | None) -> dict:
 def _cmd_metric(cfg: dict, seed: int, tol: float | None) -> dict:
     structure = parse_structure(cfg)
     block = cfg["metric"]
-    for name, keys in (("cutoff", {"r"}), ("truncation", {"r", "R"})):
-        if name in block:
-            _check_keys(block[name], keys, keys, f"metric.{name}")
-    point = _point(structure.domain.dim)
-    src = nearest_node(structure.domain, _get_value(block, "source", point, "metric"))
-    neighborhood = _get_value(block, "neighborhood", _stencil, "metric", 16)
+    domain = structure.domain
+    src = nearest_node(domain, _fit(block["source"], domain.dim, "source", "metric"))
+    targets = [nearest_node(domain, _fit(t, domain.dim, "targets", "metric"))
+               for t in block["targets"] or ()]
+    neighborhood = block["neighborhood"]
     field = intrinsic_distance(src, structure, neighborhood)
     out: dict[str, Any] = {
         "source": list(src),
@@ -321,32 +285,20 @@ def _cmd_metric(cfg: dict, seed: int, tol: float | None) -> dict:
         "metrication": field.metrication,
         "max_distance": float(np.max(field.distances)),
     }
-    if "targets" in block:
-        nodes = [nearest_node(structure.domain, t)
-                 for t in _get_value(block, "targets", _list_of(point), "metric")]
-        out["distances"] = [{"target": list(n), "distance": field.at(n)} for n in nodes]
-    bound = cutoff_gamma_bound(structure.domain.dim, neighborhood)
-    if "cutoff" in block:
-        r = _get_value(block["cutoff"], "r", float, "metric.cutoff")
-        cut = distance_cutoff(field, r)
-        cert = certify_gradient_bound(cut, structure, bound, "cutoff_gamma")
+    if block["targets"] is not None:
+        out["distances"] = [{"target": list(n), "distance": field.at(n)} for n in targets]
+    bound = cutoff_gamma_bound(domain.dim, neighborhood)
+    if block["cutoff"] is not None:
+        r = block["cutoff"]["r"]
+        cert = certify_gradient_bound(distance_cutoff(field, r), structure, bound,
+                                      "cutoff_gamma")
         out["cutoff"] = {"r": r, "certificate": cert.to_dict()}
-    if "truncation" in block:
-        r = _get_value(block["truncation"], "r", float, "metric.truncation")
-        R = _get_value(block["truncation"], "R", float, "metric.truncation")
-        tr = truncation_function(field, r, R)
-        cert = certify_gradient_bound(tr, structure, bound / (R - r) ** 2,
-                                      "truncation_gamma")
+    if block["truncation"] is not None:
+        r, R = block["truncation"]["r"], block["truncation"]["R"]
+        cert = certify_gradient_bound(truncation_function(field, r, R), structure,
+                                      bound / (R - r) ** 2, "truncation_gamma")
         out["truncation"] = {"r": r, "R": R, "certificate": cert.to_dict()}
     return out
-
-
-def _stencil(value: Any) -> int:
-    """Neighborhood of the intrinsic-metric stencil: 8 or 16."""
-    n = _integer(value)
-    if n not in (8, 16):
-        raise ValueError("must be 8 or 16")
-    return n
 
 
 def _seeded_pair(rng: np.random.Generator, shape) -> tuple[GridFunction, GridFunction]:
@@ -357,14 +309,7 @@ def _seeded_pair(rng: np.random.Generator, shape) -> tuple[GridFunction, GridFun
 def _cmd_check(cfg: dict, seed: int, tol: float | None) -> dict:
     ctx = parse_context(cfg)
     opts = parse_solve_options(cfg, tol)
-    block = cfg.get("check", {})
-    suites = _get_value(block, "suites", _nonempty_list, "check",
-                        ["sector", "monotone", "contraction"])
-    trials = _get_value(block, "trials", _at_least(1), "check", 50)
-    known = {"sector", "monotone", "contraction", "d1d2", "choquet", "union_diff"}
-    for name in suites:
-        if name not in known:
-            raise ConfigError(f"unknown suite '{name}' (known: {sorted(known)})")
+    suites, trials = cfg["check"]["suites"], cfg["check"]["trials"]
     rng = np.random.default_rng(seed)
     domain = ctx.domain
     shape = domain.node_shape
@@ -437,20 +382,6 @@ _COMMANDS = {
     "check": _cmd_check,
 }
 
-# Config keys any command may use; each command adds its own block.
-_SHARED_KEYS = {"domain", "field", "p", "eps", "seed", "solver", "output"}
-# (allowed, required) keys of each command block; `check` may be omitted.
-_BLOCK_KEYS = {
-    "solve": ({"boundary", "obstacle"}, {"boundary"}),
-    "capacity": ({"condenser", "vi_samples"}, {"condenser"}),
-    "caccioppoli": ({"u", "c", "balls", "variant", "residual_tol", "neighborhood"},
-                    {"u", "balls"}),
-    "qr": ({"mapping", "verify", "min_order", "include_log"}, {"mapping"}),
-    "metric": ({"source", "neighborhood", "targets", "cutoff", "truncation"}, {"source"}),
-    "check": ({"suites", "trials"}, set()),
-}
-_BALL_KEYS = {"center", "r", "R"}
-
 
 def _flatten_for_csv(report: dict) -> list[list[Any]]:
     rows: list[list[Any]] = []
@@ -501,19 +432,20 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-        required = {"domain"} if args.command == "check" else {"domain", args.command}
-        _check_keys(cfg, _SHARED_KEYS | set(_COMMANDS), required, "config")
-        _check_keys(cfg.get(args.command, {}), *_BLOCK_KEYS[args.command], args.command)
-        seed = (args.seed if args.seed is not None
-                else _get_value(cfg, "seed", _integer, "config", 0))
-        p = _get_value(cfg, "p", float, "config") if "p" in cfg else None
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        cfg = read_config(cfg, args.command)
+        seed, p, output = cfg["seed"], cfg["p"], cfg["output"]
         results = _COMMANDS[args.command](cfg, seed, args.tol)
+        # the domain's cached arrays are freed before a large report is encoded,
+        # where they would raise the peak resident size
+        del cfg
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolveError as exc:
         payload = {"command": args.command, "error": str(exc), "trace": exc.trace}
-        _write(args, cfg, payload,
+        _write(args, output, payload,
                json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n")
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -534,20 +466,20 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError:
         print("computation produced non-finite values", file=sys.stderr)
         return EXIT_COMPUTE
-    _write(args, cfg, report, text)
+    _write(args, output, report, text)
     if _harvest_failures(report):
         return EXIT_PROPERTY
     return EXIT_OK
 
 
-def _write(args, cfg: dict, report: dict, text: str) -> None:
+def _write(args, output: str | None, report: dict, text: str) -> None:
     """Write the encoded report, and its CSV table with --csv, to the output or stdout."""
     table = ""
     if args.csv:
         buf = io.StringIO()
         csv.writer(buf).writerows(_flatten_for_csv(report))
         table = buf.getvalue()
-    out = args.out or cfg.get("output")
+    out = args.out or output
     if not out:
         sys.stdout.write(text + table)
         return

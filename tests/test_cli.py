@@ -90,6 +90,22 @@ class TestSolveCommand:
         assert np.max(np.abs(sol - exact)) <= 1e-8
 
 
+    def test_obstacle_grid_is_minus_inf_off_its_region(self, tmp_path):
+        # the grid form of the obstacle block above: -inf where it does not bound
+        x = np.linspace(0, 1, 17)
+        lower = np.where(np.abs(x - 0.5) <= 0.25, 1.0, -np.inf)
+        outs = []
+        for name, obstacle in (
+                ("region", {"region": {"type": "interval", "a": 0.25, "b": 0.75}, "level": 1.0}),
+                ("grid", {"shape": [17], "values": lower.tolist()})):
+            cfg = write_config(tmp_path, f"{name}.json", {
+                "domain": base_domain_1d(), "p": 2.0,
+                "solve": {"boundary": {"values": 0.0}, "obstacle": obstacle}})
+            outs.append(tmp_path / f"{name}_out.json")
+            assert cli.main(["solve", "--config", cfg, "--out", str(outs[-1])]) == cli.EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 class TestCapacityCommand:
     def test_1d_closed_form_value(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -456,6 +472,18 @@ def _caccioppoli_config(u, ball):
 BALL = {"center": [0.5, 0.5], "r": 0.1, "R": 0.25}
 
 
+def _euclidean_config(r, R):
+    return {"domain": base_domain_2d(17), "p": 2.0,
+            "caccioppoli": {"u": "re_z2", "variant": "euclidean",
+                            "balls": [{"center": [0.5, 0.5], "r": r, "R": R}]}}
+
+
+def _radial_qr_config(**extra):
+    # a radial map on a box that omits the origin: its harmonicity check runs
+    return {"domain": {"dim": 2, "extent": [[0.5, 1.5], [0.5, 1.5]], "shape": [9, 9]},
+            "qr": {"mapping": {"kind": "radial", "a": 1.5}, **extra}}
+
+
 @pytest.mark.parametrize("command, config, key", [
     ("metric", _metric_config(cutoff={}), "'r'"),
     ("metric", _metric_config(truncation={"r": 0.1, "R": 0.3, "typo": 1}), "'typo'"),
@@ -560,6 +588,38 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
     ("qr", {"domain": base_domain_2d(9), "p": "abc",
             "qr": {"mapping": {"kind": "power", "k": 2}}}, "'p'"),
     ("metric", {**_metric_config(), "p": [2.0]}, "'p'"),
+    ("qr", _radial_qr_config(min_order=-3), "'min_order'"),
+    ("qr", _radial_qr_config(min_order=float("nan")), "'min_order'"),
+    ("caccioppoli", _euclidean_config(0.5, 0.3), "'r'"),
+    ("caccioppoli", _euclidean_config(0.3, 0.3), "'r'"),
+    ("caccioppoli", _euclidean_config(-0.3, 0.4), "'r'"),
+    ("caccioppoli", _caccioppoli_config("re_z2", {**BALL, "r": 0.3, "R": 0.2}), "'r'"),
+    ("caccioppoli", _caccioppoli_config("re_z2", {**BALL, "r": -0.1}), "'r'"),
+    ("caccioppoli", {**_caccioppoli_config("re_z2", BALL), "caccioppoli": {
+        "u": "re_z2", "balls": [BALL], "residual_tol": -1}}, "'residual_tol'"),
+    ("metric", _metric_config(cutoff={"r": 0}), "'r'"),
+    ("metric", _metric_config(cutoff={"r": -0.1}), "'r'"),
+    ("metric", _metric_config(truncation={"r": 0.3, "R": 0.2}), "'r'"),
+    ("metric", {**_metric_config(), "p": True}, "'p'"),
+    ("solve", {"domain": base_domain_1d(), "p": 2.0,
+               "solve": {"boundary": {"values": True}}}, "'values'"),
+    ("caccioppoli", _caccioppoli_config("re_z2", {**BALL, "r": "0.1"}), "'r'"),
+    ("solve", {"domain": base_domain_1d(), "p": 2.0, "solver": {"grad_tol": "1e-9"},
+               "solve": {"boundary": {"values": 0.0}}}, "'grad_tol'"),
+    ("solve", {"domain": base_domain_1d(), "p": "3",
+               "solve": {"boundary": {"values": 0.0}}}, "'p'"),
+    ("solve", {"domain": {**base_domain_1d(), "extent": [["0", "1"]]}, "p": 2.0,
+               "solve": {"boundary": {"values": 0.0}}}, "'extent'"),
+    ("metric", {**_metric_config(), "p": float("inf")}, "'p'"),
+    ("metric", _metric_config(source=["nan", 0]), "'source'"),
+    ("qr", {**_radial_qr_config(), "field": "bogus"}, "'field'"),
+    ("metric", {**_metric_config(), "solver": {"typo": 1}}, "'typo'"),
+    ("metric", {**_metric_config(), "eps": "x"}, "'eps'"),
+    ("caccioppoli", {**_caccioppoli_config("re_z2", BALL), "solver": {"grad_tol": "x"}},
+     "'grad_tol'"),
+    ("metric", {**_metric_config(), "output": 5}, "'output'"),
+    ("solve", {"domain": base_domain_1d(), "p": 2.0, "solve": {"boundary": {"values": {
+        "shape": [17], "values": [float("nan")] + [0.0] * 16}}}}, "'values'"),
 ], ids=["balls-not-a-list", "balls-empty", "targets-not-a-list", "suites-not-a-list",
         "trials-not-int", "trials-zero", "trials-negative", "suites-empty",
         "vi-samples-not-int", "vi-samples-two", "vi-samples-negative", "seed-not-int",
@@ -571,7 +631,14 @@ def test_malformed_nested_block_is_a_config_error(tmp_path, capsys, command, con
         "seed-not-int-valued", "trials-a-boolean", "node-index-not-int", "shape-not-int",
         "scalar-inf", "scalar-nan", "dim-a-boolean", "dim-not-int", "verify-a-string",
         "verify-an-int", "include-log-a-string", "include-log-an-int", "metric-p-a-string",
-        "qr-p-a-string", "metric-p-a-list"])
+        "qr-p-a-string", "metric-p-a-list", "min-order-negative", "min-order-nan",
+        "euclidean-r-above-R", "euclidean-r-equal-R", "euclidean-r-negative", "ball-r-above-R",
+        "ball-r-negative", "residual-tol-negative", "cutoff-r-zero", "cutoff-r-negative",
+        "truncation-r-above-R", "metric-p-a-boolean", "boundary-values-a-boolean",
+        "ball-r-a-string", "grad-tol-a-string", "p-a-string", "extent-strings", "p-inf",
+        "source-a-string-nan", "qr-field-unparsed", "metric-solver-unknown-key",
+        "metric-eps-a-string", "caccioppoli-grad-tol-a-string", "output-not-a-string",
+        "grid-values-nan"])
 def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, command, config, key):
     path = write_config(tmp_path, "c.json", config)
     assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
